@@ -3,11 +3,10 @@
 The package computes spectral (Duistermaat-Heckman type) measures of graded
 filtrations, the associated energy/entropy functionals, and the strictly
 convex optima behind soliton vector fields, valuation rescaling and torus
-twists, with exact rational geometry underneath and a compiled kernel for
-the exponential integrals when available.
+twists, with exact rational geometry underneath and one divided-difference
+kernel for the exponential integrals.
 """
 
-from ._kernel import backend_name
 from .errors import FanokitError
 from .expint import ExpIntegralResult, PLConcaveFunction
 from .filtration import FiltrationLevel, GradedFiltration, MonomialModel
@@ -34,5 +33,4 @@ __all__ = [
     "RationalPolytope",
     "Simplex",
     "SupportInfo",
-    "backend_name",
 ]

@@ -1,4 +1,4 @@
-"""Pure-Python kernel for divided differences of exp and their derivatives.
+"""Divided differences of exp and their derivatives: the numerical kernel.
 
 The integral of e^{-l(y)} over an n-simplex equals n!*vol * the n-th divided
 difference of exp at the negated vertex values of l.  Two evaluation paths:
@@ -20,8 +20,6 @@ triangular matrix.  All matrices here are tiny (<= 35 x 35).
 from __future__ import annotations
 
 import math
-
-BACKEND = "pure"
 
 _SERIES_CUTOFF = 1e-20
 _TAYLOR_CUTOFF = 1e-24
@@ -149,8 +147,8 @@ def _two_sum(a, b):
 def compensated_tree_sum(values):
     """Deterministic pairwise reduction in double-double arithmetic.
 
-    The reduction tree depends only on the index order, so results are
-    bit-stable no matter how the leaf values were computed (threads or not).
+    The reduction tree depends only on the index order, so equal leaf lists
+    always reduce to bit-identical results.
     """
     def reduce(lo, hi):
         if hi - lo == 1:

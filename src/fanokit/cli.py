@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--a", action="append", help="exponential-moment parameter (repeatable)")
     parser.add_argument("--degrees", help="degree list m1..m2 or a single m")
     parser.add_argument("--tol", type=float, default=None, help="solver tolerance override")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for cell integrals")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
@@ -328,9 +327,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     options = parser.parse_args(argv)
     options.tol = options.tol if options.tol is not None else 1e-10
-    from . import expint
-
-    expint.set_default_threads(options.threads)
     try:
         if options.input is None:
             if options.command != "check":

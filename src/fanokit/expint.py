@@ -7,13 +7,13 @@ their sums over the cells of a piecewise-linear concave transform.
 Geometry stays rational until the last moment: vertex values of the affine
 forms are evaluated in Q and rounded once to double before entering the
 divided-difference kernel.  Cell sums use a deterministic double-double tree
-reduction so results do not depend on the thread count.
+reduction over the canonical cell order, so results do not depend on the order
+in which cells were given.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,14 +32,6 @@ from .rational import format_rat, rat, rat_vector
 CLUSTER_RELATIVE_SPREAD = 1e-4
 
 MAX_MOMENT_ORDER = 4
-
-#: worker threads used by cell sums when the caller does not pass `threads`
-DEFAULT_THREADS = 1
-
-
-def set_default_threads(n: int) -> None:
-    global DEFAULT_THREADS
-    DEFAULT_THREADS = max(1, int(n))
 
 
 @dataclass(frozen=True)
@@ -199,24 +191,14 @@ class PLConcaveFunction:
         return cls.make(domain, cells, certify_concave=bool(doc.get("concave_certificate")))
 
 
-def _cell_results(G: PLConcaveFunction, shift: AffineForm | None, threads: int) -> list[ExpIntegralResult]:
-    forms = [f if shift is None else f.plus(shift) for _, f in G.cells]
-    jobs = list(zip((s for s, _ in G.cells), forms))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda job: simplex_exp_integral(*job), jobs))
-    return [simplex_exp_integral(s, f) for s, f in jobs]
-
-
-def pl_exp_integral(G: PLConcaveFunction, shift: AffineForm | None = None,
-                    threads: int | None = None) -> ExpIntegralResult:
+def pl_exp_integral(G: PLConcaveFunction, shift: AffineForm | None = None) -> ExpIntegralResult:
     """int_domain e^{-(G(y) + shift(y))} dy, summed cell-wise.
 
-    Cell integrals may run in parallel; the reduction is a fixed-order
-    double-double tree over the canonical cell ordering, so the output is
-    bit-stable across thread counts.
+    The reduction is a fixed-order double-double tree over the canonical cell
+    ordering, so the output is bit-identical however the cells were listed.
     """
-    results = _cell_results(G, shift, threads if threads is not None else DEFAULT_THREADS)
+    results = [simplex_exp_integral(s, f if shift is None else f.plus(shift))
+               for s, f in G.cells]
     total = compensated_tree_sum([r.value for r in results])
     if total != 0.0:
         err = sum(r.est_rel_error * abs(r.value) for r in results) / abs(total)
@@ -226,7 +208,7 @@ def pl_exp_integral(G: PLConcaveFunction, shift: AffineForm | None = None,
     return ExpIntegralResult(total, err, method)
 
 
-def superlevel_gvolume(G: PLConcaveFunction, x, xi=None, threads: int = 1) -> float:
+def superlevel_gvolume(G: PLConcaveFunction, x, xi=None) -> float:
     """n! * int_{G >= x} e^{-<y', xi>} dy (the weighted volume of a superlevel set)."""
     x = rat(x)
     n = G.dim

@@ -111,9 +111,14 @@ class DHMeasure:
         """(1/mass) int e^{-a lambda} dmu for a > 0."""
         af = float(a)
         if self.variant == "atomic":
-            total = float(sum((m for _, m, _ in self.atoms), Fraction(0)))
-            vals = sorted(float(m) * math.exp(-af * float(pos)) for pos, m, _ in self.atoms)
-            return compensated_tree_sum(vals) / total
+            # merge and normalize exactly, so a Dirac gives exactly e^{-a x}
+            masses: dict[Fraction, Fraction] = {}
+            for pos, m, _ in self.atoms:
+                masses[pos] = masses.get(pos, Fraction(0)) + m
+            total = sum(masses.values(), Fraction(0))
+            vals = sorted(float(m / total) * math.exp(-af * float(pos))
+                          for pos, m in masses.items())
+            return compensated_tree_sum(vals)
         n = self.transform.dim
         ell = self._pairing()
         ar = rat(a)

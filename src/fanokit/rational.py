@@ -58,10 +58,6 @@ def vsub(u, v) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vadd(u, v) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def smul(c: Fraction, u) -> Vector:
     return tuple(c * a for a in u)
 
@@ -146,10 +142,6 @@ def invert(rows) -> Matrix | None:
                 factor = a[r][col]
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
-
-
-def mat_vec(rows, v) -> Vector:
-    return tuple(dot(r, v) for r in rows)
 
 
 def primitive(vec_and_offset) -> tuple:

@@ -2,7 +2,7 @@
 
 Floats are printed with 17 significant digits (round-trip exact), keys are
 sorted, and separators are fixed, so re-running a job on the same inputs
-yields byte-identical artifacts regardless of thread count or dict order.
+yields byte-identical artifacts regardless of dict order.
 """
 
 from __future__ import annotations

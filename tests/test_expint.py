@@ -211,12 +211,17 @@ def test_pl_gradient_matches_weighted_integral():
         assert abs(fd - (-wsum)) <= 1e-6 * max(1.0, abs(wsum))
 
 
-def test_pl_threads_bitstable():
-    dom = RationalPolytope.from_vertices([[0, 0], [3, 0], [0, 3], [3, 3]])
-    G = PLConcaveFunction.linear(dom, [1, -1], 0)
-    a = pl_exp_integral(G, threads=1)
-    b = pl_exp_integral(G, threads=4)
-    assert a.value == b.value
+def test_pl_cell_order_bitstable():
+    # the reduction follows the canonical cell order, not the order cells are given in
+    dom = RationalPolytope.from_vertices(
+        [[x, y, z] for x in (0, 3) for y in (0, 2) for z in (0, 1)])
+    G = PLConcaveFunction.linear(dom, [1, -1, 2], 0)
+    expected = pl_exp_integral(G).value
+    cells = list(G.cells)
+    rng = random.Random(5)
+    for _ in range(5):
+        rng.shuffle(cells)
+        assert pl_exp_integral(PLConcaveFunction.make(dom, cells)).value == expected
 
 
 def test_superlevel_gvolume_cases():

@@ -3,7 +3,7 @@
 import math
 from fractions import Fraction
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fanokit.expint import simplex_exp_integral
 from fanokit.filtration import (
@@ -81,6 +81,11 @@ def test_affine_transform_identities(mu, a, b):
 
 @settings(max_examples=60, deadline=None)
 @given(atomic_measures(), positive_rationals)
+# equality cases: a single atom, and two atoms at one position
+@example(DHMeasure.dirac(-7, Fraction(5, 8)), Fraction(11, 7))
+@example(DHMeasure.dirac(Fraction(-23, 3), Fraction(3, 8)), Fraction(23, 8))
+@example(DHMeasure.atomic([(-7, Fraction(1, 3), None), (-7, Fraction(2, 3), None)]),
+         Fraction(11, 7))
 def test_jensen_property(mu, a):
     assert mu.exp_moment(a) >= math.exp(-float(a) * mu.moment(1)) - 1e-12
 
