@@ -3,10 +3,16 @@
 The integral of e^{-l(y)} over an n-simplex equals n!*vol * the n-th divided
 difference of exp at the negated vertex values of l.  Two evaluation paths:
 
-* ``dd_exp`` - the divided-difference table realized as the corner entry of
-  exp(Z) where Z is the upper-bidiagonal node matrix, computed by shift +
-  scaling-and-squaring.  Uniformly accurate for any node spread, including
-  exactly repeated nodes (the matrix route is the confluent table).
+* ``dd_exp_batch`` - the divided-difference tables of a stack of node lists,
+  realized as the first rows of exp(Z) where each Z is an upper-bidiagonal
+  node matrix: entry j of the first row is the divided difference at the
+  first j+1 nodes (Opitz 1964; McCurdy, Ng & Parlett 1984).  Each list is
+  shifted by its largest node, which is returned as a log offset instead of
+  being multiplied back, and each matrix gets its own scaling-and-squaring
+  exponent, so a list's result never depends on the other lists in its
+  batch.  Uniformly accurate for any node spread, including exactly repeated
+  nodes (the matrix route is the confluent table).  ``dd_exp`` and
+  ``dd_exp_weighted`` are its batch-of-one forms.
 * ``dd_exp_series`` - Taylor expansion of the divided difference around the
   mean node, in complete homogeneous symmetric polynomials.  Fast and
   cancellation-free for tightly clustered nodes.
@@ -21,50 +27,80 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _SERIES_CUTOFF = 1e-20
 _TAYLOR_CUTOFF = 1e-24
+_MAX_TERMS = 61
 _EPS = 2.220446049250313e-16
 
 
-def _tri_matmul(a, b, d):
-    """Product of two d x d upper-triangular matrices (dense row storage)."""
-    out = [[0.0] * d for _ in range(d)]
-    for i in range(d):
-        ai = a[i]
-        oi = out[i]
-        for l in range(i, d):
-            s = ai[l]
-            if s != 0.0:
-                bl = b[l]
-                for j in range(l, d):
-                    oi[j] += s * bl[j]
-    return out
+def dd_exp_batch(z, b=None, k: int = 0):
+    """First rows of exp of the node matrices of the rows of ``z``.
+
+    ``z`` is an (m, n1) array of node lists.  Returns ``(rows, offset, err)``:
+    ``rows[i, j*n1 + p]`` is (1/j!) d^j/dt^j DD[exp](z_i[:p+1] + t*b_i[:p+1])
+    at t = 0 divided by e^{offset[i]}, where ``offset[i] = max(z_i)``, and
+    ``err[i]`` is the estimated relative error of row i.  ``b`` (m, n1) is
+    the deformation direction, needed when k > 0.
+    """
+    z = np.asarray(z, dtype=float)
+    m, n1 = z.shape
+    offset = z.max(axis=1)
+    delta = z - offset[:, None]
+    norm_proxy = 1.0 - delta.min(axis=1)
+    if k:
+        b = np.asarray(b, dtype=float)
+        norm_proxy = norm_proxy + np.abs(b).max(axis=1)
+    q = np.maximum(0, np.ceil(np.log2(norm_proxy / 0.5))).astype(int)
+    h = np.ldexp(1.0, -q)[:, None]
+
+    d = n1 * (k + 1)
+    a = np.zeros((m, d, d))
+    i = np.arange(n1)
+    for p in range(k + 1):
+        off = p * n1 + i
+        a[:, off, off] = delta * h
+        a[:, off[:-1], off[1:]] = h
+        if p < k:
+            a[:, off, off + n1] = b * h
+    e, terms = _expm_taylor(a)
+    for s in range(int(q.max(initial=0))):
+        sel = q > s
+        if sel.all():
+            e = e @ e
+        else:
+            part = e[sel]
+            e[sel] = part @ part
+    err = (terms + q * d) * 4.0 * _EPS
+    return e[:, 0, :], offset, err
 
 
-def _expm_upper(a, d):
-    """exp of an upper-triangular matrix with small norm, by Taylor series."""
-    e = [[float(i == j) for j in range(d)] for i in range(d)]
-    term = [row[:] for row in a]
-    m = 1
-    while True:
-        mx = 0.0
-        for i in range(d):
-            ei = e[i]
-            ti = term[i]
-            for j in range(i, d):
-                ei[j] += ti[j]
-                t = abs(ti[j])
-                if t > mx:
-                    mx = t
-        if mx < _TAYLOR_CUTOFF or m > 60:
-            return e, m
-        m += 1
-        term = _tri_matmul(term, a, d)
-        inv = 1.0 / m
-        for i in range(d):
-            ti = term[i]
-            for j in range(i, d):
-                ti[j] *= inv
+def _expm_taylor(a):
+    """exp of a stack of small-norm upper-triangular matrices, by Taylor series.
+
+    Each matrix stops accumulating at its own first term below the cutoff;
+    returns the exponentials and the number of terms each one took.
+    """
+    m, d, _ = a.shape
+    e = a + np.eye(d)
+    term = a
+    live = np.abs(a).max(axis=(1, 2)) >= _TAYLOR_CUTOFF
+    terms = np.where(live, _MAX_TERMS, 1)
+    n_live = int(live.sum())
+    for j in range(2, _MAX_TERMS + 1):
+        if n_live == 0:
+            break
+        term = term @ a
+        term *= 1.0 / j
+        e += term if n_live == m else term * live[:, None, None]
+        done = live & (np.abs(term).max(axis=(1, 2)) < _TAYLOR_CUTOFF)
+        if done.any():
+            terms[done] = j
+            live &= ~done
+            n_live = int(live.sum())
+    return e, terms
+
 
 def dd_exp_weighted(z, b, k):
     """Corner entries [D_0, ..., D_k], D_j = (1/j!) d^j/dt^j DD[exp](z + t*b) at t=0.
@@ -72,31 +108,10 @@ def dd_exp_weighted(z, b, k):
     D_0 is the plain divided difference of exp at the nodes z.
     """
     n1 = len(z)
-    mu = math.fsum(z) / n1
-    delta = [x - mu for x in z]
-    spread = max(abs(x) for x in delta)
-    bmax = max(abs(x) for x in b) if k else 0.0
-    norm_proxy = spread + 1.0 + bmax
-    q = max(0, math.ceil(math.log2(norm_proxy / 0.5)))
-    h = 0.5**q
-
-    d = n1 * (k + 1)
-    a = [[0.0] * d for _ in range(d)]
-    for p in range(k + 1):
-        off = p * n1
-        for i in range(n1):
-            a[off + i][off + i] = delta[i] * h
-            if i + 1 < n1:
-                a[off + i][off + i + 1] = h
-            if p + 1 <= k:
-                a[off + i][off + n1 + i] = b[i] * h
-    e, terms = _expm_upper(a, d)
-    for _ in range(q):
-        e = _tri_matmul(e, e, d)
-    scale = math.exp(mu)
-    corner = [e[0][j * n1 + (n1 - 1)] * scale for j in range(k + 1)]
-    err = (terms + q * d) * 4.0 * _EPS
-    return corner, err
+    rows, offset, err = dd_exp_batch([z], [b] if k else None, k)
+    scale = math.exp(offset[0])
+    corner = [float(rows[0, j * n1 + n1 - 1]) * scale for j in range(k + 1)]
+    return corner, float(err[0])
 
 
 def dd_exp(z):

@@ -13,7 +13,7 @@ order of the input data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegeneratePolytope, DegenerateSimplex, InputError
@@ -212,6 +212,9 @@ class RationalPolytope:
     vertices: tuple[Vector, ...]
     halfspaces: tuple[tuple[Vector, Fraction], ...]
     full_dimensional: bool
+    # derived once per instance: facets (incidences index ``vertices``) and cells
+    _facets: tuple[Facet, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _cells: tuple[Simplex, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_vertices(cls, vertices) -> "RationalPolytope":
@@ -226,7 +229,14 @@ class RationalPolytope:
         facets = _facets_from_points(pts)
         extreme = _extreme_points(pts, facets)
         halfspaces = tuple((f.normal, f.offset) for f in facets)
-        return cls(n, tuple(extreme), halfspaces, True)
+        poly = cls(n, tuple(extreme), halfspaces, True)
+        index = {p: i for i, p in enumerate(extreme)}
+        kept = tuple(
+            Facet(f.normal, f.offset, tuple(index[pts[i]] for i in f.incident if pts[i] in index))
+            for f in facets
+        )
+        object.__setattr__(poly, "_facets", kept)
+        return poly
 
     @classmethod
     def from_halfspaces(cls, halfspaces, dim: int) -> "RationalPolytope":
@@ -258,8 +268,19 @@ class RationalPolytope:
                 raise InputError("vertex and halfspace descriptions disagree")
 
     def facets(self) -> list[Facet]:
+        return list(self._facet_list())
+
+    def _facet_list(self) -> tuple[Facet, ...]:
         self._require_full_dim()
-        return _facets_from_points(list(self.vertices))
+        if self._facets is None:
+            object.__setattr__(self, "_facets", tuple(_facets_from_points(list(self.vertices))))
+        return self._facets
+
+    def _cell_list(self) -> tuple[Simplex, ...]:
+        if self._cells is None:
+            pieces = _cone_triangulation(list(self.vertices), self._facet_list())
+            object.__setattr__(self, "_cells", tuple(Simplex(p) for p in pieces))
+        return self._cells
 
     def _require_full_dim(self):
         if not self.full_dimensional:
@@ -280,23 +301,23 @@ class RationalPolytope:
         """Image under projection to the first r coordinates."""
         if not 1 <= r <= self.dim:
             raise InputError(f"projection rank {r} out of range")
+        if r == self.dim:
+            return self
         return RationalPolytope.from_vertices([v[:r] for v in self.vertices])
 
     def volume(self) -> Fraction:
         if not self.full_dimensional:
             return Fraction(0)
-        return sum((s.volume() for s in self.triangulate()), Fraction(0))
+        return sum((s.volume() for s in self._cell_list()), Fraction(0))
 
     def triangulate(self) -> list[Simplex]:
-        self._require_full_dim()
-        pieces = _cone_triangulation(list(self.vertices), self.facets())
-        return [Simplex(p) for p in pieces]
+        return list(self._cell_list())
 
     def barycenter(self) -> Vector:
         self._require_full_dim()
         total = Fraction(0)
         acc = [Fraction(0)] * self.dim
-        for s in self.triangulate():
+        for s in self._cell_list():
             v = s.volume()
             c = s.centroid()
             total += v

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernel import compensated_tree_sum
+from ._kernel import compensated_tree_sum, dd_exp_batch
 from .errors import (
     DenominatorVanishes,
     InputError,
@@ -138,57 +138,72 @@ def newton_minimize(f, grad, hess, x0, tol: float = NEWTON_TOL,
 # tilted-moment helpers over a polytope
 
 
-class _TiltedIntegrals:
-    """int e^{-<y', xi>}, its first moments and covariance over a fixed triangulation."""
+class _SolitonObjective:
+    """xi -> log((1/vol) int_P e^{-<y', xi>} dy), its gradient and Hessian.
+
+    A cell's integral is |det| * DD[exp](z) at the nodes z_v = -<y'_v, xi>,
+    and its derivatives are repeated-node divided differences:
+    dDD/dz_v = DD(z, z_v) and d2DD/dz_u dz_v = (1 + [u = v]) DD(z, z_u, z_v).
+    One kernel batch over the node lists z + (z_u, z_v), u <= v, of every cell
+    yields all three as prefix divided differences.  Cell sums are taken in
+    the log domain, relative to the largest cell's log offset.
+    """
 
     def __init__(self, polytope: RationalPolytope, rank: int):
-        self.dim = polytope.dim
-        self.rank = rank
-        self.cells = polytope.triangulate()
+        cells = polytope.triangulate()
+        # (C, n+1, r) vertex coordinates paired with xi, and log |det| = log(n! vol)
+        self.points = np.array([[[float(x) for x in v[:rank]] for v in s.vertices]
+                                for s in cells])
+        self.log_scale = np.log([float(abs(s.edge_determinant())) for s in cells])
+        self.log_vol = math.log(float(polytope.volume()))
+        self.pairs = np.triu_indices(self.points.shape[1])
+        self._last = None
 
-    def _forms(self, xi):
-        return pairing_form([rat(v).limit_denominator(10**15) for v in xi], self.dim)
+    def _nodes(self, xi) -> np.ndarray:
+        return -(self.points @ np.asarray(xi, dtype=float))
+
+    def _log_sum(self, offset, dd):
+        """(top, weights, I) with int = e^top * I and I = sum_c weights_c * dd_c."""
+        log_w = self.log_scale + offset
+        top = float(log_w.max())
+        w = np.exp(log_w - top)
+        return top, w, math.fsum(w * dd)
 
     def value(self, xi) -> float:
-        ell = self._forms(xi)
-        return compensated_tree_sum([simplex_exp_integral(s, ell).value for s in self.cells])
+        z = self._nodes(xi)
+        rows, offset, _ = dd_exp_batch(z)
+        top, _, total = self._log_sum(offset, rows[:, -1])
+        return top + math.log(total) - self.log_vol
 
-    def mean(self, xi) -> np.ndarray:
-        ell = self._forms(xi)
-        total = self.value(xi)
-        out = np.zeros(self.rank)
-        for j in range(self.rank):
-            w = pairing_form([int(i == j) for i in range(self.rank)], self.dim)
-            num = compensated_tree_sum(
-                [simplex_weighted_exp_integral(s, ell, w, 1).value for s in self.cells]
-            )
-            out[j] = num / total
-        return out
+    def moments(self, xi):
+        """(top, I, dI, d2I): e^top * (I, dI, d2I) are the integral and its xi-derivatives."""
+        z = self._nodes(xi)
+        c, n1 = z.shape
+        u, v = self.pairs
+        npairs = len(u)
+        ext = np.concatenate([np.repeat(z[:, None, :], npairs, axis=1),
+                              z[:, u, None], z[:, v, None]], axis=2)
+        rows, offset, _ = dd_exp_batch(ext.reshape(c * npairs, n1 + 2))
+        rows = rows.reshape(c, npairs, n1 + 2)
+        top, w, total = self._log_sum(offset[::npairs], rows[:, 0, n1 - 1])
+        diag = np.flatnonzero(u == v)
+        dd1 = rows[:, diag, n1]  # DD(z, z_u), u = 0..n
+        dd2 = rows[:, :, n1 + 1]  # DD(z, z_u, z_v), u <= v
+        y = self.points
+        grad = -np.einsum("c,cu,cua->a", w, dd1, y)
+        half = np.einsum("c,cp,cpa,cpb->ab", w, dd2, y[:, u], y[:, v])
+        return top, total, grad, half + half.T
 
-    def second_moment(self, xi) -> np.ndarray:
-        ell = self._forms(xi)
-        total = self.value(xi)
-        r = self.rank
-        out = np.zeros((r, r))
-        for i in range(r):
-            for j in range(i, r):
-                # polarization: y_i y_j = ((y_i+y_j)^2 - (y_i-y_j)^2) / 4
-                plus = [int(k == i) + int(k == j) for k in range(r)]
-                minus = [int(k == i) - int(k == j) for k in range(r)]
-                wp = pairing_form(plus, self.dim)
-                wm = pairing_form(minus, self.dim)
-                sp = compensated_tree_sum(
-                    [simplex_weighted_exp_integral(s, ell, wp, 2).value for s in self.cells]
-                )
-                sm = compensated_tree_sum(
-                    [simplex_weighted_exp_integral(s, ell, wm, 2).value for s in self.cells]
-                )
-                out[i, j] = out[j, i] = (sp - sm) / 4.0 / total
-        return out
+    def grad(self, xi) -> np.ndarray:
+        _, total, grad, second = self.moments(xi)
+        g = grad / total
+        self._last = (np.array(xi, dtype=float), g, second / total - np.outer(g, g))
+        return g
 
-    def covariance(self, xi) -> np.ndarray:
-        m = self.mean(xi)
-        return self.second_moment(xi) - np.outer(m, m)
+    def hess(self, xi) -> np.ndarray:
+        if self._last is None or not np.array_equal(self._last[0], xi):
+            self.grad(xi)
+        return self._last[2]
 
 
 def soliton_vector(polytope: RationalPolytope, rank: int | None = None,
@@ -201,20 +216,12 @@ def soliton_vector(polytope: RationalPolytope, rank: int | None = None,
     """
     r = rank if rank is not None else polytope.dim
     projected = polytope.project(r)
-    if not projected.full_dimensional or not origin_in_interior(projected.vertices):
+    if not projected.full_dimensional or not projected.contains([0] * r, strict=True):
         raise OriginNotInterior(
             "0 must lie strictly inside the projected polytope for properness"
         )
-    tilted = _TiltedIntegrals(polytope, r)
-    vol = float(polytope.volume())
-
-    def f(xi):
-        return math.log(tilted.value(xi) / vol)
-
-    def g(xi):
-        return -tilted.mean(xi)
-
-    return newton_minimize(f, g, tilted.covariance,
+    objective = _SolitonObjective(polytope, r)
+    return newton_minimize(objective.value, objective.grad, objective.hess,
                            x0 if x0 is not None else np.zeros(r), tol=tol)
 
 

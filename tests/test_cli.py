@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import fanokit
 from fanokit.cli import _fixture_path, convergence_report, main
 from fanokit.filtration import filtration_from_json
 from fanokit.measure import measure_from_json
@@ -213,6 +217,25 @@ def test_reruns_byte_identical(tmp_path, capsys):
         assert code == 0
         outs.append(out_path.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("fixture", ["symmetric_polytopes.json", "unstable_interval.json"])
+def test_soliton_subprocess_byte_identical(tmp_path, fixture):
+    # the batched kernel goes through BLAS: its thread count must not change a bit
+    src = str(Path(fanokit.__file__).resolve().parents[1])
+    outs = []
+    for i, threads in enumerate((None, "1")):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out_path = tmp_path / f"{i}.json"
+        subprocess.run([sys.executable, "-m", "fanokit.cli", "soliton",
+                        "--input", _fixture_path(fixture), "--output", str(out_path)],
+                       env=env, check=True, timeout=120)
+        outs.append(out_path.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_float_output_17_digits(tmp_path, capsys):

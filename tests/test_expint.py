@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from fanokit._kernel import dd_exp, dd_exp_series
+import numpy as np
+
+from fanokit._kernel import dd_exp, dd_exp_batch, dd_exp_series
 from fanokit.errors import InputError, UnsupportedOrder
 from fanokit.expint import (
     PLConcaveFunction,
@@ -135,6 +137,19 @@ def test_dual_path_agreement_window(rng):
             assert abs(scale * via_dd - oracle) <= 1e-10 * abs(oracle)
             assert abs(scale * via_series - oracle) <= 1e-10 * abs(oracle)
             assert abs(via_dd - via_series) <= 1e-10 * abs(via_dd)
+
+
+def test_batch_row_independent_of_neighbours():
+    """A node list gives bit-identical results alone and beside a list of spread 1e3."""
+    cell = [0.25, -1.5, 0.75, -0.125]
+    wide = [3.0, -997.0, 0.5, 2.0]
+    alone = dd_exp_batch([cell])
+    batched = dd_exp_batch([wide, cell, cell[::-1]])
+    for got, want in zip(batched, alone):
+        assert np.array_equal(got[1], want[0])
+    rows, offset, _ = alone
+    value, _ = dd_exp(cell)
+    assert value == rows[0, -1] * math.exp(offset[0])
 
 
 def test_stability_sweep_methods(rng):

@@ -35,6 +35,15 @@ def test_na_report_p1():
     assert rep.normalized
 
 
+def test_na_report_wide_uniform_finite():
+    # nodes 0 and -2000: shifting by the mean node overflowed exp and gave nan
+    rep = na_report(DHMeasure.uniform(0, 2000), LPolicy.supplied(0))
+    expected = math.log(2000) - math.log1p(-math.exp(-2000))
+    assert abs(rep.S_tilde - expected) <= 1e-12 * expected
+    fields = [rep.V, rep.E, rep.S_tilde, rep.L, rep.H, rep.D, *rep.E_k.values()]
+    assert all(math.isfinite(x) for x in fields)
+
+
 def test_na_report_dirac():
     rep = na_report(DHMeasure.dirac(0), LPolicy.supplied(0))
     for v in (rep.E, rep.S_tilde, rep.H, rep.D):

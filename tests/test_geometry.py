@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fanokit import geometry
 from fanokit.errors import DegeneratePolytope, DegenerateSimplex, InputError
 from fanokit.geometry import (
     AffineForm,
@@ -200,3 +201,46 @@ def test_origin_interior():
     assert not origin_in_interior([(1,), (2,)])
     assert origin_in_interior([(-1, -1), (1, -1), (0, 2)])
     assert not origin_in_interior([(0, 0), (1, 0), (0, 1)])
+
+
+BOX3 = RationalPolytope.from_vertices(
+    [[x, y, z] for x in (0, 2) for y in (-1, 1) for z in (0, 3)])
+
+
+def test_hull_and_triangulation_computed_once(monkeypatch):
+    box = RationalPolytope.from_vertices(BOX3.vertices)
+    calls = []
+    search = geometry._facets_from_points
+
+    def counted(points):
+        calls.append(len(points))
+        return search(points)
+
+    monkeypatch.setattr(geometry, "_facets_from_points", counted)
+    box.triangulate()
+    after_first = len(calls)
+    for _ in range(3):
+        box.facets()
+        box.triangulate()
+        box.volume()
+        box.barycenter()
+        assert box.project(3) is box
+    assert len(calls) == after_first
+
+
+def test_cached_lists_are_copies():
+    box = RationalPolytope.from_vertices(BOX3.vertices)
+    facets, cells = box.facets(), box.triangulate()
+    want_facets, want_cells = list(facets), list(cells)
+    facets.clear()
+    cells.pop()
+    assert box.facets() == want_facets and box.triangulate() == want_cells
+    assert volume(box) == 12 and box.barycenter() == (1, 0, Fraction(3, 2))
+
+
+def test_cached_facets_index_kept_vertices(rng):
+    # interior and non-extreme input points must not shift the incidences
+    for n in (2, 3):
+        for _ in range(4):
+            poly = random_full_polytope(rng, n, npts=n + 6)
+            assert poly.facets() == geometry._facets_from_points(list(poly.vertices))

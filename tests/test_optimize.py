@@ -145,6 +145,74 @@ def _interval_exp_mass(a, b, xi):
     return (math.exp(-a * xi) - math.exp(-b * xi)) / xi
 
 
+@pytest.mark.parametrize("lo, hi, bracket", [
+    (Fraction(-1, 1000), 900, (1.0, 2000.0)),
+    (Fraction(-1, 100000), 50, (1.0, 2e5)),
+])
+def test_soliton_far_tilted_interval_converges(lo, hi, bracket):
+    # 0 is interior, but the minimizer sits at xi ~ 1/|lo|, where the vertex
+    # values spread over ~1e6: the objective must be summed in the log domain
+    res = soliton_vector(RationalPolytope.interval(lo, hi))
+    a, b = float(lo), float(hi)
+    root = bisect_root(lambda t: _interval_mean(a, b, t), *bracket, tol=1e-16)
+    assert abs(res.argmin[0] - root) <= 1e-8 * root
+    xi = res.argmin[0]
+    closed = math.log(_interval_exp_mass(a, b, xi) / (b - a))
+    assert abs(res.value - closed) <= 1e-12 * abs(closed)
+
+
+def _lattice_polytope(rng, n):
+    while True:
+        pts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n + 3)]
+        poly = RationalPolytope.from_vertices(pts)
+        if poly.full_dimensional:
+            return poly
+
+
+def _xi_with_spread(rng, poly, spread):
+    """A rational xi whose pairings with the vertices spread over ``spread``."""
+    n = poly.dim
+    if spread == 0:
+        return [Fraction(0)] * n
+    direction = [Fraction(rng.randint(-9, 9), 7) for _ in range(n)]
+    vals = [sum(d * x for d, x in zip(direction, v)) for v in poly.vertices]
+    if max(vals) == min(vals):
+        direction[0] += 1
+        vals = [sum(d * x for d, x in zip(direction, v)) for v in poly.vertices]
+    factor = Fraction(spread).limit_denominator(10**12) / (max(vals) - min(vals))
+    return [factor * d for d in direction]
+
+
+@pytest.mark.parametrize("spread", [0, 1e-8, 10.0])
+def test_soliton_derivatives_match_weighted_integrals(rng, spread):
+    """Repeated-node derivatives equal the k=1 moments and the polarized k=2 moments."""
+    from fanokit.expint import simplex_weighted_exp_integral
+    from fanokit.geometry import pairing_form
+    from fanokit.optimize import _SolitonObjective
+
+    for n in (2, 3, 4):
+        poly = _lattice_polytope(rng, n)
+        xi = _xi_with_spread(rng, poly, spread)
+        top, total, grad, second = _SolitonObjective(poly, n).moments([float(x) for x in xi])
+        scale = math.exp(top)
+        ell = pairing_form(xi, n)
+        cells = poly.triangulate()
+
+        def moment(coeffs, k):
+            w = pairing_form(coeffs, n)
+            return math.fsum(simplex_weighted_exp_integral(s, ell, w, k).value for s in cells)
+
+        unit = [[int(i == j) for i in range(n)] for j in range(n)]
+        want_grad = np.array([-moment(unit[a], 1) for a in range(n)])
+        want_second = np.array([
+            [(moment([x + y for x, y in zip(unit[a], unit[b])], 2)
+              - moment([x - y for x, y in zip(unit[a], unit[b])], 2)) / 4
+             for b in range(n)] for a in range(n)])
+        assert np.max(np.abs(scale * grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+        assert (np.max(np.abs(scale * second - want_second))
+                <= 1e-12 * np.max(np.abs(want_second)))
+
+
 # -- rescaling optimum -------------------------------------------------------
 
 
@@ -267,15 +335,11 @@ def test_twist_objective_midpoint_convex(rng):
 
 def test_objectives_midpoint_convex_on_100_segments(rng):
     """Soliton, rescaling and twist objectives are midpoint-convex along segments."""
-    from fanokit.optimize import _TiltedIntegrals
+    from fanokit.optimize import _SolitonObjective
 
     checked = 0
     poly = RationalPolytope.from_vertices([[-1, -1], [2, 0], [0, 2], [1, -1]])
-    tilted = _TiltedIntegrals(poly, 2)
-    vol = float(poly.volume())
-
-    def soliton_obj(xi):
-        return math.log(tilted.value(xi) / vol)
+    soliton_obj = _SolitonObjective(poly, 2).value
 
     mu = DHMeasure.uniform(0, 4)
 
