@@ -193,7 +193,7 @@ def test_soliton_derivatives_match_weighted_integrals(rng, spread):
     for n in (2, 3, 4):
         poly = _lattice_polytope(rng, n)
         xi = _xi_with_spread(rng, poly, spread)
-        top, total, grad, second = _SolitonObjective(poly, n).moments([float(x) for x in xi])
+        top, _, grad, second = _SolitonObjective(poly, n).moments([float(x) for x in xi])
         scale = math.exp(top)
         ell = pairing_form(xi, n)
         cells = poly.triangulate()
