@@ -185,7 +185,7 @@ def _twisted_measure(mu: DHMeasure, xi) -> DHMeasure:
         return DHMeasure.atomic(atoms)
     padded = tuple(mu.weight_xi) + (Fraction(0),) * max(0, len(xi) - len(mu.weight_xi))
     combined = tuple(a + b for a, b in zip(padded, tuple(xi) + (Fraction(0),) * (len(padded) - len(xi))))
-    return DHMeasure.pushforward(mu.transform, combined, mu.projection)
+    return DHMeasure.pushforward(mu.transform, combined)
 
 
 def _cmd_soliton(doc, options):

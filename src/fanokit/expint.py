@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
-from ._kernel import compensated_tree_sum, dd_exp, dd_exp_series, dd_exp_weighted
+from ._kernel import compensated_tree_sum, dd_exp_batch, dd_exp_series
 from .errors import InputError, UnsupportedOrder
 from .geometry import (
     AffineForm,
@@ -50,19 +51,52 @@ def _vertex_values(s: Simplex, form: AffineForm) -> list[float]:
     return [float(form(v)) for v in s.vertices]
 
 
+def _exp_integrals(z, volumes, b=None, k: int = 0) -> list[ExpIntegralResult]:
+    """int_s w^k e^{-l} = k! * n!vol(s) * D_k for each simplex s, one kernel call.
+
+    ``z[i]`` holds the negated vertex values of l on simplex i (all rows of
+    one length), ``volumes[i]`` its n! vol and, for k > 0, ``b[i]`` the
+    vertex values of w.  For k = 0 a row whose relative spread is below
+    ``CLUSTER_RELATIVE_SPREAD`` takes the series; the other rows share one
+    ``dd_exp_batch`` call, and each is scaled back by e^{offset} before it is
+    multiplied by its volume.
+    """
+    out: list = [None] * len(z)
+    batch = []
+    for i, zi in enumerate(z):
+        if k == 0:
+            spread = max(zi) - min(zi)
+            mean = math.fsum(zi) / len(zi)
+            if spread < CLUSTER_RELATIVE_SPREAD * max(1.0, abs(mean)):
+                dd, err = dd_exp_series(zi)
+                out[i] = ExpIntegralResult(volumes[i] * dd, err, "series_fallback")
+                continue
+        batch.append(i)
+    if not batch:
+        return out
+    n1 = len(z[batch[0]])
+    rows, offset, errs = dd_exp_batch([z[i] for i in batch],
+                                      [b[i] for i in batch] if k else None, k)
+    for r, i in enumerate(batch):
+        scale = math.exp(offset[r])
+        corner_k = float(rows[r, k * n1 + n1 - 1]) * scale
+        if k == 0:
+            out[i] = ExpIntegralResult(volumes[i] * corner_k, float(errs[r]), "divided_difference")
+            continue
+        value = volumes[i] * math.factorial(k) * corner_k
+        # error relative to the cancellation-free magnitude bound |w|_max^k * I_0
+        corner_0 = float(rows[r, n1 - 1]) * scale
+        bound = (max(abs(x) for x in b[i]) ** k) * abs(corner_0) * volumes[i]
+        abs_err = float(errs[r]) * max(bound, abs(value))
+        rel = abs_err / abs(value) if value != 0.0 else abs_err
+        out[i] = ExpIntegralResult(value, rel, "divided_difference")
+    return out
+
+
 def simplex_exp_integral(s: Simplex, l: AffineForm) -> ExpIntegralResult:
     """int_s e^{-l(y)} dy = n! vol(s) * (divided difference of exp at -l(vertices))."""
     z = [-v for v in _vertex_values(s, l)]
-    scale = _factorial_volume(s)
-    spread = max(z) - min(z)
-    mean = math.fsum(z) / len(z)
-    if spread < CLUSTER_RELATIVE_SPREAD * max(1.0, abs(mean)):
-        dd, err = dd_exp_series(z)
-        method = "series_fallback"
-    else:
-        dd, err = dd_exp(z)
-        method = "divided_difference"
-    return ExpIntegralResult(scale * dd, err, method)
+    return _exp_integrals([z], [_factorial_volume(s)])[0]
 
 
 def simplex_weighted_exp_integral(s: Simplex, l: AffineForm, w: AffineForm, k: int) -> ExpIntegralResult:
@@ -74,18 +108,32 @@ def simplex_weighted_exp_integral(s: Simplex, l: AffineForm, w: AffineForm, k: i
     """
     if k < 0 or k > MAX_MOMENT_ORDER:
         raise UnsupportedOrder(f"moment order {k} not in 0..{MAX_MOMENT_ORDER}")
-    if k == 0:
-        return simplex_exp_integral(s, l)
     z = [-v for v in _vertex_values(s, l)]
-    b = _vertex_values(s, w)
-    corner, err = dd_exp_weighted(z, b, k)
-    scale = _factorial_volume(s) * math.factorial(k)
-    value = scale * corner[k]
-    # error relative to the cancellation-free magnitude bound |w|_max^k * I_0
-    bound = (max(abs(x) for x in b) ** k) * abs(corner[0]) * _factorial_volume(s)
-    abs_err = err * max(bound, abs(value))
-    rel = abs_err / abs(value) if value != 0.0 else abs_err
-    return ExpIntegralResult(value, rel, "divided_difference")
+    b = [_vertex_values(s, w)] if k else None
+    return _exp_integrals([z], [_factorial_volume(s)], b, k)[0]
+
+
+def _superlevel_share(values, level: Fraction) -> Fraction:
+    """Exact share of a simplex on which an affine h with these vertex values is >= level.
+
+    For y uniform on the simplex, P(h(y) >= t) = [a_0, ..., a_n] (x - t)_+^n,
+    the divided difference over the vertex values a_i (the B-spline identity
+    of Curry & Schoenberg 1966).  A run of j + 1 tied values takes the
+    confluent entry C(n, j) (a - t)_+^(n-j); a constant h never reaches the
+    table, so j < n there.
+    """
+    if min(values) >= level:
+        return Fraction(1)
+    if max(values) <= level:
+        return Fraction(0)
+    n = len(values) - 1
+    a = sorted(values)
+    table = [max(x - level, 0) ** n for x in a]
+    for j in range(1, n + 1):
+        table = [(table[i + 1] - table[i]) / (a[i + j] - a[i]) if a[i + j] != a[i]
+                 else math.comb(n, j) * max(a[i] - level, 0) ** (n - j)
+                 for i in range(n + 1 - j)]
+    return table[0]
 
 
 @dataclass(frozen=True)
@@ -141,6 +189,12 @@ class PLConcaveFunction:
     @property
     def dim(self) -> int:
         return self.domain.dim
+
+    @cached_property
+    def _cell_table(self) -> tuple:
+        """Per cell, in canonical order: exact vertex values and exact n! vol."""
+        return tuple((tuple(f(v) for v in s.vertices), abs(s.edge_determinant()))
+                     for s, f in self.cells)
 
     def vertex_values(self) -> dict:
         out = {}
@@ -208,16 +262,39 @@ def pl_exp_integral(G: PLConcaveFunction, shift: AffineForm | None = None) -> Ex
     return ExpIntegralResult(total, err, method)
 
 
+def pl_cell_integrals(G: PLConcaveFunction, a, xi, k: int) -> list[float]:
+    """int_s G^k e^{-(a G + <y', xi>)} dy for each cell s of G, in canonical order.
+
+    The nodes come from the exact vertex values cached on G, rounded once;
+    all cells share one kernel call.
+    """
+    if k < 0 or k > MAX_MOMENT_ORDER:
+        raise UnsupportedOrder(f"moment order {k} not in 0..{MAX_MOMENT_ORDER}")
+    a = rat(a)
+    ell = pairing_form(xi, G.dim) if any(xi) else None
+    z, volumes = [], []
+    for (s, _), (vals, det) in zip(G.cells, G._cell_table):
+        if ell is None:
+            z.append([-float(a * v) for v in vals])
+        else:
+            z.append([-float(a * v + ell(p)) for v, p in zip(vals, s.vertices)])
+        volumes.append(float(det))
+    b = [[float(v) for v in vals] for vals, _ in G._cell_table] if k else None
+    return [r.value for r in _exp_integrals(z, volumes, b, k)]
+
+
 def superlevel_gvolume(G: PLConcaveFunction, x, xi=None) -> float:
-    """n! * int_{G >= x} e^{-<y', xi>} dy (the weighted volume of a superlevel set)."""
+    """n! * int_{G >= x} e^{-<y', xi>} dy (the weighted volume of a superlevel set).
+
+    Unweighted, this is the exact sum of n!vol(s) * P_s(G >= x) over the
+    cells, rounded once; weighted, each cell is sliced at the level.
+    """
     x = rat(x)
+    if xi is None or not any(rat_vector(xi)):
+        return float(sum((det * _superlevel_share(vals, x) for vals, det in G._cell_table),
+                         Fraction(0)))
     n = G.dim
-    ell = pairing_form(xi, n) if xi is not None else None
-    values = []
-    for s, f in G.cells:
-        for piece in halfspace_slice(s, f, x):
-            if ell is None:
-                values.append(float(abs(piece.edge_determinant())))  # n! vol
-            else:
-                values.append(math.factorial(n) * simplex_exp_integral(piece, ell).value)
+    ell = pairing_form(xi, n)
+    values = [math.factorial(n) * simplex_exp_integral(piece, ell).value
+              for s, f in G.cells for piece in halfspace_slice(s, f, x)]
     return compensated_tree_sum(values) if values else 0.0

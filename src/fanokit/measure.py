@@ -14,17 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ._kernel import compensated_tree_sum
 from .errors import InputError, NonpositiveScale, UnsupportedOrder
-from .expint import (
-    MAX_MOMENT_ORDER,
-    PLConcaveFunction,
-    simplex_exp_integral,
-    simplex_weighted_exp_integral,
-    superlevel_gvolume,
-)
-from .geometry import RationalPolytope, pairing_form
+from .expint import MAX_MOMENT_ORDER, PLConcaveFunction, pl_cell_integrals, superlevel_gvolume
+from .geometry import RationalPolytope
 from .rational import format_rat, rat, rat_vector
 
 
@@ -42,7 +37,6 @@ class DHMeasure:
     domain: RationalPolytope | None = None
     transform: PLConcaveFunction | None = None
     weight_xi: tuple | None = None
-    projection: int | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -64,13 +58,11 @@ class DHMeasure:
         return cls.atomic([(position, mass, None)])
 
     @classmethod
-    def pushforward(cls, transform: PLConcaveFunction, weight_xi=None, projection=None) -> "DHMeasure":
+    def pushforward(cls, transform: PLConcaveFunction, weight_xi=None) -> "DHMeasure":
         xi = rat_vector(weight_xi) if weight_xi is not None else ()
-        r = projection if projection is not None else len(xi)
         if len(xi) > transform.dim:
             raise InputError("weight vector longer than the ambient dimension")
-        return cls("pushforward", domain=transform.domain, transform=transform,
-                   weight_xi=xi, projection=r)
+        return cls("pushforward", domain=transform.domain, transform=transform, weight_xi=xi)
 
     @classmethod
     def uniform(cls, lo, hi) -> "DHMeasure":
@@ -80,16 +72,19 @@ class DHMeasure:
 
     # -- queries -------------------------------------------------------------
 
-    def _pairing(self):
-        return pairing_form(self.weight_xi, self.transform.dim)
+    def _cell_sum(self, a, k: int) -> float:
+        """n! * sum over the cells of int G^k e^{-(a G + <y', xi>)} dy."""
+        vals = pl_cell_integrals(self.transform, a, self.weight_xi, k)
+        return math.factorial(self.transform.dim) * compensated_tree_sum(vals)
 
     def mass(self) -> float:
+        return self._mass
+
+    @cached_property
+    def _mass(self) -> float:
         if self.variant == "atomic":
             return float(sum((m for _, m, _ in self.atoms), Fraction(0)))
-        n = self.transform.dim
-        ell = self._pairing()
-        vals = [simplex_exp_integral(s, ell).value for s, _ in self.transform.cells]
-        return math.factorial(n) * compensated_tree_sum(vals)
+        return self._cell_sum(0, 0)
 
     def moment(self, k: int) -> float:
         """(1/mass) int lambda^k dmu; moment(0) = 1."""
@@ -101,11 +96,7 @@ class DHMeasure:
             total = sum((m for _, m, _ in self.atoms), Fraction(0))
             acc = sum((m * pos**k for pos, m, _ in self.atoms), Fraction(0))
             return float(acc / total)
-        n = self.transform.dim
-        ell = self._pairing()
-        vals = [simplex_weighted_exp_integral(s, ell, f, k).value
-                for s, f in self.transform.cells]
-        return math.factorial(n) * compensated_tree_sum(vals) / self.mass()
+        return self._cell_sum(0, k) / self.mass()
 
     def exp_moment(self, a) -> float:
         """(1/mass) int e^{-a lambda} dmu for a > 0."""
@@ -119,12 +110,7 @@ class DHMeasure:
             vals = sorted(float(m / total) * math.exp(-af * float(pos))
                           for pos, m in masses.items())
             return compensated_tree_sum(vals)
-        n = self.transform.dim
-        ell = self._pairing()
-        ar = rat(a)
-        vals = [simplex_exp_integral(s, f.scaled(ar).plus(ell)).value
-                for s, f in self.transform.cells]
-        return math.factorial(n) * compensated_tree_sum(vals) / self.mass()
+        return self._cell_sum(a, 0) / self.mass()
 
     def affine_transform(self, a, b) -> "DHMeasure":
         """Pushforward under lambda -> a*lambda + b (a > 0)."""
@@ -133,8 +119,7 @@ class DHMeasure:
             raise NonpositiveScale(f"scale must be positive, got {a}")
         if self.variant == "atomic":
             return DHMeasure.atomic([(a * pos + b, m, w) for pos, m, w in self.atoms])
-        return DHMeasure.pushforward(self.transform.rescaled(a, b),
-                                     self.weight_xi, self.projection)
+        return DHMeasure.pushforward(self.transform.rescaled(a, b), self.weight_xi)
 
     def support(self) -> SupportInfo:
         if self.variant == "atomic":
@@ -165,7 +150,6 @@ class DHMeasure:
             "domain": self.domain.to_json(),
             "transform": self.transform.to_json(),
             "weight_xi": [format_rat(x) for x in self.weight_xi],
-            "projection": self.projection,
         }
 
 
@@ -183,8 +167,7 @@ def measure_from_json(doc: dict) -> DHMeasure:
 
         domain = polytope_from_json(doc["domain"]) if "domain" in doc else None
         transform = PLConcaveFunction.from_json(doc["transform"], domain)
-        return DHMeasure.pushforward(transform, doc.get("weight_xi"),
-                                     doc.get("projection"))
+        return DHMeasure.pushforward(transform, doc.get("weight_xi"))
     raise InputError("measure document needs 'atoms' or 'transform'")
 
 
@@ -303,6 +286,9 @@ def _piece_values(kind, xs, cs, a, b):
 
 def _discretize_cdf(measure: DHMeasure, grid: int):
     info = measure.support()
+    if info.lambda_max == info.lambda_min:
+        # all mass sits at one point: a single jump, not 1 - mu{lambda >= t} = 0
+        return [info.lambda_min], [1.0]
     total = measure.mass()
     span = info.lambda_max - info.lambda_min
     xs, cs = [], []

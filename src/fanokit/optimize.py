@@ -24,7 +24,13 @@ from .errors import (
     NonConvergence,
     OriginNotInterior,
 )
-from .expint import PLConcaveFunction, pl_exp_integral, simplex_exp_integral, simplex_weighted_exp_integral
+from .expint import (
+    PLConcaveFunction,
+    pl_cell_integrals,
+    pl_exp_integral,
+    simplex_exp_integral,
+    simplex_weighted_exp_integral,
+)
 from .functionals import LPolicy
 from .geometry import AffineForm, RationalPolytope, origin_in_interior, pairing_form
 from .measure import DHMeasure
@@ -318,18 +324,9 @@ def _tilted_moment(mu: DHMeasure, a, k: int) -> float:
         vals = [float(m) * float(pos) ** k * math.exp(-float(a) * float(pos))
                 for pos, m, _ in mu.atoms]
         return compensated_tree_sum(sorted(vals)) / total
-    tr = mu.transform
-    n = tr.dim
     ar = rat(a).limit_denominator(10**15) if not isinstance(a, Fraction) else a
-    ell = pairing_form(mu.weight_xi, n)
-    vals = []
-    for s, g in tr.cells:
-        form = g.scaled(ar).plus(ell) if ar != 0 else ell
-        if k == 0:
-            vals.append(simplex_exp_integral(s, form).value)
-        else:
-            vals.append(simplex_weighted_exp_integral(s, form, g, k).value)
-    return math.factorial(n) * compensated_tree_sum(vals) / mu.mass()
+    vals = pl_cell_integrals(mu.transform, ar, mu.weight_xi, k)
+    return math.factorial(mu.transform.dim) * compensated_tree_sum(vals) / mu.mass()
 
 
 def twist_opt(F, m_list, L: LPolicy, x0=None, tol: float = NEWTON_TOL) -> OptResult:

@@ -219,10 +219,41 @@ def test_reruns_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
-@pytest.mark.parametrize("fixture", ["symmetric_polytopes.json", "unstable_interval.json"])
+def _square_transform_doc():
+    """A concave PL function on two triangles of the unit square, as a document."""
+    return {"transform": {"cells": [
+        {"simplex": [[0, 0], [1, 0], [1, 1]],
+         "affine": {"gradient": ["-1/2", "1/4"], "constant": "1"}},
+        {"simplex": [[0, 0], [0, 1], [1, 1]],
+         "affine": {"gradient": ["1/4", "-1/2"], "constant": "1"}},
+    ]}}
+
+
+def _job(name, tmp_path):
+    """(command, input path) of a bundled soliton fixture or of a job built here."""
+    if name.endswith(".json"):
+        return "soliton", _fixture_path(name)
+    if name == "report-xi-sweep":
+        measure = dict(_square_transform_doc(), weight_xi=["1/4", "0"])
+        doc = {"measure": measure, "xi_list": [["0", "0"], ["-1/2", "1/4"], ["1", "-3/4"]],
+               "a": ["1/2", "3"], "L": "1/4"}
+        command = "report"
+    else:  # dh against a 2-D pushforward limit: the discretized W1 path
+        levels = {"4": {"dim": 5, "values": ["1", "2", "2", "3", "4"]}}
+        doc = {"filtration": {"levels": levels}, "ambient_dim": 1,
+               "limit": _square_transform_doc()}
+        command = "dh"
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    return command, str(path)
+
+
+@pytest.mark.parametrize("fixture", ["symmetric_polytopes.json", "unstable_interval.json",
+                                     "report-xi-sweep", "dh-pushforward-limit"])
 def test_soliton_subprocess_byte_identical(tmp_path, fixture):
     # the batched kernel goes through BLAS: its thread count must not change a bit
     src = str(Path(fanokit.__file__).resolve().parents[1])
+    command, input_path = _job(fixture, tmp_path)
     outs = []
     for i, threads in enumerate((None, "1")):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -231,8 +262,8 @@ def test_soliton_subprocess_byte_identical(tmp_path, fixture):
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
         out_path = tmp_path / f"{i}.json"
-        subprocess.run([sys.executable, "-m", "fanokit.cli", "soliton",
-                        "--input", _fixture_path(fixture), "--output", str(out_path)],
+        subprocess.run([sys.executable, "-m", "fanokit.cli", command,
+                        "--input", input_path, "--output", str(out_path)],
                        env=env, check=True, timeout=120)
         outs.append(out_path.read_bytes())
     assert outs[0] == outs[1]

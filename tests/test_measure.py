@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from fanokit._kernel import compensated_tree_sum
 from fanokit.errors import InputError, NonpositiveScale, UnsupportedOrder
-from fanokit.expint import PLConcaveFunction
-from fanokit.geometry import RationalPolytope
+from fanokit.expint import PLConcaveFunction, simplex_exp_integral, simplex_weighted_exp_integral
+from fanokit.geometry import AffineForm, RationalPolytope, Simplex, pairing_form
 from fanokit.measure import DHMeasure, cdf_samples, measure_from_json, wasserstein1
+from fanokit.optimize import _tilted_moment
+from fanokit.rational import rat
 
 from conftest import p1_filtration, p1_limit_measure
 from fanokit.filtration import empirical_dh
@@ -132,6 +135,65 @@ def test_wasserstein_grid_fallback_flat_cell():
     assert abs(dist - 0.25) < 5e-3
 
 
+def test_wasserstein_zero_span_pushforward():
+    """A constant transform pushes all mass to one point: W1 to a Dirac is the gap."""
+    segment = DHMeasure.pushforward(PLConcaveFunction.constant(RationalPolytope.interval(0, 1), 1))
+    assert wasserstein1(segment, DHMeasure.dirac(2)) == 1.0
+    assert wasserstein1(DHMeasure.dirac(2), segment) == 1.0
+    square = RationalPolytope.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+    flat = DHMeasure.pushforward(PLConcaveFunction.constant(square, 1))
+    assert wasserstein1(flat, DHMeasure.dirac(3)) == 2.0
+
+
+def _affine_through(vertices, values):
+    """The affine form on a triangle taking the given vertex values."""
+    (x0, y0), (x1, y1), (x2, y2) = vertices
+    v0, v1, v2 = values
+    d = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    gx = ((v1 - v0) * (y2 - y0) - (v2 - v0) * (y1 - y0)) / d
+    gy = ((x1 - x0) * (v2 - v0) - (x2 - x0) * (v1 - v0)) / d
+    return AffineForm.make([gx, gy], v0 - gx * x0 - gy * y0)
+
+
+def _clustered_transform():
+    """Four triangles on [0, 2] x [0, 1]; G is nearly constant on the first one."""
+    value = {(0, 0): Fraction(1), (1, 0): 1 + Fraction(1, 10**5), (1, 1): 1 + Fraction(2, 10**5),
+             (0, 1): Fraction(3), (2, 0): Fraction(2), (2, 1): Fraction(1, 2)}
+    triangles = [((0, 0), (1, 0), (1, 1)), ((0, 0), (0, 1), (1, 1)),
+                 ((1, 0), (2, 0), (2, 1)), ((1, 0), (1, 1), (2, 1))]
+    cells = [(Simplex.make(t), _affine_through(t, [value[v] for v in t])) for t in triangles]
+    return PLConcaveFunction.make(RationalPolytope.from_vertices(list(value)), cells)
+
+
+@pytest.mark.parametrize("weight_xi", [(), (Fraction(1, 3), 0)])
+def test_batched_cell_sums_bit_identical(weight_xi):
+    """Every pushforward query equals its per-cell sum, bit for bit."""
+    G = _clustered_transform()
+    mu = DHMeasure.pushforward(G, weight_xi)
+    ell = pairing_form(weight_xi, 2)
+    a = Fraction(3, 2)
+
+    def per_cell(form_of, k=0):
+        vals = [simplex_exp_integral(s, form_of(f)).value if k == 0
+                else simplex_weighted_exp_integral(s, form_of(f), f, k).value
+                for s, f in G.cells]
+        return 2 * compensated_tree_sum(vals)
+
+    if not weight_xi:  # one query mixes the series fallback with the matrix path
+        methods = {simplex_exp_integral(s, f.scaled(a)).method for s, f in G.cells}
+        assert methods == {"series_fallback", "divided_difference"}
+    mass = per_cell(lambda f: ell)
+    assert mu.mass() == mass
+    for k in (1, 2, 3, 4):
+        assert mu.moment(k) == per_cell(lambda f: ell, k) / mass
+    assert mu.exp_moment(a) == per_cell(lambda f: f.scaled(a).plus(ell)) / mass
+    for tilt in (a, 0.7):
+        ar = tilt if isinstance(tilt, Fraction) else rat(tilt).limit_denominator(10**15)
+        for k in (1, 2):
+            want = per_cell(lambda f: f.scaled(ar).plus(ell), k) / mass
+            assert _tilted_moment(mu, tilt, k) == want
+
+
 def test_empirical_dh_trivial_filtration():
     from fanokit.filtration import FiltrationLevel, GradedFiltration
 
@@ -163,6 +225,10 @@ def test_measure_json_round_trip():
     push = p1_limit_measure()
     back2 = measure_from_json(push.to_json())
     assert abs(back2.mass() - push.mass()) < 1e-14
+    assert "projection" not in push.to_json()
+    # documents written before the key was dropped still load
+    legacy = dict(push.to_json(), projection=0)
+    assert measure_from_json(legacy) == push
     with pytest.raises(InputError):
         measure_from_json({"nope": 1})
     with pytest.raises(InputError):

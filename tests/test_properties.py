@@ -5,7 +5,8 @@ from fractions import Fraction
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fanokit.expint import simplex_exp_integral
+from fanokit._kernel import compensated_tree_sum
+from fanokit.expint import PLConcaveFunction, _superlevel_share, simplex_exp_integral, superlevel_gvolume
 from fanokit.filtration import (
     FiltrationLevel,
     GradedFiltration,
@@ -13,8 +14,9 @@ from fanokit.filtration import (
     successive_minima,
     twist,
 )
-from fanokit.geometry import AffineForm, Simplex, halfspace_slice
+from fanokit.geometry import AffineForm, RationalPolytope, Simplex, halfspace_slice, pairing_form
 from fanokit.measure import DHMeasure
+from fanokit.rational import det
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 positive_rationals = st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8)
@@ -116,6 +118,48 @@ def test_slice_and_complement_tile_the_simplex(s, g1, g2, level):
     total = s.volume()
     # the two closed slices overlap on a null set, so volumes add exactly
     assert up + down == total or (up == total and down == 0) or (down == total and up == 0)
+
+
+@st.composite
+def lattice_slices(draw):
+    """A lattice simplex in 1-4 D, an affine h on it (zero gradient entries
+    tie vertex values) and a level: a vertex value, below the minimum, above
+    the maximum or anywhere."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    coords = st.integers(min_value=-2, max_value=2)
+    vertices = [tuple(draw(coords) for _ in range(n)) for _ in range(n + 1)]
+    edges = [[Fraction(x - y) for x, y in zip(v, vertices[0])] for v in vertices[1:]]
+    assume(det(edges) != 0)
+    s = Simplex.make(vertices)
+    h = AffineForm.make([draw(st.integers(min_value=-2, max_value=2)) for _ in range(n)],
+                        draw(rationals))
+    values = [h(v) for v in s.vertices]
+    level = draw(st.one_of(st.sampled_from(values),
+                           st.just(min(values) - 1), st.just(max(values) + 1),
+                           st.fractions(min_value=min(values) - 1, max_value=max(values) + 1,
+                                        max_denominator=12)))
+    return s, h, level
+
+
+@settings(max_examples=120, deadline=None)
+@given(lattice_slices())
+@example((Simplex.make([[0, 0], [1, 0], [0, 1]]), AffineForm.make([0, 0], 1), Fraction(1)))
+@example((Simplex.make([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+          AffineForm.make([1, 1, 0], 0), Fraction(0)))
+def test_superlevel_share_matches_exact_slice(case):
+    """The B-spline share P(h >= t) equals the sliced volume share, exactly."""
+    s, h, level = case
+    sliced = sum((p.volume() for p in halfspace_slice(s, h, level)), Fraction(0))
+    share = _superlevel_share([h(v) for v in s.vertices], level)
+    assert share == sliced / s.volume()
+    # superlevel_gvolume against the weighted path at xi = 0 (slice, then integrate)
+    n = s.dim
+    G = PLConcaveFunction.make(RationalPolytope.from_vertices(s.vertices), [(s, h)])
+    zero = pairing_form((0,) * n, n)
+    weighted = [math.factorial(n) * simplex_exp_integral(p, zero).value
+                for p in halfspace_slice(s, h, level)]
+    want = compensated_tree_sum(weighted) if weighted else 0.0
+    assert abs(superlevel_gvolume(G, level) - want) <= 1e-14 * want
 
 
 @settings(max_examples=30, deadline=None)
