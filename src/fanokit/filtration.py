@@ -1,11 +1,11 @@
 """Finite-level filtration calculus on graded vector spaces.
 
-A level stores an adapted basis (rows in ambient coordinates) with one
-rational value per basis vector and optional torus weights.  Flag-matrix
-input is converted to this diagonal form by exact elimination.  Successive
-minima, rescale/shift, twists, common adapted bases for two flags, level
-distances, the Q_m/Psi_m approximants and initial-term degeneration all
-operate on this representation, exactly over Q.
+A level stores an adapted basis (rows in ambient coordinates, or ``None`` for
+the standard basis) with one rational value per basis vector and optional
+torus weights.  Flag-matrix input is converted to this diagonal form by exact
+elimination.  Successive minima, rescale/shift, twists, common adapted bases
+for two flags, level distances, the Q_m/Psi_m approximants and initial-term
+degeneration all operate on this representation, exactly over Q.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .errors import (
     DimensionMismatch,
@@ -27,31 +27,47 @@ from .errors import (
 from .measure import DHMeasure
 from .rational import (
     Vector,
+    coordinates,
     format_rat,
-    invert,
+    independent_rows,
+    integer_rows,
+    matmul,
     matrix_rank,
     rat,
     rat_vector,
+    row_echelon,
 )
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _unit(n: int, i: int) -> Vector:
+    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 @dataclass(frozen=True)
 class FiltrationLevel:
-    """Degree-m piece: adapted basis rows, per-vector values, optional weights."""
+    """Degree-m piece: adapted basis rows, per-vector values, optional weights.
+
+    ``basis`` is ``None`` for a level that is diagonal in the standard basis:
+    the i-th value belongs to the i-th coordinate vector, and no matrix is
+    stored or rank-checked.
+    """
 
     degree: int
-    basis: tuple[Vector, ...]
+    basis: tuple[Vector, ...] | None
     values: tuple[Fraction, ...]
     weights: tuple[Vector, ...] | None = None
 
     def __post_init__(self):
         n = len(self.values)
-        if len(self.basis) != n or n == 0:
+        if n == 0 or (self.basis is not None and len(self.basis) != n):
             raise InputError("level needs one value per basis vector")
-        if any(len(row) != n for row in self.basis):
-            raise InputError("adapted basis must be square over the level")
-        if matrix_rank(self.basis) != n:
-            raise NotABasis(f"adapted basis of level {self.degree} is singular")
+        if self.basis is not None:
+            if any(len(row) != n for row in self.basis):
+                raise InputError("adapted basis must be square over the level")
+            if matrix_rank(self.basis) != n:
+                raise NotABasis(f"adapted basis of level {self.degree} is singular")
         if self.weights is not None:
             if len(self.weights) != n:
                 raise InputError("need one torus weight per basis vector")
@@ -62,12 +78,8 @@ class FiltrationLevel:
     @classmethod
     def from_values(cls, degree: int, values, weights=None) -> "FiltrationLevel":
         vals = tuple(rat(v) for v in values)
-        n = len(vals)
-        basis = tuple(
-            tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-        )
         wts = tuple(rat_vector(w) for w in weights) if weights is not None else None
-        return cls(degree, basis, vals, wts)
+        return cls(degree, None, vals, wts)
 
     @classmethod
     def from_flags(cls, degree: int, dim: int, flags, ambient_weights=None) -> "FiltrationLevel":
@@ -83,44 +95,27 @@ class FiltrationLevel:
         if any(len(r) != dim for _, rows in items for r in rows):
             raise InputError("flag rows of wrong ambient dimension")
         wts = [rat_vector(w) for w in ambient_weights] if ambient_weights is not None else None
-        echelon: list[tuple[int, Vector]] = []
-        chosen: list[tuple[Vector, Fraction, Vector | None]] = []
-
-        def reduce_row(row):
-            row = list(row)
-            for piv, base in echelon:
-                if row[piv] != 0:
-                    factor = row[piv] / base[piv]
-                    row = [x - factor * y for x, y in zip(row, base)]
-            return row
-
-        def add_row(row, value, weight):
-            red = reduce_row(row)
-            piv = next((j for j, x in enumerate(red) if x != 0), None)
-            if piv is None:
-                return False
-            echelon.append((piv, tuple(red)))
-            chosen.append((tuple(row), value, weight))
-            return True
-
-        cumulative = 0
+        # every candidate row in flag order; a row is kept when it is
+        # independent of the rows before it
+        candidates: list[tuple[Vector, Fraction, Vector | None]] = []
+        ends = []
         for value, rows in items:
-            space_rank = matrix_rank(rows)
             if wts is None:
-                for row in rows:
-                    if add_row(row, value, None):
-                        cumulative += 1
+                candidates += [(tuple(row), value, None) for row in rows]
+                space_rank = matrix_rank(rows)
             else:
-                for alpha, part in _weight_decompose(rows, wts):
-                    for row in part:
-                        if add_row(row, value, alpha):
-                            cumulative += 1
-            if cumulative != space_rank:
+                pieces, space_rank = _weight_decompose(rows, wts)
+                candidates += [(row, value, alpha) for alpha, part in pieces for row in part]
+            ends.append((len(candidates), space_rank, value))
+        kept = independent_rows([row for row, _, _ in candidates])
+        for end, space_rank, value in ends:
+            if sum(1 for k in kept if k < end) != space_rank:
                 raise InputError(
                     f"flag at value {value} of level {degree} is not nested/decomposable"
                 )
-        if cumulative != dim:
+        if len(kept) != dim:
             raise InputError(f"flags of level {degree} do not span the level")
+        chosen = [candidates[k] for k in kept]
         basis = tuple(r for r, _, _ in chosen)
         values = tuple(v for _, v, _ in chosen)
         weights = tuple(w for _, _, w in chosen) if wts is not None else None
@@ -132,20 +127,33 @@ class FiltrationLevel:
 
     def value_of(self, vector) -> Fraction:
         """max{lambda : vector in F^lambda} = min basis value with nonzero coefficient."""
-        inv = invert([list(r) for r in self.basis])
-        coeffs = [sum(x * inv[i][j] for i, x in enumerate(vector)) for j in range(self.dim)]
-        present = [self.values[j] for j, c in enumerate(coeffs) if c != 0]
-        if not present:
-            raise InputError("cannot evaluate the zero vector")
-        return min(present)
+        return self.values_of([vector])[0]
+
+    def values_of(self, vectors) -> list[Fraction]:
+        """``value_of`` for each vector, from one elimination."""
+        rows = [rat_vector(v) for v in vectors]
+        if any(len(r) != self.dim for r in rows):
+            raise DimensionMismatch(f"vectors of level {self.degree} need {self.dim} coordinates")
+        coords = rows if self.basis is None else coordinates(self.basis, rows)[1]
+        out = []
+        for c in coords:
+            present = [v for v, x in zip(self.values, c) if x != 0]
+            if not present:
+                raise InputError("cannot evaluate the zero vector")
+            out.append(min(present))
+        return out
 
     def subspace_rows(self, value) -> list[Vector]:
         value = rat(value)
-        return [r for r, v in zip(self.basis, self.values) if v >= value]
+        keep = [i for i, v in enumerate(self.values) if v >= value]
+        if self.basis is None:
+            return [_unit(self.dim, i) for i in keep]
+        return [self.basis[i] for i in keep]
 
 
 def _weight_decompose(rows, ambient_weights):
-    """Split a row space into weight-homogeneous pieces; raise if not decomposable."""
+    """Split a row space into weight-homogeneous pieces and return them with the
+    dimension of the space; raise if it is not decomposable."""
     dim_total = matrix_rank(rows)
     by_weight: dict[Vector, list[int]] = {}
     for j, w in enumerate(ambient_weights):
@@ -158,48 +166,26 @@ def _weight_decompose(rows, ambient_weights):
         comp = [j for j in range(n) if j not in cols]
         # v = x . rows with v|comp = 0 <=> x in the left nullspace of rows[:, comp]
         basis_x = _left_nullspace([[r[j] for j in comp] for r in rows])
-        part = []
-        for x in basis_x:
-            vec = tuple(sum(x[i] * rows[i][j] for i in range(len(rows))) for j in range(n))
-            if any(c != 0 for c in vec):
-                part.append(vec)
+        part = [vec for vec in matmul(basis_x, rows) if any(vec)]
         if part:
             pieces.append((alpha, part))
             found += matrix_rank(part)
     if found != dim_total:
         raise InputError("flag subspace is not spanned by torus-weight vectors")
-    return pieces
+    return pieces, dim_total
 
 
 def _left_nullspace(rows):
-    """Basis of {x : x . rows = 0} over Q."""
+    """Basis of {x : x . rows = 0} over Q, read off the reduced echelon form of
+    the transpose (one vector per free column)."""
     k = len(rows)
-    if k == 0:
-        return []
-    cols = len(rows[0]) if rows[0] else 0
-    a = [[rows[i][j] for i in range(k)] for j in range(cols)]  # transpose: a x = 0
-    pivots = []
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pivot = a[row][col]
-        for r in range(len(a)):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col] / pivot
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(k) if c not in pivots]
+    pivots, reduced = row_echelon(list(zip(*rows)), reduced=True)
     basis = []
-    for fc in free:
-        x = [Fraction(0)] * k
-        x[fc] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            if rr < len(a):
-                x[pc] = -a[rr][fc] / a[rr][pc]
+    for fc in sorted(set(range(k)) - set(pivots)):
+        x = [_ZERO] * k
+        x[fc] = _ONE
+        for row, pc in zip(reduced, pivots):
+            x[pc] = -row[fc]
         basis.append(tuple(x))
     return basis
 
@@ -232,7 +218,7 @@ class GradedFiltration:
                 "dim": lv.dim,
                 "values": [format_rat(v) for v in lv.values],
             }
-            identity = all(
+            identity = lv.basis is None or all(
                 lv.basis[i][j] == (1 if i == j else 0)
                 for i in range(lv.dim) for j in range(lv.dim)
             )
@@ -325,7 +311,9 @@ def empirical_dh(F: GradedFiltration, m: int, ambient_dim: int) -> DHMeasure:
 
 @dataclass(frozen=True)
 class CommonBasis:
-    rows: tuple[Vector, ...]
+    """Integer rows adapted to both levels, with the value pair of each row."""
+
+    rows: tuple[tuple[int, ...], ...]
     pairs: tuple[tuple[Fraction, Fraction], ...]
 
 
@@ -335,39 +323,58 @@ def common_adapted_basis(lv0: FiltrationLevel, lv1: FiltrationLevel) -> CommonBa
     Coordinates are taken in an adapted basis of lv0 sorted by decreasing
     value; rows adapted to lv1 are then echelonized from the right, which can
     only raise their lv0-value.  Pivot columns end up a permutation, so both
-    successive-minima multisets are reproduced exactly.
+    successive-minima multisets are reproduced exactly.  All of lv1's
+    coordinates come from one fraction-free elimination and the reduction
+    runs in integers: only zero patterns decide pivots, so each row is kept
+    up to a nonzero scalar.
     """
     if lv0.dim != lv1.dim:
         raise DimensionMismatch(f"levels of dim {lv0.dim} and {lv1.dim}")
-    order0 = sorted(range(lv0.dim), key=lambda i: (-lv0.values[i], i))
-    e_rows = [lv0.basis[i] for i in order0]
-    mu0_sorted = [lv0.values[i] for i in order0]
-    e_inv = invert([list(r) for r in e_rows])
-    if e_inv is None:
-        raise NotABasis("first level basis is singular")
-
-    order1 = sorted(range(lv1.dim), key=lambda i: (-lv1.values[i], i))
     n = lv0.dim
-    pivots: dict[int, list] = {}
-    out = []
-    for idx in order1:
-        f = lv1.basis[idx]
-        c = [sum(f[i] * e_inv[i][j] for i in range(n)) for j in range(n)]
+    order0 = sorted(range(n), key=lambda i: (-lv0.values[i], i))
+    mu0_sorted = [lv0.values[i] for i in order0]
+    order1 = sorted(range(n), key=lambda i: (-lv1.values[i], i))
+    if lv1.basis is None:
+        f_rows = [[int(j == i) for j in range(n)] for i in order1]
+    else:
+        f_rows = integer_rows(lv1.basis[i] for i in order1)
+    if lv0.basis is None:
+        e_rows = None
+        coords = [[f[i] for i in order0] for f in f_rows]
+    else:
+        e_rows = integer_rows(lv0.basis[i] for i in order0)
+        solved = coordinates(e_rows, f_rows)
+        if solved is None:
+            raise NotABasis("first level basis is singular")
+        coords = solved[1]
+
+    pivots: dict[int, list[int]] = {}
+    rows, pairs = [], []
+    for idx, c in zip(order1, coords):
         while True:
-            piv = next((j for j in range(n - 1, -1, -1) if c[j] != 0), None)
+            piv = next((j for j in range(n - 1, -1, -1) if c[j]), None)
             if piv is None:
                 raise NotABasis("second level basis is singular")
-            if piv not in pivots:
+            other = pivots.get(piv)
+            if other is None:
                 break
-            other = pivots[piv]
-            factor = c[piv] / other[piv]
-            c = [x - factor * y for x, y in zip(c, other)]
+            a, b = other[piv], c[piv]
+            c = [a * x - b * y for x, y in zip(c, other)]
+            g = gcd(*c)
+            if g > 1:
+                c = [x // g for x in c]
         pivots[piv] = c
-        ambient = tuple(sum(c[j] * e_rows[j][i] for j in range(n)) for i in range(n))
-        out.append((ambient, mu0_sorted[piv], lv1.values[idx]))
-    rows = tuple(r for r, _, _ in out)
-    pairs = tuple((m0, m1) for _, m0, m1 in out)
-    return CommonBasis(rows, pairs)
+        ambient = [0] * n
+        if e_rows is None:
+            for i, x in zip(order0, c):
+                ambient[i] = x
+        else:
+            for x, e in zip(c, e_rows):
+                if x:
+                    ambient = [s + x * y for s, y in zip(ambient, e)]
+        rows.append(tuple(ambient))
+        pairs.append((mu0_sorted[piv], lv1.values[idx]))
+    return CommonBasis(tuple(rows), tuple(pairs))
 
 
 def relative_minima(F0: GradedFiltration, F1: GradedFiltration, m: int) -> list[Fraction]:
@@ -405,11 +412,12 @@ def q_of_basis(F: GradedFiltration, m: int, basis_rows) -> float:
     """(1/N_m) sum_j e^{-v_F(s_j)/m} for an arbitrary basis; >= q_m always."""
     lv = F.level(m)
     rows = [rat_vector(r) for r in basis_rows]
-    if len(rows) != lv.dim or matrix_rank(rows) != lv.dim:
+    if (len(rows) != lv.dim or any(len(r) != lv.dim for r in rows)
+            or matrix_rank(rows) != lv.dim):
         raise NotABasis("supplied vectors do not form a basis of the level")
     import math
 
-    return math.fsum(math.exp(-float(lv.value_of(r)) / m) for r in rows) / lv.dim
+    return math.fsum(math.exp(-float(v) / m) for v in lv.values_of(rows)) / lv.dim
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +487,7 @@ def initial_term_degeneration(model: MonomialModel, w, F1: GradedFiltration, m: 
     for lam in jumps:
         rows = [list(r) for r in lv.subspace_rows(lam)]
         reordered = [[row[j] for j in col_order] for row in rows]
-        reduced = _row_echelon(reordered)
+        reduced = row_echelon(reordered, reduced=False)[1]
         initial_rows = []
         for row in reduced:
             piv = next(j for j, x in enumerate(row) if x != 0)
@@ -493,30 +501,6 @@ def initial_term_degeneration(model: MonomialModel, w, F1: GradedFiltration, m: 
     level = FiltrationLevel.from_flags(m, lv.dim, flags,
                                        ambient_weights=[(c,) for c in cw])
     return GradedFiltration({m: level}, label=f"in_w({F1.label or 'F'})")
-
-
-def _row_echelon(rows):
-    """Leftmost-pivot reduced echelon basis of the row space (exact)."""
-    a = [list(r) for r in rows]
-    out = []
-    ncols = len(a[0]) if a else 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pivot = a[row][col]
-        a[row] = [x / pivot for x in a[row]]
-        for r in range(len(a)):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        out.append(tuple(a[row]))
-        row += 1
-        if row == len(a):
-            break
-    return out
 
 
 def multiplicativity_warnings(F: GradedFiltration) -> list[str]:

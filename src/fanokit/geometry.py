@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import DegeneratePolytope, DegenerateSimplex, InputError
 from .rational import (
@@ -23,6 +24,7 @@ from .rational import (
     det,
     dot,
     format_rat,
+    integer_rows,
     matrix_rank,
     primitive,
     rat,
@@ -191,19 +193,6 @@ def _vertices_from_halfspaces(halfspaces, n: int) -> list[Vector]:
     return sorted(verts)
 
 
-def _positively_spans(normals, n: int) -> bool:
-    """Davis: a finite set positively spans Q^n iff 0 is interior to its hull."""
-    if matrix_rank(normals) < n:
-        return False
-    pts = sorted(set(normals))
-    if affine_rank(pts) < n:
-        return False
-    for f in _facets_from_points(pts):
-        if f.offset <= 0:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class RationalPolytope:
     """Bounded convex polytope {y : <normal_i, y> <= offset_i} = conv(vertices)."""
@@ -243,7 +232,8 @@ class RationalPolytope:
         spaces = [(rat_vector(a), rat(b)) for a, b in halfspaces]
         if not spaces or any(len(a) != dim for a, _ in spaces):
             raise InputError("halfspaces missing or of wrong dimension")
-        if not _positively_spans([a for a, _ in spaces], dim):
+        # bounded exactly when the normals positively span Q^dim (Davis)
+        if not origin_in_interior([a for a, _ in spaces]):
             raise InputError("halfspace intersection is unbounded")
         verts = _vertices_from_halfspaces(spaces, dim)
         if not verts:
@@ -499,9 +489,25 @@ def halfspace_slice(s: Simplex, h: AffineForm, level) -> list[Simplex]:
 
 
 def origin_in_interior(points) -> bool:
-    """Exact test that 0 lies strictly inside conv(points)."""
-    pts = sorted({rat_vector(p) for p in points})
+    """Exact test that 0 lies strictly inside conv(points).
+
+    That holds exactly when the points span Q^n and no hyperplane through 0
+    spanned by n - 1 of them has all points on one closed side: a cone other
+    than Q^n has a facet, and a facet is spanned by n - 1 of its generators.
+    Scaling a point by a positive number leaves the cone unchanged, so the
+    test runs on integer points.
+    """
+    pts = sorted({tuple(row) for row in integer_rows(rat_vector(p) for p in points)})
     n = len(pts[0]) if pts else 0
-    if not pts or affine_rank(pts) < n:
+    if not pts or matrix_rank(pts) < n:
         return False
-    return all(f.offset > 0 for f in _facets_from_points(pts))
+    origin = (0,) * n
+    for subset in itertools.combinations(pts, n - 1):
+        normal = _hyperplane_normal([origin, *subset])
+        if normal is None:
+            continue
+        normal = [int(x) for x in normal]
+        sides = [sum(map(mul, normal, p)) for p in pts]
+        if min(sides) >= 0 or max(sides) <= 0:
+            return False
+    return True

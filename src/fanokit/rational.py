@@ -4,12 +4,18 @@ Everything combinatorial in the geometry and filtration layers runs on
 ``fractions.Fraction`` so that degeneracy decisions (facet incidence, flag
 nesting, ties between successive minima) are exact.  Floats appear only when
 a value is handed to the numeric integration kernel.
+
+Every elimination (rank, determinant, solves, echelon forms, coordinates)
+scales each row to integers once and runs one fraction-free core, Bareiss's
+integer-preserving elimination (Math. Comp. 1968): Python ``int`` arithmetic
+with one exact division per update and no gcd per step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .errors import InputError
 
@@ -62,86 +68,136 @@ def smul(c: Fraction, u) -> Vector:
     return tuple(c * a for a in u)
 
 
-def det(rows: Matrix) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination with pivoting."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _integer_row(row) -> tuple[int, list[int]]:
+    """The row scaled by the lcm of its denominators, and that lcm."""
+    scale = lcm(*(x.denominator for x in row))
+    return scale, [x.numerator * (scale // x.denominator) for x in row]
+
+
+def integer_rows(rows) -> list[list[int]]:
+    """Each row scaled by the lcm of its denominators: same row space, integer entries."""
+    return [_integer_row(row)[1] for row in rows]
+
+
+def _bareiss(a: list[list[int]], ncols: int, reduced: bool) -> tuple[list[int], int, int]:
+    """Fraction-free elimination of the integer rows ``a``, in place.
+
+    Bareiss's integer-preserving elimination: pivots are taken top row first in
+    the first ``ncols`` columns (later columns are carried along), and each
+    update ``(p * x - f * y) / prev`` divides exactly by the previous pivot, so
+    every entry stays an integer minor of the input.  With ``reduced`` the
+    pivot columns are cleared above their pivot row too (fraction-free
+    Gauss-Jordan), and every pivot entry ends equal to the last pivot ``d``.
+
+    Returns the pivot columns (row k holds the pivot of column pivots[k]), the
+    last pivot ``d`` (1 if there is none) and the sign of the row permutation.
+    """
+    nrows = len(a)
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][col]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        pivot = a[col][col]
-        result *= pivot
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] / pivot
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return sign * result
+        prow = a[r]
+        p = prow[col]
+        for i in range(0 if reduced else r + 1, nrows):
+            if i == r:
+                continue
+            row = a[i]
+            f = row[col]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                a[i] = [p * x // prev for x in row]
+        pivots.append(col)
+        prev = p
+    return pivots, prev, sign
+
+
+def matmul(a, b) -> list[Vector]:
+    """Exact product of two rational matrices: integer dot products, one
+    division per entry."""
+    scaled = [_integer_row(row) for row in b]
+    common = lcm(*(t for t, _ in scaled))
+    columns = list(zip(*([x * (common // t) for x in row] for t, row in scaled)))
+    out = []
+    for row in a:
+        s, ints = _integer_row(row)
+        out.append(tuple(Fraction(sum(map(mul, ints, col)), s * common) for col in columns))
+    return out
+
+
+def det(rows: Matrix) -> Fraction:
+    """Exact determinant of a square matrix (Bareiss elimination on integer rows)."""
+    n = len(rows)
+    scale, a = 1, []
+    for row in rows:
+        s, ints = _integer_row(row)
+        scale *= s
+        a.append(ints)
+    pivots, d, sign = _bareiss(a, n, reduced=False)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * d, scale)
 
 
 def matrix_rank(rows) -> int:
-    a = [list(r) for r in rows]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pivot = a[row][col]
-        for r in range(len(a)):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col] / pivot
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        row += 1
-        rank += 1
-        if row == len(a):
-            break
-    return rank
+    a = integer_rows(rows)
+    return len(_bareiss(a, len(a[0]), reduced=False)[0]) if a else 0
 
 
 def solve_square(rows, rhs) -> Vector | None:
     """Solve A x = rhs exactly; None if A is singular."""
     n = len(rows)
-    a = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))
+    a = integer_rows((*r, b) for r, b in zip(rows, rhs, strict=True))
+    pivots, d, _ = _bareiss(a, n, reduced=True)
+    if len(pivots) < n:
+        return None
+    return tuple(Fraction(a[k][n], d) for k in range(n))
 
 
-def invert(rows) -> Matrix | None:
-    """Exact inverse of a square matrix; None if singular."""
-    n = len(rows)
-    a = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+def row_echelon(rows, reduced: bool) -> tuple[list[int], list[Vector]]:
+    """Pivot columns and pivot rows of an echelon form, each scaled to pivot 1.
+
+    Row k is the k-th pivot row as elimination reaches it: zero in the
+    earlier pivot columns, its later entries unreduced.  With ``reduced``
+    each pivot column is zero outside its pivot row as well, which gives the
+    reduced row echelon form of the row space.
+    """
+    a = integer_rows(rows)
+    if not a:
+        return [], []
+    pivots, _, _ = _bareiss(a, len(a[0]), reduced)
+    return pivots, [tuple(Fraction(x, a[k][c]) for x in a[k]) for k, c in enumerate(pivots)]
+
+
+def independent_rows(rows) -> list[int]:
+    """Indices of the rows that are independent of all rows before them."""
+    if not rows:
+        return []
+    columns = [list(c) for c in zip(*integer_rows(rows))]
+    return _bareiss(columns, len(rows), reduced=False)[0]
+
+
+def coordinates(basis, vectors) -> tuple[int, list[list[int]]] | None:
+    """Coordinates of each vector in the rows of a square basis, in integers.
+
+    Returns ``(d, coords)`` with coords[k][j] / d the j-th coordinate of
+    vectors[k]; None if the basis is singular.
+    """
+    n = len(basis)
+    a = integer_rows(zip(*basis, *vectors))
+    pivots, d, _ = _bareiss(a, n, reduced=True)
+    if len(pivots) < n:
+        return None
+    return d, [[a[j][n + k] for j in range(n)] for k in range(len(vectors))]
 
 
 def primitive(vec_and_offset) -> tuple:

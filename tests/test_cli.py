@@ -135,6 +135,31 @@ def test_distance_command(tmp_path, capsys):
     assert "extrapolated_estimate" in doc
 
 
+def test_distance_p1_fixture_against_itself(tmp_path, capsys):
+    # all 31 stored degrees, up to dimension 201: both sides are standard-basis
+    # levels, so no identity matrix is built or inverted
+    fixture = json.loads(Path(_fixture_path("p1_example.json")).read_text())["filtration"]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"filtration_a": fixture, "filtration_b": fixture}))
+    out_path = tmp_path / "res.json"
+    code, _, _ = run_cli(["distance", "--input", str(path), "--output", str(out_path)], capsys)
+    assert code == 0
+    rows = json.loads(out_path.read_text())["rows"]
+    assert [r["degree"] for r in rows] == sorted(int(m) for m in fixture["levels"])
+    assert len(rows) == 31
+    assert all(r["d_p"] == 0.0 for r in rows)
+
+
+def test_distance_singular_basis_exit_1(tmp_path, capsys):
+    good = {"levels": {"1": {"dim": 2, "values": [0, 1]}}}
+    bad = {"levels": {"1": {"dim": 2, "values": [0, 1], "basis": [[1, 2], ["1/2", 1]]}}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"filtration_a": good, "filtration_b": bad}))
+    code, out, err = run_cli(["distance", "--input", str(path)], capsys)
+    assert code == 1
+    assert "NotABasis" in err and out == ""
+
+
 def test_degenerate_command(tmp_path, capsys):
     from fanokit.filtration import FiltrationLevel, GradedFiltration
 
@@ -238,18 +263,34 @@ def _job(name, tmp_path):
         doc = {"measure": measure, "xi_list": [["0", "0"], ["-1/2", "1/4"], ["1", "-3/4"]],
                "a": ["1/2", "3"], "L": "1/4"}
         command = "report"
-    else:  # dh against a 2-D pushforward limit: the discretized W1 path
+    elif name == "dh-pushforward-limit":  # the discretized W1 path
         levels = {"4": {"dim": 5, "values": ["1", "2", "2", "3", "4"]}}
         doc = {"filtration": {"levels": levels}, "ambient_dim": 1,
                "limit": _square_transform_doc()}
         command = "dh"
+    elif name == "distance":  # explicit bases on one side, standard bases on the other
+        basis = [["1", "0", "0"], ["-2", "1", "0"], ["1/2", "3", "1"]]
+        doc = {"filtration_a": {"levels": {
+                   "2": {"dim": 3, "values": ["2", "-1", "1/3"], "basis": basis},
+                   "3": {"dim": 3, "values": ["0", "0", "4"], "basis": basis[::-1]}}},
+               "filtration_b": {"levels": {
+                   "2": {"dim": 3, "values": ["1", "1", "-2"]},
+                   "3": {"dim": 3, "values": ["5/2", "0", "1"]}}},
+               "p": 3}
+        command = "distance"
+    else:  # initial-term degeneration of a level with an explicit basis
+        rows = [[1, 1, 0], [0, 1, -1], [2, 0, 1]]
+        doc = {"model": {"num_vars": 2}, "w": [1, 0], "degree": 2,
+               "filtration": {"levels": {"2": {"dim": 3, "values": [1, 0, 2], "basis": rows}}}}
+        command = "degenerate"
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc))
     return command, str(path)
 
 
 @pytest.mark.parametrize("fixture", ["symmetric_polytopes.json", "unstable_interval.json",
-                                     "report-xi-sweep", "dh-pushforward-limit"])
+                                     "report-xi-sweep", "dh-pushforward-limit",
+                                     "distance", "degenerate"])
 def test_soliton_subprocess_byte_identical(tmp_path, fixture):
     # the batched kernel goes through BLAS: its thread count must not change a bit
     src = str(Path(fanokit.__file__).resolve().parents[1])

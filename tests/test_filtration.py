@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from fanokit.filtration import (
     weight_filtration,
 )
 from fanokit.rational import matrix_rank
+from fanokit.serialize import dumps_canonical
 
 from conftest import p1_filtration, random_level
 
@@ -347,3 +349,149 @@ def test_filtration_json_round_trip():
 def test_flag_nesting_validated():
     with pytest.raises(InputError):
         FiltrationLevel.from_flags(1, 2, [(1, [[1, 0]]), (0, [[0, 1]])])
+
+
+# ---------------------------------------------------------------------------
+# standard-basis levels and the integer common adapted basis
+
+
+def _ref_inverse(rows):
+    """Fraction Gauss-Jordan inverse (the elimination common_adapted_basis used before)."""
+    n = len(rows)
+    a = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        pivot = a[col][col]
+        a[col] = [x / pivot for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def _explicit_rows(lv):
+    n = lv.dim
+    if lv.basis is None:
+        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    return list(lv.basis)
+
+
+def _ref_pairs(lv0, lv1):
+    """Value pairs of the common adapted basis by the Fraction algorithm (dense inverse)."""
+    n = lv0.dim
+    order0 = sorted(range(n), key=lambda i: (-lv0.values[i], i))
+    e_rows = [_explicit_rows(lv0)[i] for i in order0]
+    e_inv = _ref_inverse(e_rows)
+    f_rows = _explicit_rows(lv1)
+    pivots, pairs = {}, []
+    for idx in sorted(range(n), key=lambda i: (-lv1.values[i], i)):
+        f = f_rows[idx]
+        c = [sum(f[i] * e_inv[i][j] for i in range(n)) for j in range(n)]
+        while True:
+            piv = next(j for j in range(n - 1, -1, -1) if c[j] != 0)
+            if piv not in pivots:
+                break
+            other = pivots[piv]
+            factor = c[piv] / other[piv]
+            c = [x - factor * y for x, y in zip(c, other)]
+        pivots[piv] = c
+        pairs.append((lv0.values[order0[piv]], lv1.values[idx]))
+    return tuple(pairs)
+
+
+def _level_variants(rng, dim):
+    """The same kinds of level on one dimension: random explicit basis, the
+    standard basis stored as None, and the standard basis stored explicitly;
+    values drawn from a small range so that ties are common."""
+    values = [Fraction(rng.randint(-2, 2)) for _ in range(dim)]
+    identity = tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim))
+    return [random_level(rng, dim),
+            FiltrationLevel.from_values(1, values),
+            FiltrationLevel(1, identity, tuple(reversed(values)))]
+
+
+def test_common_adapted_basis_pairs_match_reference(rng):
+    for _ in range(25):
+        dim = rng.randint(1, 6)
+        levels = _level_variants(rng, dim) + _level_variants(rng, dim)
+        for lv0 in levels:
+            for lv1 in levels:
+                cb = common_adapted_basis(lv0, lv1)
+                assert cb.pairs == _ref_pairs(lv0, lv1)
+                # each returned row has exactly its pair's values
+                for row, (m0, m1) in zip(cb.rows, cb.pairs):
+                    assert (lv0.value_of(row), lv1.value_of(row)) == (m0, m1)
+
+
+def test_from_values_level_stores_no_basis():
+    lv = FiltrationLevel.from_values(3, [0, -1, -1, -3], weights=[(0,), (-1,), (-2,), (-3,)])
+    assert lv.basis is None
+    assert rescale_shift(GradedFiltration({3: lv}), 2, 1).level(3).basis is None
+    assert twist(GradedFiltration({3: lv}), (1,)).level(3).basis is None
+    assert weight_filtration(MonomialModel(2), (1, 0), 3).level(3).basis is None
+    assert filtration_from_json({"levels": {"1": {"dim": 2, "values": [0, 1]}}}).level(1).basis \
+        is None
+    # the standard basis is read directly: coordinates are the vector itself
+    assert lv.value_of((0, 0, 5, 0)) == -1
+    assert lv.value_of((1, 0, 0, Fraction(1, 2))) == -3
+    assert lv.subspace_rows(-1) == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+    with pytest.raises(InputError):
+        lv.value_of((0, 0, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        lv.value_of((1, 0))
+
+
+def test_to_json_omits_standard_basis_and_round_trips_bytes():
+    identity = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    swapped = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+    F = GradedFiltration({
+        1: FiltrationLevel.from_values(1, [Fraction(1, 2), 0], weights=[(1,), (0,)]),
+        2: FiltrationLevel(2, identity, (Fraction(3), Fraction(-1))),
+        3: FiltrationLevel(3, swapped, (Fraction(0), Fraction(2, 3))),
+    }, label="mixed")
+    doc = F.to_json()
+    assert "basis" not in doc["levels"]["1"] and "basis" not in doc["levels"]["2"]
+    assert doc["levels"]["3"]["basis"] == [["0", "1"], ["1", "0"]]
+    text = dumps_canonical(doc)
+    assert dumps_canonical(filtration_from_json(json.loads(text)).to_json()) == text
+
+
+def test_singular_explicit_basis_raises():
+    rows = ((Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(1)))
+    with pytest.raises(NotABasis):
+        FiltrationLevel(1, rows, (Fraction(0), Fraction(1)))
+    doc = {"levels": {"1": {"dim": 2, "values": [0, 1], "basis": [[1, 2], ["1/2", 1]]}}}
+    with pytest.raises(NotABasis):
+        filtration_from_json(doc)
+
+
+def test_values_of_matches_one_row_reference(rng):
+    for _ in range(10):
+        dim = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-2, 2), rng.choice([1, 3])) for _ in range(dim)]
+                for _ in range(dim)]
+        rows = [r for r in rows if any(r)]
+        for lv in _level_variants(rng, dim):
+            inv = _ref_inverse(_explicit_rows(lv))
+            want = [min(v for v, c in zip(lv.values, (
+                sum(x * inv[i][j] for i, x in enumerate(r)) for j in range(dim))) if c != 0)
+                for r in rows]
+            assert lv.values_of(rows) == want
+            assert [lv.value_of(r) for r in rows] == want
+
+
+def test_initial_term_basis_pinned():
+    # the degenerated basis is written to `degenerate` artifacts: it is read off
+    # the echelon rows as elimination reaches them (not the fully reduced form)
+    # and must stay what the Fraction elimination gave
+    rows = [[1, 1, 0, 0, 2, 0], [0, 1, -1, 0, 0, 1], [2, 0, 1, 1, 0, 0],
+            [0, 0, 0, 1, 1, 1], [1, 0, 0, 0, 0, 3], [0, 2, 0, 1, 0, 0]]
+    F1 = filtration_from_json({"levels": {"2": {"dim": 6, "values": [1, 0, 2, 0, 1, 3],
+                                                "basis": rows}}})
+    lv = initial_term_degeneration(MonomialModel(3), (0, 1, 2), F1, 2).level(2)
+    assert lv.basis == ((0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0),
+                        (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+    assert lv.values == (3, 2, 1, 1, 0, 0)
+    assert lv.weights == ((1,), (0,), (2,), (2,), (3,), (4,))

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fanokit import geometry
 from fanokit.errors import DegeneratePolytope, DegenerateSimplex, InputError
@@ -16,8 +18,10 @@ from fanokit.geometry import (
     volume,
 )
 
+from fanokit.rational import affine_rank
+
 from conftest import random_full_polytope
-from oracles import hull_volume_boundary
+from oracles import _facet_hyperplanes, hull_volume_boundary
 
 UNIT_SQUARE = RationalPolytope.from_vertices([[0, 0], [1, 0], [0, 1], [1, 1]])
 UNIT_TRIANGLE = RationalPolytope.from_vertices([[0, 0], [1, 0], [0, 1]])
@@ -201,6 +205,49 @@ def test_origin_interior():
     assert not origin_in_interior([(1,), (2,)])
     assert origin_in_interior([(-1, -1), (1, -1), (0, 2)])
     assert not origin_in_interior([(0, 0), (1, 0), (0, 1)])
+
+
+def _origin_inside_hull(points):
+    """Brute force: build every facet of the hull; 0 is strictly inside a
+    full-dimensional hull exactly when every outward facet offset is positive."""
+    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    if affine_rank(pts) < len(pts[0]):
+        return False
+    return all(offset > 0 for _, offset in _facet_hyperplanes(pts))
+
+
+@st.composite
+def point_sets(draw):
+    """1-8 rational points in 1-3 D: free, with 0 among them, with 0 on a
+    segment between two of them, or all on a hyperplane (through 0 or not)."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    coord = st.one_of(st.integers(min_value=-3, max_value=3).map(Fraction),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=8))
+    kind = draw(st.sampled_from(("free", "origin", "segment", "linear-flat", "affine-flat")))
+    if kind == "origin":
+        pts.append((Fraction(0),) * n)
+    elif kind == "segment":
+        c = draw(st.sampled_from((Fraction(1), Fraction(1, 3), Fraction(5, 2))))
+        pts += [pts[0], tuple(-c * x for x in pts[0])]
+    elif kind == "linear-flat":
+        pts = [p[:-1] + (Fraction(0),) for p in pts]
+    elif kind == "affine-flat":
+        pts = [p[:-1] + (Fraction(1),) for p in pts]
+    return pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets())
+@example([(1, 0), (-1, 0), (0, 1)])  # 0 on an edge
+@example([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)])  # 0 on an edge in 3-D
+@example([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)])  # 0 inside a facet
+@example([(1, 1, 0), (-1, 0, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])  # 0 interior
+@example([(0, 0), (1, 1), (-2, -2)])  # rank one, 0 among the points
+@example([(-1, -1), (1, -1), (0, 2), (0, 0)])  # interior, 0 among the points
+@example([(0,)])
+def test_origin_interior_matches_hull(points):
+    assert origin_in_interior(points) == _origin_inside_hull(points)
 
 
 BOX3 = RationalPolytope.from_vertices(

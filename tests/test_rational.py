@@ -1,0 +1,201 @@
+"""The fraction-free elimination core against Fraction Gauss-Jordan references.
+
+The references are the eliminations the package used before it moved to
+integer rows: they divide in ``Fraction`` at every step.  Every result of the
+core is exact and unique (a rank, a determinant, a solution, an echelon form
+with pivots 1), so the two must agree with ``==``.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fanokit.rational import (
+    coordinates,
+    det,
+    independent_rows,
+    matmul,
+    matrix_rank,
+    row_echelon,
+    solve_square,
+)
+
+# ---------------------------------------------------------------------------
+# Fraction Gauss-Jordan references
+
+
+def ref_det(rows):
+    n = len(rows)
+    a = [list(r) for r in rows]
+    sign = 1
+    result = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        pivot = a[col][col]
+        result *= pivot
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                factor = a[r][col] / pivot
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return sign * result
+
+
+def ref_rank(rows):
+    a = [list(r) for r in rows]
+    if not a:
+        return 0
+    rank = 0
+    for col in range(len(a[0])):
+        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pivot = a[rank][col]
+        for r in range(len(a)):
+            if r != rank and a[r][col] != 0:
+                factor = a[r][col] / pivot
+                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
+
+
+def ref_solve(rows, rhs):
+    n = len(rows)
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        pivot = a[col][col]
+        a[col] = [x / pivot for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return tuple(a[r][n] for r in range(n))
+
+
+def ref_echelon(rows):
+    """Each pivot row normalized to 1 as elimination reaches it (later columns unreduced)."""
+    a = [list(r) for r in rows]
+    pivots, out = [], []
+    for col in range(len(a[0]) if a else 0):
+        row = len(out)
+        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        pivot = a[row][col]
+        a[row] = [x / pivot for x in a[row]]
+        for r in range(len(a)):
+            if r != row and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+        out.append(tuple(a[row]))
+        if len(out) == len(a):
+            break
+    return pivots, out
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-9, max_value=9).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Rational matrices up to 8 x 8; some rows zero, some combinations of earlier rows."""
+    nrows = draw(st.integers(min_value=1, max_value=8))
+    ncols = nrows if square else draw(st.integers(min_value=1, max_value=8))
+    rows = []
+    for i in range(nrows):
+        kind = draw(st.sampled_from(("free", "free", "zero", "combination")))
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "combination" and i >= 1:
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            c = draw(entries)
+            rows.append([x + c * y for x, y in zip(rows[a], rows[b])])
+        else:
+            rows.append([draw(entries) for _ in range(ncols)])
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+@example([[Fraction(0)] * 3, [Fraction(0)] * 3])
+@example([[Fraction(1, 10**6), Fraction(-999_999, 10**6)], [Fraction(2), Fraction(-1999998)]])
+def test_rank_and_echelon_match_reference(rows):
+    assert matrix_rank(rows) == ref_rank(rows)
+    assert row_echelon(rows, reduced=False) == ref_echelon(rows)
+    pivots, reduced = row_echelon(rows, reduced=True)
+    assert pivots == ref_echelon(rows)[0]
+    for k, col in enumerate(pivots):
+        assert [r[col] for r in reduced] == [int(j == k) for j in range(len(pivots))]
+    assert ref_rank(rows + [list(r) for r in reduced]) == len(pivots)  # same row space
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(square=True), st.data())
+def test_det_and_solve_match_reference(rows, data):
+    n = len(rows)
+    assert det(rows) == ref_det(rows)
+    rhs = data.draw(st.lists(entries, min_size=n, max_size=n))
+    assert solve_square(rows, rhs) == ref_solve(rows, rhs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(square=True), st.data())
+def test_coordinates_solve_every_vector(basis, data):
+    n = len(basis)
+    vectors = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=4))
+    solved = coordinates(basis, vectors)
+    if ref_rank(basis) < n:
+        assert solved is None
+        return
+    d, coords = solved
+    for v, c in zip(vectors, coords, strict=True):
+        # the coordinates reproduce the vector from the basis rows exactly
+        x = [Fraction(cj, d) for cj in c]
+        assert [sum(xj * row[i] for xj, row in zip(x, basis)) for i in range(n)] == v
+        # and they are the reference solution of B^T x = v
+        transposed = [list(col) for col in zip(*basis)]
+        assert tuple(x) == ref_solve(transposed, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_independent_rows_are_the_greedy_basis(rows):
+    kept = []
+    for i, row in enumerate(rows):
+        if ref_rank([rows[k] for k in kept] + [row]) > len(kept):
+            kept.append(i)
+    assert independent_rows(rows) == kept
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrices(), st.data())
+def test_matmul_exact(b, data):
+    a = data.draw(st.lists(st.lists(entries, min_size=len(b), max_size=len(b)), max_size=4))
+    want = [tuple(sum((x * row[j] for x, row in zip(r, b)), Fraction(0))
+                  for j in range(len(b[0]))) for r in a]
+    assert matmul(a, b) == want
