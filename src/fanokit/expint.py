@@ -196,6 +196,21 @@ class PLConcaveFunction:
         return tuple((tuple(f(v) for v in s.vertices), abs(s.edge_determinant()))
                      for s, f in self.cells)
 
+    @cached_property
+    def _pairing_table(self) -> dict:
+        """Per xi tuple, filled on first query: the exact <y', xi> at every
+        cell vertex, in canonical cell order."""
+        return {}
+
+    def _pairings(self, xi) -> tuple:
+        key = rat_vector(xi)
+        table = self._pairing_table.get(key)
+        if table is None:
+            ell = pairing_form(key, self.dim)
+            table = tuple(tuple(ell(p) for p in s.vertices) for s, _ in self.cells)
+            self._pairing_table[key] = table
+        return table
+
     def vertex_values(self) -> dict:
         out = {}
         for s, f in self.cells:
@@ -265,20 +280,18 @@ def pl_exp_integral(G: PLConcaveFunction, shift: AffineForm | None = None) -> Ex
 def pl_cell_integrals(G: PLConcaveFunction, a, xi, k: int) -> list[float]:
     """int_s G^k e^{-(a G + <y', xi>)} dy for each cell s of G, in canonical order.
 
-    The nodes come from the exact vertex values cached on G, rounded once;
-    all cells share one kernel call.
+    The nodes come from the exact vertex values and pairings cached on G,
+    rounded once; all cells share one kernel call.
     """
     if k < 0 or k > MAX_MOMENT_ORDER:
         raise UnsupportedOrder(f"moment order {k} not in 0..{MAX_MOMENT_ORDER}")
     a = rat(a)
-    ell = pairing_form(xi, G.dim) if any(xi) else None
-    z, volumes = [], []
-    for (s, _), (vals, det) in zip(G.cells, G._cell_table):
-        if ell is None:
-            z.append([-float(a * v) for v in vals])
-        else:
-            z.append([-float(a * v + ell(p)) for v, p in zip(vals, s.vertices)])
-        volumes.append(float(det))
+    if any(xi):
+        z = [[-float(a * v + e) for v, e in zip(vals, pairs)]
+             for (vals, _), pairs in zip(G._cell_table, G._pairings(xi))]
+    else:
+        z = [[-float(a * v) for v in vals] for vals, _ in G._cell_table]
+    volumes = [float(det) for _, det in G._cell_table]
     b = [[float(v) for v in vals] for vals, _ in G._cell_table] if k else None
     return [r.value for r in _exp_integrals(z, volumes, b, k)]
 

@@ -5,6 +5,12 @@ caller supplies, the other is derived and the two are cross-validated.  All
 combinatorics (facet incidence, slicing, triangulation) is exact over Q;
 floats never enter this module.
 
+Facets of a point set come from the double-description method on integer
+rows, adding one point at a time.  The other direction, vertices of a
+halfspace system, solves every n-subset of the halfspaces; it also serves
+as the cross-check, independent of the hull code, that every full-dimensional
+polytope runs on construction.
+
 Triangulations fan out from the lexicographically smallest vertex over a
 facet decomposition, so the output is deterministic and independent of the
 order of the input data.
@@ -15,15 +21,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .errors import DegeneratePolytope, DegenerateSimplex, InputError
 from .rational import (
     Vector,
     affine_rank,
+    coordinates,
     det,
     dot,
     format_rat,
+    independent_rows,
     integer_rows,
     matrix_rank,
     primitive,
@@ -135,11 +144,25 @@ def _hyperplane_normal(points) -> Vector | None:
     return None if all(x == 0 for x in vec) else vec
 
 
+def _primitive_ray(ray) -> list[int]:
+    g = gcd(*ray)
+    return [x // g for x in ray] if g > 1 else ray
+
+
 def _facets_from_points(points) -> list[Facet]:
     """All facets of conv(points), assuming the hull is full-dimensional.
 
-    Brute force over n-point subsets; adequate for the small instances this
-    library targets (ambient dimension <= 6).
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) in
+    integers.  <a, y> <= b holds on every point exactly when r = (b, -a) has
+    <r, (1, p)> >= 0 for every point p, so the facets are the extreme rays
+    of that cone.  Each row (1, p) is scaled to integers, which leaves the
+    cone unchanged.  The cone of n + 1 independent rows has the columns of
+    their inverse as rays; every further row keeps the rays on its
+    nonnegative side and adds one ray on the row's hyperplane for each
+    adjacent pair across it.  A ray carries its zero set, the rows it lies
+    on; two rays are adjacent exactly when their zero sets share at least
+    n - 1 rows and no third ray's zero set contains that intersection.  Once
+    every row is added, a ray's zero set is its facet's incidence set.
     """
     n = len(points[0])
     if n == 1:
@@ -149,24 +172,40 @@ def _facets_from_points(points) -> list[Facet]:
             Facet((Fraction(1),), hi, tuple(i for i, p in enumerate(points) if p[0] == hi)),
             Facet((Fraction(-1),), -lo, tuple(i for i, p in enumerate(points) if p[0] == lo)),
         ]
-    seen = {}
-    for subset in itertools.combinations(range(len(points)), n):
-        normal = _hyperplane_normal([points[i] for i in subset])
-        if normal is None:
+    rows = integer_rows((Fraction(1), *p) for p in points)
+    seed = independent_rows(rows)
+    # the unit vectors in the seed rows' columns: row j is d times column j
+    # of the inverse, zero on every seed row but the j-th, where it has d's sign
+    unit = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    d, inverse = coordinates(list(zip(*(rows[i] for i in seed))), unit)
+    rays = [_primitive_ray([x if d > 0 else -x for x in row]) for row in inverse]
+    zeros = [frozenset(seed[:j] + seed[j + 1 :]) for j in range(n + 1)]
+    seeded = set(seed)
+    for k, row in enumerate(rows):
+        if k in seeded:
             continue
-        offset = dot(normal, points[subset[0]])
-        sides = [dot(normal, p) - offset for p in points]
-        if any(s > 0 for s in sides):
-            if any(s < 0 for s in sides):
-                continue
-            normal = tuple(-x for x in normal)
-            offset = -offset
-            sides = [-s for s in sides]
-        key = primitive(normal + (offset,))
-        if key not in seen:
-            incident = tuple(i for i, s in enumerate(sides) if s == 0)
-            seen[key] = Facet(key[:-1], key[-1], incident)
-    return sorted(seen.values(), key=lambda f: (f.normal, f.offset))
+        values = [sum(map(mul, row, ray)) for ray in rays]
+        positive = [i for i, v in enumerate(values) if v > 0]
+        negative = [i for i, v in enumerate(values) if v < 0]
+        new_rays, new_zeros = [], []
+        for i in positive:
+            for j in negative:
+                common = zeros[i] & zeros[j]
+                if len(common) < n - 1 or any(
+                    common <= z for t, z in enumerate(zeros) if t != i and t != j
+                ):
+                    continue
+                vi, vj = values[i], values[j]
+                new_rays.append(_primitive_ray([vi * y - vj * x for x, y in zip(rays[i], rays[j])]))
+                new_zeros.append(common | {k})
+        kept = [i for i, v in enumerate(values) if v >= 0]
+        rays = [rays[i] for i in kept] + new_rays
+        zeros = [zeros[i] | {k} if values[i] == 0 else zeros[i] for i in kept] + new_zeros
+    facets = []
+    for ray, zero in zip(rays, zeros):
+        key = primitive(tuple(-x for x in ray[1:]) + (ray[0],))
+        facets.append(Facet(key[:-1], key[-1], tuple(sorted(zero))))
+    return sorted(facets, key=lambda f: (f.normal, f.offset))
 
 
 def _extreme_points(points, facets) -> list[Vector]:

@@ -1,13 +1,15 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanokit import geometry
 from fanokit.errors import DegeneratePolytope, DegenerateSimplex, InputError
 from fanokit.geometry import (
     AffineForm,
+    Facet,
     RationalPolytope,
     Simplex,
     barycenter,
@@ -18,7 +20,7 @@ from fanokit.geometry import (
     volume,
 )
 
-from fanokit.rational import affine_rank
+from fanokit.rational import affine_rank, dot
 
 from conftest import random_full_polytope
 from oracles import _facet_hyperplanes, hull_volume_boundary
@@ -291,3 +293,117 @@ def test_cached_facets_index_kept_vertices(rng):
         for _ in range(4):
             poly = random_full_polytope(rng, n, npts=n + 6)
             assert poly.facets() == geometry._facets_from_points(list(poly.vertices))
+
+
+def _oracle_facets(points):
+    """Hyperplanes from the independent subset search of tests/oracles.py, each
+    with the indices of the points lying on it."""
+    return sorted((normal, offset, tuple(i for i, p in enumerate(points)
+                                         if dot(normal, p) == offset))
+                  for normal, offset in _facet_hyperplanes(points))
+
+
+@st.composite
+def hull_inputs(draw):
+    """2-9 rational points in 1-4 D spanning Q^n, plus up to three repeats,
+    midpoints (on an edge or inside) and the centroid."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    coord = st.one_of(st.integers(min_value=-3, max_value=3).map(Fraction),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=9))
+    assume(affine_rank(pts) == n)
+    for extra in draw(st.lists(st.sampled_from(("repeat", "midpoint", "centroid")), max_size=3)):
+        i, j = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, len(pts) - 1))
+        if extra == "repeat":
+            pts.append(pts[i])
+        elif extra == "midpoint":
+            pts.append(tuple((a + b) / 2 for a, b in zip(pts[i], pts[j])))
+        else:
+            pts.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
+    return pts
+
+
+def _grid(*axes):
+    return [tuple(Fraction(c) for c in v) for v in itertools.product(*axes)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hull_inputs())
+@example(_grid(*[(0, 2)] * 4) + _grid(*[(1,)] * 4))  # the 4-cube with its centre
+@example(_grid((0, 1, 2), (0, 1), (0, 1)))  # 2x1x1 grid of cubes: non-simplicial facets
+@example([tuple(Fraction(s * (i == j)) for j in range(4))  # the 4-D cross-polytope
+          for i in range(4) for s in (1, -1)])
+@example(_grid((0, 2), (0, 2)) + _grid((0, 1, 2), (0,)) + _grid((2,), (2,)))  # collinear, repeated
+@example(_grid((0, 1, 2, 3)) + _grid((1, 3)))  # 1-D, repeated
+def test_facets_match_subset_oracle(points):
+    facets = geometry._facets_from_points(points)
+    assert sorted((f.normal, f.offset, f.incident) for f in facets) == _oracle_facets(points)
+
+
+F = Fraction
+L = F(-1)  # every side of the pinned box starts at -1
+X, Y, Z, W = F(21, 20), F(26, 25), F(51, 50), F(101, 100)
+BOX4 = RationalPolytope.from_vertices(itertools.product((L, X), (L, Y), (L, Z), (L, W)))
+
+BOX4_JSON = {
+    "dim": 4,
+    "vertices": [[x, y, z, w] for x in ("-1", "21/20") for y in ("-1", "26/25")
+                 for z in ("-1", "51/50") for w in ("-1", "101/100")],
+    "halfspaces": [
+        {"normal": ["-1", "0", "0", "0"], "offset": "1"},
+        {"normal": ["0", "-1", "0", "0"], "offset": "1"},
+        {"normal": ["0", "0", "-1", "0"], "offset": "1"},
+        {"normal": ["0", "0", "0", "-1"], "offset": "1"},
+        {"normal": ["0", "0", "0", "100"], "offset": "101"},
+        {"normal": ["0", "0", "50", "0"], "offset": "51"},
+        {"normal": ["0", "25", "0", "0"], "offset": "26"},
+        {"normal": ["20", "0", "0", "0"], "offset": "21"},
+    ],
+}
+
+BOX4_FACETS = [
+    Facet((F(-1), F(0), F(0), F(0)), F(1), (0, 1, 2, 3, 4, 5, 6, 7)),
+    Facet((F(0), F(-1), F(0), F(0)), F(1), (0, 1, 2, 3, 8, 9, 10, 11)),
+    Facet((F(0), F(0), F(-1), F(0)), F(1), (0, 1, 4, 5, 8, 9, 12, 13)),
+    Facet((F(0), F(0), F(0), F(-1)), F(1), (0, 2, 4, 6, 8, 10, 12, 14)),
+    Facet((F(0), F(0), F(0), F(100)), F(101), (1, 3, 5, 7, 9, 11, 13, 15)),
+    Facet((F(0), F(0), F(50), F(0)), F(51), (2, 3, 6, 7, 10, 11, 14, 15)),
+    Facet((F(0), F(25), F(0), F(0)), F(26), (4, 5, 6, 7, 12, 13, 14, 15)),
+    Facet((F(20), F(0), F(0), F(0)), F(21), (8, 9, 10, 11, 12, 13, 14, 15)),
+]
+
+BOX4_CELLS = [
+    ((L, L, L, L), (L, L, L, W), (L, L, Z, W), (L, Y, Z, W), (X, Y, Z, W)),
+    ((L, L, L, L), (L, L, L, W), (L, L, Z, W), (X, L, Z, W), (X, Y, Z, W)),
+    ((L, L, L, L), (L, L, L, W), (L, Y, L, W), (L, Y, Z, W), (X, Y, Z, W)),
+    ((L, L, L, L), (L, L, L, W), (L, Y, L, W), (X, Y, L, W), (X, Y, Z, W)),
+    ((L, L, L, L), (L, L, L, W), (X, L, L, W), (X, L, Z, W), (X, Y, Z, W)),
+    ((L, L, L, L), (L, L, L, W), (X, L, L, W), (X, Y, L, W), (X, Y, Z, W)),
+    ((L, L, L, L), (L, L, Z, L), (L, L, Z, W), (L, Y, Z, W), (X, Y, Z, W)),
+    ((L, L, L, L), (L, L, Z, L), (L, L, Z, W), (X, L, Z, W), (X, Y, Z, W)),
+    ((L, L, L, L), (L, L, Z, L), (L, Y, Z, L), (L, Y, Z, W), (X, Y, Z, W)),
+    ((L, L, L, L), (L, L, Z, L), (L, Y, Z, L), (X, Y, Z, L), (X, Y, Z, W)),
+    ((L, L, L, L), (L, L, Z, L), (X, L, Z, L), (X, L, Z, W), (X, Y, Z, W)),
+    ((L, L, L, L), (L, L, Z, L), (X, L, Z, L), (X, Y, Z, L), (X, Y, Z, W)),
+    ((L, L, L, L), (L, Y, L, L), (L, Y, L, W), (L, Y, Z, W), (X, Y, Z, W)),
+    ((L, L, L, L), (L, Y, L, L), (L, Y, L, W), (X, Y, L, W), (X, Y, Z, W)),
+    ((L, L, L, L), (L, Y, L, L), (L, Y, Z, L), (L, Y, Z, W), (X, Y, Z, W)),
+    ((L, L, L, L), (L, Y, L, L), (L, Y, Z, L), (X, Y, Z, L), (X, Y, Z, W)),
+    ((L, L, L, L), (L, Y, L, L), (X, Y, L, L), (X, Y, L, W), (X, Y, Z, W)),
+    ((L, L, L, L), (L, Y, L, L), (X, Y, L, L), (X, Y, Z, L), (X, Y, Z, W)),
+    ((L, L, L, L), (X, L, L, L), (X, L, L, W), (X, L, Z, W), (X, Y, Z, W)),
+    ((L, L, L, L), (X, L, L, L), (X, L, L, W), (X, Y, L, W), (X, Y, Z, W)),
+    ((L, L, L, L), (X, L, L, L), (X, L, Z, L), (X, L, Z, W), (X, Y, Z, W)),
+    ((L, L, L, L), (X, L, L, L), (X, L, Z, L), (X, Y, Z, L), (X, Y, Z, W)),
+    ((L, L, L, L), (X, L, L, L), (X, Y, L, L), (X, Y, L, W), (X, Y, Z, W)),
+    ((L, L, L, L), (X, L, L, L), (X, Y, L, L), (X, Y, Z, L), (X, Y, Z, W)),
+]
+
+
+def test_box4d_pinned():
+    """The benchmark's 4-D box as the subset-search hull built it: document,
+    facets with incidences, and the 24 cells in canonical order."""
+    assert BOX4.to_json() == BOX4_JSON
+    assert BOX4.facets() == BOX4_FACETS
+    assert geometry._facets_from_points(list(BOX4.vertices)) == BOX4_FACETS
+    assert [s.vertices for s in BOX4.triangulate()] == BOX4_CELLS

@@ -194,6 +194,19 @@ def test_batched_cell_sums_bit_identical(weight_xi):
             assert _tilted_moment(mu, tilt, k) == want
 
 
+def test_tilts_sharing_a_transform():
+    """Each tilt of one transform reads its own cached pairings, bit for bit
+    what a transform queried under that tilt alone gives."""
+    G = _clustered_transform()
+    tilts = [(Fraction(1, 3), 0), (0, Fraction(-2, 5)), (Fraction(1, 3),), (1, 1)]
+    shared = [DHMeasure.pushforward(G, xi) for xi in tilts]
+    alone = [DHMeasure.pushforward(_clustered_transform(), xi) for xi in tilts]
+    for _ in range(2):
+        assert [mu.moment(2) for mu in shared] == [mu.moment(2) for mu in alone]
+        assert ([_tilted_moment(mu, Fraction(1, 2), 1) for mu in shared]
+                == [_tilted_moment(mu, Fraction(1, 2), 1) for mu in alone])
+
+
 def test_empirical_dh_trivial_filtration():
     from fanokit.filtration import FiltrationLevel, GradedFiltration
 
