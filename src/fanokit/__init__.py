@@ -12,13 +12,14 @@ from .expint import ExpIntegralResult, PLConcaveFunction
 from .filtration import FiltrationLevel, GradedFiltration, MonomialModel
 from .functionals import LPolicy, NAReport
 from .geometry import AffineForm, RationalPolytope, Simplex
-from .measure import DHMeasure, SupportInfo
+from .measure import AtomicMeasure, DHMeasure, PushforwardMeasure, SupportInfo
 from .optimize import ConvexScan, OptResult
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineForm",
+    "AtomicMeasure",
     "ConvexScan",
     "DHMeasure",
     "ExpIntegralResult",
@@ -30,6 +31,7 @@ __all__ = [
     "NAReport",
     "OptResult",
     "PLConcaveFunction",
+    "PushforwardMeasure",
     "RationalPolytope",
     "Simplex",
     "SupportInfo",

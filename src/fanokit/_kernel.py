@@ -14,8 +14,9 @@ difference of exp at the negated vertex values of l.  Two evaluation paths:
   nodes (the matrix route is the confluent table).  ``dd_exp`` and
   ``dd_exp_weighted`` are its batch-of-one forms.
 * ``dd_exp_series`` - Taylor expansion of the divided difference around the
-  mean node, in complete homogeneous symmetric polynomials.  Fast and
-  cancellation-free for tightly clustered nodes.
+  mean node, in complete homogeneous symmetric polynomials, with the mean
+  returned as the log offset.  Fast and cancellation-free for tightly
+  clustered nodes.
 
 Moment weights (int w^k e^{-l}) come from ``dd_exp_weighted``: the k-th
 derivative of the divided difference along a diagonal deformation of the node
@@ -125,7 +126,9 @@ def dd_exp_series(z):
 
     DD[exp](z) = e^{mean} * sum_j h_j(z - mean) / (n + j)! where h_j is the
     complete homogeneous symmetric polynomial; h_1 vanishes by centering.
-    Intended for relative node spreads below the clustering threshold.
+    Returns ``(value, offset, rel_err)`` with DD[exp](z) = value * e^{offset}
+    and ``offset`` the mean node.  Intended for node spreads below the
+    clustering threshold.
     """
     n1 = len(z)
     n = n1 - 1
@@ -150,7 +153,7 @@ def dd_exp_series(z):
         if j >= 2 and abs(term) < _SERIES_CUTOFF * abs(total):
             break
     err = term_count * (n1 + 1) * _EPS + 10.0 * _SERIES_CUTOFF
-    return math.exp(mu) * total, err
+    return total, mu, err
 
 
 def _two_sum(a, b):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -161,7 +160,7 @@ def _cmd_report(doc, options):
         csv_rows = []
         for xi in doc["xi_list"]:
             vec = rat_vector(xi)
-            nu = _twisted_measure(mu, vec)
+            nu = mu.twisted(vec)
             rep = na_report(nu, L.twisted(), a_list)
             rows.append({"xi": [format_rat(x) for x in vec], "report": rep.to_json()})
             for name, val in (("E", rep.E), ("S_tilde", rep.S_tilde),
@@ -173,19 +172,6 @@ def _cmd_report(doc, options):
     else:
         out["report"] = na_report(mu, L, a_list).to_json()
     return out, csv
-
-
-def _twisted_measure(mu: DHMeasure, xi) -> DHMeasure:
-    if mu.variant == "atomic":
-        atoms = []
-        for pos, m, w in mu.atoms:
-            if w is None:
-                raise InputError("xi sweep needs torus weights on every atom")
-            atoms.append((pos + sum(a * x for a, x in zip(w, xi)), m, w))
-        return DHMeasure.atomic(atoms)
-    padded = tuple(mu.weight_xi) + (Fraction(0),) * max(0, len(xi) - len(mu.weight_xi))
-    combined = tuple(a + b for a, b in zip(padded, tuple(xi) + (Fraction(0),) * (len(padded) - len(xi))))
-    return DHMeasure.pushforward(mu.transform, combined)
 
 
 def _cmd_soliton(doc, options):
@@ -334,16 +320,16 @@ def main(argv=None) -> int:
             options.input = _fixture_path("p1_example.json")
         doc = _load_document(options.input)
         result, csv = _HANDLERS[options.command](doc, options)
+        result["tolerance"] = options.tol
+        text = dumps_canonical(result) + "\n"
+        if options.format == "csv" and csv is not None:
+            text = csv
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except FanokitError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
-    result["tolerance"] = options.tol
-    text = dumps_canonical(result) + "\n"
-    if options.format == "csv" and csv is not None:
-        text = csv
     if options.output:
         Path(options.output).write_text(text)
     else:

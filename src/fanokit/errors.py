@@ -71,3 +71,7 @@ class DenominatorVanishes(FanokitError):
 
 class InvalidVolumeFunction(FanokitError):
     """Supplied volume profile is not non-increasing."""
+
+
+class NonFiniteResult(FanokitError):
+    """A requested value lies outside double range (overflows or underflows to 0)."""

@@ -8,7 +8,8 @@ Geometry stays rational until the last moment: vertex values of the affine
 forms are evaluated in Q and rounded once to double before entering the
 divided-difference kernel.  Cell sums use a deterministic double-double tree
 reduction over the canonical cell order, so results do not depend on the order
-in which cells were given.
+in which cells were given, and ``pl_cell_integrals`` returns them relative to
+one log offset, so they stay in double range for any tilt.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .geometry import (
 )
 from .rational import format_rat, rat, rat_vector
 
-#: relative vertex-value spread below which the series fallback is used
-CLUSTER_RELATIVE_SPREAD = 1e-4
+#: node spread below which the series is used; absolute, since DD[exp](z + c) = e^c DD[exp](z)
+CLUSTER_SPREAD = 1e-4
 
 MAX_MOMENT_ORDER = 4
 
@@ -51,26 +52,25 @@ def _vertex_values(s: Simplex, form: AffineForm) -> list[float]:
     return [float(form(v)) for v in s.vertices]
 
 
-def _exp_integrals(z, volumes, b=None, k: int = 0) -> list[ExpIntegralResult]:
-    """int_s w^k e^{-l} = k! * n!vol(s) * D_k for each simplex s, one kernel call.
+def _exp_integrals(z, volumes, b, k: int, top: float) -> list[ExpIntegralResult]:
+    """int_s w^k e^{-l} / e^{top} = k! * n!vol(s) * D_k / e^{top} for each simplex s.
 
     ``z[i]`` holds the negated vertex values of l on simplex i (all rows of
     one length), ``volumes[i]`` its n! vol and, for k > 0, ``b[i]`` the
-    vertex values of w.  For k = 0 a row whose relative spread is below
-    ``CLUSTER_RELATIVE_SPREAD`` takes the series; the other rows share one
-    ``dd_exp_batch`` call, and each is scaled back by e^{offset} before it is
-    multiplied by its volume.
+    vertex values of w.  For k = 0 a row whose spread is below
+    ``CLUSTER_SPREAD`` takes the series; the other rows share one
+    ``dd_exp_batch`` call.  Each row's kernel value comes with its own log
+    offset and is scaled by e^{offset - top} before it is multiplied by its
+    volume, so with ``top`` at least every offset no row leaves double range.
     """
     out: list = [None] * len(z)
     batch = []
     for i, zi in enumerate(z):
-        if k == 0:
-            spread = max(zi) - min(zi)
-            mean = math.fsum(zi) / len(zi)
-            if spread < CLUSTER_RELATIVE_SPREAD * max(1.0, abs(mean)):
-                dd, err = dd_exp_series(zi)
-                out[i] = ExpIntegralResult(volumes[i] * dd, err, "series_fallback")
-                continue
+        if k == 0 and max(zi) - min(zi) < CLUSTER_SPREAD:
+            dd, offset, err = dd_exp_series(zi)
+            out[i] = ExpIntegralResult(volumes[i] * (dd * math.exp(offset - top)), err,
+                                       "series_fallback")
+            continue
         batch.append(i)
     if not batch:
         return out
@@ -78,7 +78,7 @@ def _exp_integrals(z, volumes, b=None, k: int = 0) -> list[ExpIntegralResult]:
     rows, offset, errs = dd_exp_batch([z[i] for i in batch],
                                       [b[i] for i in batch] if k else None, k)
     for r, i in enumerate(batch):
-        scale = math.exp(offset[r])
+        scale = math.exp(offset[r] - top)
         corner_k = float(rows[r, k * n1 + n1 - 1]) * scale
         if k == 0:
             out[i] = ExpIntegralResult(volumes[i] * corner_k, float(errs[r]), "divided_difference")
@@ -96,7 +96,7 @@ def _exp_integrals(z, volumes, b=None, k: int = 0) -> list[ExpIntegralResult]:
 def simplex_exp_integral(s: Simplex, l: AffineForm) -> ExpIntegralResult:
     """int_s e^{-l(y)} dy = n! vol(s) * (divided difference of exp at -l(vertices))."""
     z = [-v for v in _vertex_values(s, l)]
-    return _exp_integrals([z], [_factorial_volume(s)])[0]
+    return _exp_integrals([z], [_factorial_volume(s)], None, 0, 0.0)[0]
 
 
 def simplex_weighted_exp_integral(s: Simplex, l: AffineForm, w: AffineForm, k: int) -> ExpIntegralResult:
@@ -110,7 +110,7 @@ def simplex_weighted_exp_integral(s: Simplex, l: AffineForm, w: AffineForm, k: i
         raise UnsupportedOrder(f"moment order {k} not in 0..{MAX_MOMENT_ORDER}")
     z = [-v for v in _vertex_values(s, l)]
     b = [_vertex_values(s, w)] if k else None
-    return _exp_integrals([z], [_factorial_volume(s)], b, k)[0]
+    return _exp_integrals([z], [_factorial_volume(s)], b, k, 0.0)[0]
 
 
 def _superlevel_share(values, level: Fraction) -> Fraction:
@@ -246,12 +246,15 @@ class PLConcaveFunction:
 
     @classmethod
     def from_json(cls, doc: dict, domain: RationalPolytope | None = None) -> "PLConcaveFunction":
-        if not isinstance(doc, dict) or "cells" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
             raise InputError("piecewise-function document needs a 'cells' list")
         cells = []
         for cell in doc["cells"]:
+            aff = cell.get("affine") if isinstance(cell, dict) else None
+            if (not isinstance(aff, dict) or "simplex" not in cell
+                    or not {"gradient", "constant"} <= aff.keys()):
+                raise InputError(f"cell {cell!r} needs 'simplex' and 'affine' fields")
             simplex = Simplex.make(cell["simplex"])
-            aff = cell["affine"]
             cells.append((simplex, AffineForm(rat_vector(aff["gradient"]), rat(aff["constant"]))))
         if domain is None:
             domain = RationalPolytope.from_vertices(
@@ -277,11 +280,13 @@ def pl_exp_integral(G: PLConcaveFunction, shift: AffineForm | None = None) -> Ex
     return ExpIntegralResult(total, err, method)
 
 
-def pl_cell_integrals(G: PLConcaveFunction, a, xi, k: int) -> list[float]:
+def pl_cell_integrals(G: PLConcaveFunction, a, xi, k: int) -> tuple[float, list[float]]:
     """int_s G^k e^{-(a G + <y', xi>)} dy for each cell s of G, in canonical order.
 
     The nodes come from the exact vertex values and pairings cached on G,
-    rounded once; all cells share one kernel call.
+    rounded once; all cells share one kernel call.  Returns ``(top, leaves)``
+    with each cell's integral equal to leaf * e^{top}, top the largest node,
+    so sums of the leaves and their logarithms stay finite for any tilt.
     """
     if k < 0 or k > MAX_MOMENT_ORDER:
         raise UnsupportedOrder(f"moment order {k} not in 0..{MAX_MOMENT_ORDER}")
@@ -293,7 +298,8 @@ def pl_cell_integrals(G: PLConcaveFunction, a, xi, k: int) -> list[float]:
         z = [[-float(a * v) for v in vals] for vals, _ in G._cell_table]
     volumes = [float(det) for _, det in G._cell_table]
     b = [[float(v) for v in vals] for vals, _ in G._cell_table] if k else None
-    return [r.value for r in _exp_integrals(z, volumes, b, k)]
+    top = max(max(zi) for zi in z)
+    return top, [r.value for r in _exp_integrals(z, volumes, b, k, top)]
 
 
 def superlevel_gvolume(G: PLConcaveFunction, x, xi=None) -> float:

@@ -203,9 +203,6 @@ class GradedFiltration:
     def degrees(self) -> list[int]:
         return sorted(self.levels)
 
-    def has_weights(self) -> bool:
-        return all(lv.weights is not None for lv in self.levels.values())
-
     def map_levels(self, fn, label=None) -> "GradedFiltration":
         return GradedFiltration({m: fn(lv) for m, lv in self.levels.items()},
                                 label if label is not None else self.label)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from ._kernel import compensated_tree_sum
 from .errors import (
     FanokitError,
     InconsistentDecomposition,
@@ -23,7 +22,7 @@ from .errors import (
     InsufficientDegrees,
     NegativeSupport,
 )
-from .expint import simplex_exp_integral, simplex_weighted_exp_integral
+from .expint import PLConcaveFunction
 from .filtration import GradedFiltration, successive_minima
 from .geometry import RationalPolytope, pairing_form
 from .measure import DHMeasure
@@ -111,7 +110,7 @@ def na_report(mu: DHMeasure, L: LPolicy, a_list=()) -> NAReport:
     V = mu.mass()
     E = mu.moment(1)
     E_k = {k: mu.moment(k) for k in (1, 2, 3, 4)}
-    S = -math.log(mu.exp_moment(1))
+    S = -mu.log_exp_moment(1)
     if S > E + CONSISTENCY_TOL:
         raise FanokitError(f"S_tilde = {S} exceeds E = {E}: integrator inconsistency")
     Q = {float(a): mu.exp_moment(a) for a in a_list}
@@ -126,7 +125,7 @@ def tilde_beta(A, mu: DHMeasure) -> float:
     A = float(A)
     if A < 0:
         raise InputError(f"log discrepancy must be >= 0, got {A}")
-    return A + math.log(mu.exp_moment(1))
+    return A + mu.log_exp_moment(1)
 
 
 def beta_g(A_or_L, mu_g: DHMeasure, tol: float = CONSISTENCY_TOL) -> float:
@@ -145,17 +144,11 @@ def beta_g(A_or_L, mu_g: DHMeasure, tol: float = CONSISTENCY_TOL) -> float:
 def fut(polytope: RationalPolytope, xi, eta) -> float:
     """Modified Futaki pairing: -(n!/V_xi) int <y', eta> e^{-<y', xi>} dy.
 
-    Equals the s-derivative at 0 of H along the weight family xi + s*eta.
+    Equals the s-derivative at 0 of H along the weight family xi + s*eta: minus
+    the mean of the pushforward of e^{-<y', xi>} dy under y -> <y', eta>.
     """
-    n = polytope.dim
-    ell = pairing_form(xi, n)
-    w = pairing_form(eta, n)
-    cells = polytope.triangulate()
-    denom = compensated_tree_sum([simplex_exp_integral(s, ell).value for s in cells])
-    numer = compensated_tree_sum(
-        [simplex_weighted_exp_integral(s, ell, w, 1).value for s in cells]
-    )
-    return -numer / denom
+    pairing = PLConcaveFunction.linear(polytope, pairing_form(eta, polytope.dim).gradient)
+    return -DHMeasure.pushforward(pairing, xi).moment(1)
 
 
 def ds_tilde_S(component_data, a, Q) -> float:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernel import compensated_tree_sum, dd_exp_batch
+from ._kernel import dd_exp_batch
 from .errors import (
     DenominatorVanishes,
     InputError,
@@ -24,16 +24,10 @@ from .errors import (
     NonConvergence,
     OriginNotInterior,
 )
-from .expint import (
-    PLConcaveFunction,
-    pl_cell_integrals,
-    pl_exp_integral,
-    simplex_exp_integral,
-    simplex_weighted_exp_integral,
-)
+from .expint import PLConcaveFunction, pl_exp_integral
 from .functionals import LPolicy
 from .geometry import AffineForm, RationalPolytope, origin_in_interior, pairing_form
-from .measure import DHMeasure
+from .measure import DHMeasure, adaptive_simpson
 from .rational import rat, rat_vector
 
 NEWTON_TOL = 1e-10
@@ -245,22 +239,20 @@ def rescale_opt(A, mu: DHMeasure, tol: float = NEWTON_TOL) -> OptResult:
         raise NegativeSupport(f"support starts at {support.lambda_min} < 0")
 
     # shift the spectrum to start at 0: f is unchanged up to replacing A by
-    # A - lambda_min, and the exponential moments stay representable
+    # A - lambda_min, and the tilted variance m2 - m1^2 does not cancel
     lam0 = rat(support.lambda_min).limit_denominator(10**12)
     mu_w = mu.affine_transform(1, -lam0) if lam0 != 0 else mu
     A_w = A - float(lam0)
 
     def tilted_stats(a):
         # mean and variance of x under the tilted law e^{-a x} dmu / normalization
-        q = mu_w.exp_moment(a)
-        m1 = _tilted_moment(mu_w, a, 1) / q
-        m2 = _tilted_moment(mu_w, a, 2) / q
-        return q, m1, max(m2 - m1 * m1, 0.0)
+        m1 = mu_w.tilted_moment(a, 1)
+        return m1, max(mu_w.tilted_moment(a, 2) - m1 * m1, 0.0)
 
     def f(a):
-        return a * A_w + math.log(mu_w.exp_moment(a))
+        return a * A_w + mu_w.log_exp_moment(a)
 
-    _, mean1, var1 = tilted_stats(1.0)
+    _, var1 = tilted_stats(1.0)
     if var1 < DIRAC_VARIANCE_TOL:
         # Dirac spectrum: the objective is affine a*(A - T)
         T = mu.moment(1)
@@ -287,7 +279,7 @@ def rescale_opt(A, mu: DHMeasure, tol: float = NEWTON_TOL) -> OptResult:
     lo = 0.0
     hi = 1.0
     for _ in range(200):
-        _, mean_hi, _ = tilted_stats(hi)
+        mean_hi, _ = tilted_stats(hi)
         if A_w - mean_hi > 0:
             break
         hi *= 2.0
@@ -297,7 +289,7 @@ def rescale_opt(A, mu: DHMeasure, tol: float = NEWTON_TOL) -> OptResult:
     a = min(max(-beta, 1e-3), 0.5 * hi)
     iters = 0
     while iters < MAX_ITER:
-        _, mean_a, var_a = tilted_stats(a)
+        mean_a, var_a = tilted_stats(a)
         fp = A_w - mean_a
         if abs(fp) <= tol:
             break
@@ -313,20 +305,13 @@ def rescale_opt(A, mu: DHMeasure, tol: float = NEWTON_TOL) -> OptResult:
         iters += 1
     else:
         raise NonConvergence(f"rescaling optimum not found in {MAX_ITER} iterations")
-    _, mean_a, var_a = tilted_stats(a)
+    mean_a, var_a = tilted_stats(a)
     return OptResult(a, f(a), abs(A_w - mean_a), max(var_a, 0.0), iters, True)
 
 
 def _tilted_moment(mu: DHMeasure, a, k: int) -> float:
-    """(1/mass) int x^k e^{-a x} dmu."""
-    if mu.variant == "atomic":
-        total = float(sum(float(m) for _, m, _ in mu.atoms))
-        vals = [float(m) * float(pos) ** k * math.exp(-float(a) * float(pos))
-                for pos, m, _ in mu.atoms]
-        return compensated_tree_sum(sorted(vals)) / total
-    ar = rat(a).limit_denominator(10**15) if not isinstance(a, Fraction) else a
-    vals = pl_cell_integrals(mu.transform, ar, mu.weight_xi, k)
-    return math.factorial(mu.transform.dim) * compensated_tree_sum(vals) / mu.mass()
+    """(1/mass) int x^k e^{-a x} dmu, the unnormalized tilted moment."""
+    return mu.tilted_moment(a, k) * mu.exp_moment(a)
 
 
 def twist_opt(F, m_list, L: LPolicy, x0=None, tol: float = NEWTON_TOL) -> OptResult:
@@ -410,12 +395,8 @@ def interpolation_derivative(transform_or_filtration, xi, L_hat,
             return float(s) * L_hat - (-math.log(total))
 
         # analytic: L_hat - (int (G - <y, xi>) e^{-<y, xi>}) / (int e^{-<y, xi>})
-        denom = compensated_tree_sum(
-            [simplex_exp_integral(s, ell).value for s, _ in G.cells])
-        numer = compensated_tree_sum(
-            [simplex_weighted_exp_integral(s, ell, f.plus(ell.scaled(-1)), 1).value
-             for s, f in G.cells])
-        analytic = L_hat - numer / denom
+        gap = PLConcaveFunction(G.domain, tuple((s, f.plus(ell.scaled(-1))) for s, f in G.cells))
+        analytic = L_hat - DHMeasure.pushforward(gap, xi_r).moment(1)
     else:
         F = transform_or_filtration
         m = degree if degree is not None else max(F.degrees())
@@ -462,8 +443,7 @@ def cone_family(A, mu_g: DHMeasure, s_grid=None, dim: int = 1) -> ConvexScan:
                 )
 
     def f(s):
-        return A**n1 * _expectation(
-            mu_g,
+        return A**n1 * mu_g.expectation(
             lambda x: (s * x + (1 - s) * A) ** (-n1),
             lambda x: -n1 * s * (s * x + (1 - s) * A) ** (-n1 - 1),
         )
@@ -472,45 +452,6 @@ def cone_family(A, mu_g: DHMeasure, s_grid=None, dim: int = 1) -> ConvexScan:
     e_g = mu_g.moment(1)
     deriv0 = n1 * (A - e_g) / A
     return ConvexScan(tuple(s_grid), values, deriv0)
-
-
-def _expectation(mu: DHMeasure, phi, phi_prime=None) -> float:
-    """(1/mass) int phi(x) dmu: exact sums for atoms, parts-integration otherwise."""
-    if mu.variant == "atomic":
-        total = float(sum(float(m) for _, m, _ in mu.atoms))
-        return math.fsum(float(m) * phi(float(p)) for p, m, _ in mu.atoms) / total
-    # int phi dmu = phi(lo) * mass + int_lo^hi phi'(t) mass_above(t) dt
-    info = mu.support()
-    lo, hi = info.lambda_min, info.lambda_max
-    total = mu.mass()
-    if phi_prime is None:
-        eps = 1e-7 * max(1.0, abs(hi - lo))
-
-        def phi_prime(t, _eps=eps):
-            return (phi(t + _eps) - phi(t - _eps)) / (2 * _eps)
-
-    integral = _adaptive_simpson(lambda t: phi_prime(t) * mu.mass_above(t), lo, hi, 1e-11)
-    return phi(lo) + integral / total
-
-
-def _adaptive_simpson(g, a, b, tol, depth: int = 24):
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, d):
-        xm = 0.5 * (x0 + x2)
-        lm, rm = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        flm, frm = g(lm), g(rm)
-        left = simpson(x0, xm, f0, flm, f1)
-        right = simpson(xm, x2, f1, frm, f2)
-        if d <= 0 or abs(left + right - whole) < 15 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(x0, xm, f0, flm, f1, left, d - 1)
-                + recurse(xm, x2, f1, frm, f2, right, d - 1))
-
-    fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, depth)
 
 
 def vol_g_tau(V_g, volg_fn, tau, n: int, tol: float = 1e-11) -> float:
@@ -549,7 +490,7 @@ def vol_g_tau(V_g, volg_fn, tau, n: int, tol: float = 1e-11) -> float:
             hi = mid
     # integrate up to the inner bound: the profile is positive throughout, and
     # the skipped sliver [lo, hi] is ~2^-80 wide
-    integral = _adaptive_simpson(
+    integral = adaptive_simpson(
         lambda x: float(volg_fn(x)) / (x + tau) ** (n + 2), 0.0, lo, tol
     )
     return V_g / tau ** (n + 1) - (n + 1) * integral

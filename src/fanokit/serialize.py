@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import NonFiniteResult
 from .rational import format_rat
 
 
 def _format_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite float in output: {x}")
+        raise NonFiniteResult(f"non-finite float in output: {x}")
     text = format(x, ".17g")
     # normalize -0 and bare integers for stability across platforms
     if text == "-0":

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import fanokit
 from fanokit.cli import _fixture_path, convergence_report, main
+from fanokit.errors import NonFiniteResult
 from fanokit.filtration import filtration_from_json
 from fanokit.measure import measure_from_json
 from fanokit.serialize import csv_table, dumps_canonical
@@ -231,6 +233,40 @@ def test_domain_error_exit_1_names_precondition(tmp_path, capsys):
     code, _, err = run_cli(["soliton", "--input", str(path)], capsys)
     assert code == 1
     assert "OriginNotInterior" in err
+
+
+def _run_report(tmp_path, capsys, doc):
+    path, out_path = tmp_path / "job.json", tmp_path / "res.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(["report", "--input", str(path), "--output", str(out_path)], capsys)
+    return code, err, out_path
+
+
+def test_report_far_atoms_exit_0(tmp_path, capsys):
+    doc = {"measure": {"atoms": [{"pos": "-800", "mass": 1}, {"pos": "-799", "mass": 1}]}}
+    code, _, out_path = _run_report(tmp_path, capsys, doc)
+    assert code == 0
+    want = -800 - math.log((1 + math.exp(-1)) / 2)
+    assert abs(json.loads(out_path.read_text())["report"]["S_tilde"] - want) <= 1e-12 * 800
+
+
+def test_report_unrepresentable_q_exit_1(tmp_path, capsys):
+    # Q^(2) = e^1600 is past the largest double
+    doc = {"measure": {"atoms": [{"pos": "-800", "mass": 1}]}, "a": [2]}
+    code, err, out_path = _run_report(tmp_path, capsys, doc)
+    assert code == 1
+    assert "error [NonFiniteResult]" in err
+    assert not out_path.exists()
+    with pytest.raises(NonFiniteResult):
+        dumps_canonical({"x": float("nan")})
+
+
+@pytest.mark.parametrize("measure", [{"atoms": [{"mass": 1}]}, {"atoms": "none"},
+                                     {"atoms": [1]}, {"transform": {}}])
+def test_malformed_measure_exit_2(tmp_path, capsys, measure):
+    code, err, _ = _run_report(tmp_path, capsys, {"measure": measure})
+    assert code == 2
+    assert err.startswith("input error")
 
 
 def test_reruns_byte_identical(tmp_path, capsys):

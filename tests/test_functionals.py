@@ -185,3 +185,31 @@ def test_ek_fit_trivial_and_errors():
     assert fit.estimate == 0.0
     with pytest.raises(InsufficientDegrees):
         ek_from_minima_polynomial(F, [2, 4], k=1, ambient_dim=1, volume=1)
+
+
+def _uniform_case(lo):
+    """uniform on [lo, lo + 1]: V = 1, E_k = int x^k, S_tilde = lo - log(1 - 1/e)."""
+    E_k = {k: Fraction((lo + 1) ** (k + 1) - lo ** (k + 1), k + 1) for k in (1, 2, 3, 4)}
+    return DHMeasure.uniform(lo, lo + 1), 1, E_k, lo - math.log(-math.expm1(-1))
+
+
+def _pair_case(lo):
+    """unit atoms at lo and lo + 1: V = 2, S_tilde = lo - log((1 + 1/e) / 2)."""
+    E_k = {k: Fraction(lo**k + (lo + 1) ** k, 2) for k in (1, 2, 3, 4)}
+    return DHMeasure.atomic([(lo, 1), (lo + 1, 1)]), 2, E_k, lo - math.log((1 + math.exp(-1)) / 2)
+
+
+@pytest.mark.parametrize("case", [_uniform_case(800), _uniform_case(-800),
+                                  _pair_case(-800), _pair_case(800)],
+                         ids=["uniform[800,801]", "uniform[-800,-799]",
+                              "atoms{-800,-799}", "atoms{800,801}"])
+def test_na_report_far_support(case):
+    """e^{-lambda} over these supports leaves double range; its log does not."""
+    mu, V, E_k, S = case
+    rep = na_report(mu, LPolicy.weight_twist())
+    assert abs(rep.V - V) <= 1e-12 * V
+    for k, want in E_k.items():
+        assert abs(rep.E_k[k] - float(want)) <= 1e-12 * abs(float(want))
+    assert abs(rep.S_tilde - S) <= 1e-12 * abs(S)
+    assert rep.S_tilde <= rep.E
+    assert abs(tilde_beta(0, mu) + S) <= 1e-12 * abs(S)

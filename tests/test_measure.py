@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 from fanokit._kernel import compensated_tree_sum
-from fanokit.errors import InputError, NonpositiveScale, UnsupportedOrder
-from fanokit.expint import PLConcaveFunction, simplex_exp_integral, simplex_weighted_exp_integral
+from fanokit.errors import InputError, NonFiniteResult, NonpositiveScale, UnsupportedOrder
+from fanokit.expint import PLConcaveFunction, _exp_integrals, simplex_exp_integral
 from fanokit.geometry import AffineForm, RationalPolytope, Simplex, pairing_form
 from fanokit.measure import DHMeasure, cdf_samples, measure_from_json, wasserstein1
-from fanokit.optimize import _tilted_moment
 from fanokit.rational import rat
 
 from conftest import p1_filtration, p1_limit_measure
@@ -167,31 +166,38 @@ def _clustered_transform():
 
 @pytest.mark.parametrize("weight_xi", [(), (Fraction(1, 3), 0)])
 def test_batched_cell_sums_bit_identical(weight_xi):
-    """Every pushforward query equals its per-cell sum, bit for bit."""
+    """Every pushforward query equals its per-cell log-domain sum, bit for bit."""
     G = _clustered_transform()
     mu = DHMeasure.pushforward(G, weight_xi)
     ell = pairing_form(weight_xi, 2)
     a = Fraction(3, 2)
 
     def per_cell(form_of, k=0):
-        vals = [simplex_exp_integral(s, form_of(f)).value if k == 0
-                else simplex_weighted_exp_integral(s, form_of(f), f, k).value
-                for s, f in G.cells]
-        return 2 * compensated_tree_sum(vals)
+        """(top, s): 2! * sum over the cells of int f^k e^{-form} = s e^top, one cell per call."""
+        nodes = [[-float(form_of(f)(v)) for v in s.vertices] for s, f in G.cells]
+        top = max(max(z) for z in nodes)
+        leaves = [_exp_integrals([z], [float(abs(s.edge_determinant()))],
+                                 [[float(f(v)) for v in s.vertices]] if k else None, k, top)[0].value
+                  for z, (s, f) in zip(nodes, G.cells)]
+        return top, 2 * compensated_tree_sum(leaves)
 
     if not weight_xi:  # one query mixes the series fallback with the matrix path
         methods = {simplex_exp_integral(s, f.scaled(a)).method for s, f in G.cells}
         assert methods == {"series_fallback", "divided_difference"}
-    mass = per_cell(lambda f: ell)
-    assert mu.mass() == mass
+    top0, mass = per_cell(lambda f: ell)
+    assert mu.mass() == mass * math.exp(top0)
     for k in (1, 2, 3, 4):
-        assert mu.moment(k) == per_cell(lambda f: ell, k) / mass
-    assert mu.exp_moment(a) == per_cell(lambda f: f.scaled(a).plus(ell)) / mass
+        top, s = per_cell(lambda f: ell, k)
+        assert mu.moment(k) == s / mass * math.exp(top - top0)
+    top, s = per_cell(lambda f: f.scaled(a).plus(ell))
+    assert mu.log_exp_moment(a) == (top - top0) + math.log(s / mass)
+    assert mu.exp_moment(a) == math.exp(mu.log_exp_moment(a))
     for tilt in (a, 0.7):
-        ar = tilt if isinstance(tilt, Fraction) else rat(tilt).limit_denominator(10**15)
+        at = rat(tilt)
+        tilted0 = per_cell(lambda f: f.scaled(at).plus(ell))
         for k in (1, 2):
-            want = per_cell(lambda f: f.scaled(ar).plus(ell), k) / mass
-            assert _tilted_moment(mu, tilt, k) == want
+            top, s = per_cell(lambda f: f.scaled(at).plus(ell), k)
+            assert mu.tilted_moment(tilt, k) == s / tilted0[1] * math.exp(top - tilted0[0])
 
 
 def test_tilts_sharing_a_transform():
@@ -203,8 +209,8 @@ def test_tilts_sharing_a_transform():
     alone = [DHMeasure.pushforward(_clustered_transform(), xi) for xi in tilts]
     for _ in range(2):
         assert [mu.moment(2) for mu in shared] == [mu.moment(2) for mu in alone]
-        assert ([_tilted_moment(mu, Fraction(1, 2), 1) for mu in shared]
-                == [_tilted_moment(mu, Fraction(1, 2), 1) for mu in alone])
+        assert ([mu.tilted_moment(Fraction(1, 2), 1) for mu in shared]
+                == [mu.tilted_moment(Fraction(1, 2), 1) for mu in alone])
 
 
 def test_empirical_dh_trivial_filtration():
@@ -246,3 +252,29 @@ def test_measure_json_round_trip():
         measure_from_json({"nope": 1})
     with pytest.raises(InputError):
         DHMeasure.atomic([(0, 0, None)])
+
+
+@pytest.mark.parametrize("doc", [{"atoms": [{"mass": 1}]}, {"atoms": [{"pos": 1}]},
+                                 {"atoms": {"pos": 1, "mass": 1}}, {"atoms": [[1, 1]]},
+                                 {"transform": {}}, {"transform": {"cells": 5}},
+                                 {"transform": {"cells": [{"simplex": [[0], [1]]}]}}])
+def test_malformed_measure_documents(doc):
+    with pytest.raises(InputError):
+        measure_from_json(doc)
+
+
+def test_values_outside_double_range():
+    """Log values stay exact where the values themselves leave double range."""
+    far = DHMeasure.dirac(-800)
+    assert far.log_exp_moment(2) == 1600.0
+    with pytest.raises(NonFiniteResult):
+        far.exp_moment(2)  # e^1600 overflows
+    with pytest.raises(NonFiniteResult):
+        DHMeasure.dirac(800).exp_moment(1)  # e^-800 underflows to 0
+    # density e^{1000 y} on [0, 1]: the mass e^1000/1000 overflows, its moments do not
+    tilted = DHMeasure.pushforward(
+        PLConcaveFunction.linear(RationalPolytope.interval(0, 1), [1], 0), [-1000])
+    with pytest.raises(NonFiniteResult):
+        tilted.mass()
+    assert abs(tilted.moment(1) - (1 - 1 / 1000)) <= 1e-12
+    assert abs(tilted.log_exp_moment(1) - (-1 + math.log(1000 / 999))) <= 1e-12

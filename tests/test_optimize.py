@@ -256,12 +256,8 @@ def test_rescale_second_derivative_nonnegative(rng):
                            for i in range(5)])
 
     def fpp(a):
-        q = mu.exp_moment(a)
-        from fanokit.optimize import _tilted_moment
-
-        m1 = _tilted_moment(mu, a, 1) / q
-        m2 = _tilted_moment(mu, a, 2) / q
-        return m2 - m1 * m1
+        m1 = mu.tilted_moment(a, 1)
+        return mu.tilted_moment(a, 2) - m1 * m1
 
     for _ in range(20):
         assert fpp(rng.uniform(0.01, 5)) >= -1e-13

@@ -14,6 +14,7 @@ from fanokit.filtration import (
     successive_minima,
     twist,
 )
+from fanokit.functionals import LPolicy, na_report
 from fanokit.geometry import AffineForm, RationalPolytope, Simplex, halfspace_slice, pairing_form
 from fanokit.measure import DHMeasure
 from fanokit.rational import det
@@ -90,6 +91,34 @@ def test_affine_transform_identities(mu, a, b):
          Fraction(11, 7))
 def test_jensen_property(mu, a):
     assert mu.exp_moment(a) >= math.exp(-float(a) * mu.moment(1)) - 1e-12
+
+
+@st.composite
+def pushforward_measures(draw):
+    """Two affine pieces, joined continuously, on an interval, with a weight xi."""
+    lo = draw(rationals)
+    mid = lo + draw(positive_rationals) / 2
+    hi = mid + draw(positive_rationals) / 2
+    g1, g2 = draw(rationals), draw(rationals)
+    cells = [(Simplex.make([[lo], [mid]]), AffineForm.make([g1], 0)),
+             (Simplex.make([[mid], [hi]]), AffineForm.make([g2], (g1 - g2) * mid))]
+    G = PLConcaveFunction.make(RationalPolytope.interval(lo, hi), cells)
+    return DHMeasure.pushforward(G, [draw(rationals)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(atomic_measures(), pushforward_measures()),
+       st.fractions(min_value=-10**4, max_value=10**4, max_denominator=64))
+@example(DHMeasure.dirac(1), Fraction(-10**4))
+@example(DHMeasure.uniform(0, 1), Fraction(10**4))
+def test_shift_rule_property(mu, b):
+    """S_tilde(mu + b) = S_tilde(mu) + b and H is unchanged, for far shifts too."""
+    L = LPolicy.weight_twist()
+    base = na_report(mu, L)
+    moved = na_report(mu.affine_transform(1, b), L.transformed(1, b))
+    tol = 1e-12 * max(1.0, abs(float(b)))
+    assert abs(moved.S_tilde - (base.S_tilde + float(b))) <= tol
+    assert abs(moved.H - base.H) <= tol
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
