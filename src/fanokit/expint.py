@@ -10,17 +10,25 @@ divided-difference kernel.  Cell sums use a deterministic double-double tree
 reduction over the canonical cell order, so results do not depend on the order
 in which cells were given, and ``pl_cell_integrals`` returns them relative to
 one log offset, so they stay in double range for any tilt.
+
+Superlevel volumes come two ways.  Unweighted (xi = 0), t -> n! vol{G >= t}
+is an exact spline of degree n whose knots are the cell vertex values
+(``SurvivalSpline``, built once per transform on first query).  Weighted, each
+cell is sliced at the level and the pieces are summed relative to one log
+offset (``superlevel_log_gvolume``).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
 from ._kernel import compensated_tree_sum, dd_exp_batch, dd_exp_series
-from .errors import InputError, UnsupportedOrder
+from .errors import InputError, NonFiniteResult, UnsupportedOrder
 from .geometry import (
     AffineForm,
     RationalPolytope,
@@ -34,6 +42,17 @@ from .rational import format_rat, rat, rat_vector
 CLUSTER_SPREAD = 1e-4
 
 MAX_MOMENT_ORDER = 4
+
+
+def exp_scaled(log_scale: float, mantissa: float = 1.0) -> float:
+    """mantissa * e^{log_scale}; NonFiniteResult unless that is a positive double."""
+    try:
+        value = mantissa * math.exp(log_scale)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise NonFiniteResult(f"{mantissa!r} * e^{log_scale!r} is outside double range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -136,6 +155,103 @@ def _superlevel_share(values, level: Fraction) -> Fraction:
     return table[0]
 
 
+def _taylor_shift(coeffs, d) -> list:
+    """Coefficients of p(u + d) from those of p(u), lowest degree first."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += d * c[j + 1]
+    return c
+
+
+def _horner(coeffs, u):
+    """sum_j coeffs[j] u^j."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * u + c
+    return value
+
+
+@dataclass(frozen=True)
+class SurvivalSpline:
+    """t -> n! vol{G >= t} of a transform, an exact piecewise polynomial of degree n.
+
+    ``knots`` t_0 < ... < t_K are the distinct cell vertex values.  On the
+    open interval (t_i, t_{i+1}), and above t_K for i = K, the value is
+    sum_j coeffs[i][j] (t - t_i)^j.  ``jumps[i]`` is the n! vol of the flat
+    cells at t_i, the pushforward's atom there, counted at t = t_i itself;
+    below t_0 the value is ``total``.
+    """
+
+    knots: tuple
+    coeffs: tuple
+    jumps: tuple
+    total: Fraction
+
+    def __call__(self, t: Fraction) -> Fraction:
+        if t < self.knots[0]:
+            return self.total
+        i = bisect.bisect_right(self.knots, t) - 1
+        u = t - self.knots[i]
+        value = _horner(self.coeffs[i], u)
+        return value + self.jumps[i] if u == 0 else value
+
+
+def _share_piece(values, lo: Fraction, hi: Fraction, origin: Fraction) -> list:
+    """P(h >= t) on (lo, hi), between consecutive vertex values, as a polynomial in t - origin.
+
+    The share is a polynomial of degree <= n there, so ``_superlevel_share``
+    at n + 1 points strictly inside fixes it (Newton interpolation); inner
+    points keep tied values and the endpoints' jumps out of the way.
+    """
+    n1 = len(values)
+    nodes = [lo + (hi - lo) * (k + 1) / (n1 + 1) - origin for k in range(n1)]
+    dd = [_superlevel_share(values, x + origin) for x in nodes]
+    for j in range(1, n1):
+        for i in range(n1 - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - j])
+    poly = [dd[-1]]
+    for k in range(n1 - 2, -1, -1):  # poly * (t - nodes[k]) + dd[k]
+        x = nodes[k]
+        poly = [dd[k] - x * poly[0], *(a - x * b for a, b in zip(poly, poly[1:])), poly[-1]]
+    return poly
+
+
+def _survival_spline(cell_table, n: int) -> SurvivalSpline:
+    """Sum of the cells' n!vol * P_s(G >= t), one sweep over the knots.
+
+    Each cell contributes its n!vol below its smallest vertex value, a
+    polynomial between consecutive vertex values and 0 above; a flat cell
+    contributes an atom.  The changes at each knot, in t - t_0, are summed
+    in one running polynomial, which is re-centred at every knot.
+    """
+    knots = sorted({v for values, _ in cell_table for v in values})
+    origin = knots[0]
+    zero = [Fraction(0)] * (n + 1)
+    delta = defaultdict(lambda: list(zero))
+    jumps = defaultdict(Fraction)
+    running = list(zero)
+    for values, det in cell_table:
+        cuts = sorted(set(values))
+        running[0] += det
+        if len(cuts) == 1:
+            jumps[cuts[0]] += det
+            continue
+        prev = [det] + zero[1:]
+        for lo, hi in zip(cuts, cuts[1:]):
+            piece = [det * c for c in _share_piece(values, lo, hi, origin)]
+            delta[lo] = [d + a - b for d, a, b in zip(delta[lo], piece, prev)]
+            prev = piece
+        delta[cuts[-1]] = [d - b for d, b in zip(delta[cuts[-1]], prev)]
+    coeffs = []
+    for t in knots:
+        running = [r + d for r, d in zip(running, delta[t])]
+        running[0] -= jumps[t]
+        coeffs.append(tuple(_taylor_shift(running, t - origin)))
+    return SurvivalSpline(tuple(knots), tuple(coeffs), tuple(jumps[t] for t in knots),
+                          sum((det for _, det in cell_table), Fraction(0)))
+
+
 @dataclass(frozen=True)
 class PLConcaveFunction:
     """Piecewise-affine function given by affine pieces over a triangulated domain."""
@@ -195,6 +311,11 @@ class PLConcaveFunction:
         """Per cell, in canonical order: exact vertex values and exact n! vol."""
         return tuple((tuple(f(v) for v in s.vertices), abs(s.edge_determinant()))
                      for s, f in self.cells)
+
+    @cached_property
+    def _survival_spline(self) -> SurvivalSpline:
+        """t -> n! vol{G >= t} as an exact spline, built on first query."""
+        return _survival_spline(self._cell_table, self.dim)
 
     @cached_property
     def _pairing_table(self) -> dict:
@@ -302,18 +423,33 @@ def pl_cell_integrals(G: PLConcaveFunction, a, xi, k: int) -> tuple[float, list[
     return top, [r.value for r in _exp_integrals(z, volumes, b, k, top)]
 
 
+def superlevel_log_gvolume(G: PLConcaveFunction, x, xi) -> tuple[float, float]:
+    """(top, v) with v e^{top} = n! * int_{G >= x} e^{-<y', xi>} dy.
+
+    Each cell is sliced at the level; the pieces share one kernel call,
+    relative to top, their largest node, so v stays in double range for any
+    weight.  v = 0 when the superlevel set has no volume.
+    """
+    x = rat(x)
+    n = G.dim
+    ell = pairing_form(xi, n)
+    pieces = [piece for s, f in G.cells for piece in halfspace_slice(s, f, x)]
+    if not pieces:
+        return 0.0, 0.0
+    z = [[-float(ell(v)) for v in piece.vertices] for piece in pieces]
+    top = max(max(zi) for zi in z)
+    leaves = _exp_integrals(z, [_factorial_volume(piece) for piece in pieces], None, 0, top)
+    return top, math.factorial(n) * compensated_tree_sum([r.value for r in leaves])
+
+
 def superlevel_gvolume(G: PLConcaveFunction, x, xi=None) -> float:
     """n! * int_{G >= x} e^{-<y', xi>} dy (the weighted volume of a superlevel set).
 
-    Unweighted, this is the exact sum of n!vol(s) * P_s(G >= x) over the
-    cells, rounded once; weighted, each cell is sliced at the level.
+    Unweighted, this is the exact spline value, rounded once; weighted, the
+    sliced sum, with NonFiniteResult when it leaves double range.
     """
     x = rat(x)
     if xi is None or not any(rat_vector(xi)):
-        return float(sum((det * _superlevel_share(vals, x) for vals, det in G._cell_table),
-                         Fraction(0)))
-    n = G.dim
-    ell = pairing_form(xi, n)
-    values = [math.factorial(n) * simplex_exp_integral(piece, ell).value
-              for s, f in G.cells for piece in halfspace_slice(s, f, x)]
-    return compensated_tree_sum(values) if values else 0.0
+        return float(G._survival_spline(x))
+    top, v = superlevel_log_gvolume(G, x, xi)
+    return exp_scaled(top, v) if v else 0.0

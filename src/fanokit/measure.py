@@ -8,13 +8,21 @@ an integral over the polytope.  Exponential moments are summed in the log
 domain, relative to the largest exponent or kernel log offset, so log Q and
 S_tilde stay finite however far the support sits from 0.
 
+Distribution functions are exact where they can be.  An unweighted
+pushforward (xi = 0) reads the transform's survival spline: ``mass_above`` is
+one Horner evaluation, its CDF is piecewise polynomial, and the inverse
+power means behind the cone family are closed forms in u = b t + c.  A
+weighted pushforward slices at each level, relative to one log offset; its
+CDF is sampled on ``SUPERLEVEL_GRID`` equal steps and its inverse power
+means take adaptive quadrature.  ``wasserstein1`` integrates |F - G| in
+closed form on each interval between the two CDFs' knots.
+
 All functional formulas downstream divide by ``mass`` explicitly, so measures
 here carry raw (possibly non-probability) mass.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,10 +31,22 @@ from itertools import accumulate, groupby, zip_longest
 from operator import add
 
 from ._kernel import compensated_tree_sum
-from .errors import InputError, NonFiniteResult, NonpositiveScale, UnsupportedOrder
-from .expint import MAX_MOMENT_ORDER, PLConcaveFunction, pl_cell_integrals, superlevel_gvolume
+from .errors import DenominatorVanishes, InputError, NonpositiveScale, UnsupportedOrder
+from .expint import (
+    MAX_MOMENT_ORDER,
+    PLConcaveFunction,
+    _horner,
+    _taylor_shift,
+    exp_scaled,
+    pl_cell_integrals,
+    superlevel_gvolume,
+    superlevel_log_gvolume,
+)
 from .geometry import RationalPolytope, polytope_from_json
 from .rational import format_rat, rat, rat_vector
+
+#: equal steps on which a weighted pushforward's CDF is sampled for ``wasserstein1``
+SUPERLEVEL_GRID = 2048
 
 
 @dataclass(frozen=True)
@@ -36,21 +56,11 @@ class SupportInfo:
     atom_at_max: bool
 
 
-def _scaled(log_scale: float, mantissa: float = 1.0) -> float:
-    """mantissa * e^{log_scale}; NonFiniteResult unless that is a positive double."""
-    try:
-        value = mantissa * math.exp(log_scale)
-    except OverflowError:
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        raise NonFiniteResult(f"{mantissa!r} * e^{log_scale!r} is outside double range")
-    return value
-
-
 class DHMeasure:
     """A finite measure on the line; subclasses supply ``mass``, ``moment``, ``log_exp_moment``,
-    ``tilted_moment``, ``_mass_above``, ``support``, ``_affine``, ``twisted``,
-    ``expectation``, ``to_json`` and ``_cdf`` (the normalized CDF that ``wasserstein1`` reads)."""
+    ``tilted_moment``, ``_mass_above``, ``_share_above`` (mu{lambda >= t} / mass), ``support``,
+    ``_affine``, ``twisted``, ``inverse_power_mean``, ``to_json`` and ``_cdf`` (the
+    normalized CDF that ``wasserstein1`` reads)."""
 
     @staticmethod
     def atomic(atoms) -> "AtomicMeasure":
@@ -84,7 +94,7 @@ class DHMeasure:
 
     def exp_moment(self, a) -> float:
         """(1/mass) int e^{-a lambda} dmu for a > 0."""
-        return _scaled(self.log_exp_moment(a))
+        return exp_scaled(self.log_exp_moment(a))
 
     def mass_above(self, t) -> float:
         """mu({lambda >= t}); for pushforwards this is the weighted superlevel volume."""
@@ -145,6 +155,9 @@ class AtomicMeasure(DHMeasure):
     def _mass_above(self, t: Fraction) -> float:
         return float(sum((m for pos, m, _ in self.atoms if pos >= t), Fraction(0)))
 
+    def _share_above(self, t: Fraction) -> float:
+        return self._mass_above(t) / self.mass()
+
     def support(self) -> SupportInfo:
         return SupportInfo(float(self.atoms[0][0]), float(self.atoms[-1][0]), True)
 
@@ -158,14 +171,27 @@ class AtomicMeasure(DHMeasure):
         return DHMeasure.atomic([(pos + sum(a * x for a, x in zip(w, xi)), m, w)
                                  for pos, m, w in self.atoms])
 
-    def expectation(self, phi, phi_prime) -> float:
-        """(1/mass) int phi dmu, summed over the atoms."""
-        return math.fsum(float(m) * phi(float(p)) for p, m, _ in self.atoms) / self.mass()
+    def inverse_power_mean(self, b, c, p: int) -> float:
+        """(1/mass) int (b lambda + c)^{-p} dmu, summed exactly over the atoms."""
+        b, c = rat(b), rat(c)
+        u = [b * x + c for x, _ in self._merged]
+        if min(u) <= 0:
+            raise DenominatorVanishes(f"{b} x + {c} vanishes on the support")
+        return float(sum((m * ui ** -p for (_, m), ui in zip(self._merged, u)), Fraction(0))
+                     / self._total)
 
-    def _cdf(self, grid: int):
-        """('step', breakpoints, cumulative values) of the normalized CDF."""
-        return ("step", [float(x) for x, _ in self._merged],
-                [float(c / self._total) for c in accumulate(m for _, m in self._merged)])
+    @cached_property
+    def _cdf(self):
+        """(knots, pieces) of the normalized CDF: a step function, one constant per atom.
+
+        The cumulative masses are integers over one common denominator, and
+        int / int is correctly rounded, so each value is exactly float(c / total).
+        """
+        scale = math.lcm(*(m.denominator for _, m in self._merged))
+        cumulative = list(accumulate(m.numerator * (scale // m.denominator)
+                                     for _, m in self._merged))
+        return ([float(x) for x, _ in self._merged],
+                [(c / cumulative[-1],) for c in cumulative])
 
     def to_json(self) -> dict:
         out = []
@@ -198,7 +224,7 @@ class PushforwardMeasure(DHMeasure):
         return self._sums[key]
 
     def mass(self) -> float:
-        return _scaled(*self._cell_sum(0, 0))
+        return exp_scaled(*self._cell_sum(0, 0))
 
     def moment(self, k: int) -> float:
         """(1/mass) int lambda^k dmu for 0 <= k <= 4; moment(0) = 1."""
@@ -219,6 +245,15 @@ class PushforwardMeasure(DHMeasure):
     def _mass_above(self, t: Fraction) -> float:
         return superlevel_gvolume(self.transform, t, self.weight_xi or None)
 
+    def _share_above(self, t: Fraction) -> float:
+        """mu{lambda >= t} / mass: exact for xi = 0, else a ratio of log-domain sums."""
+        if not any(self.weight_xi):
+            spline = self.transform._survival_spline
+            return float(spline(t) / spline.total)
+        top, v = superlevel_log_gvolume(self.transform, t, self.weight_xi)
+        top0, v0 = self._cell_sum(0, 0)
+        return v / v0 * math.exp(top - top0) if v else 0.0
+
     def support(self) -> SupportInfo:
         return SupportInfo(float(self.transform.min_value()),
                            float(self.transform.max_value()), False)
@@ -231,24 +266,72 @@ class PushforwardMeasure(DHMeasure):
         return DHMeasure.pushforward(
             self.transform, [u + v for u, v in zip_longest(self.weight_xi, xi, fillvalue=0)])
 
-    def expectation(self, phi, phi_prime) -> float:
-        """(1/mass) int phi dmu = phi(lo) + (1/mass) int_lo^hi phi'(t) mass_above(t) dt."""
-        info = self.support()
-        lo, hi = info.lambda_min, info.lambda_max
-        integral = adaptive_simpson(lambda t: phi_prime(t) * self.mass_above(t), lo, hi, 1e-11)
-        return phi(lo) + integral / self.mass()
+    def inverse_power_mean(self, b, c, p: int) -> float:
+        """(1/mass) int (b lambda + c)^{-p} dmu for b >= 0 and b lambda + c > 0 on the support.
 
-    def _cdf(self, grid: int):
-        """('linear', ...) in closed form for a 1-D transform with xi = 0 and
-        sloped cells, else ('step', ...) on ``grid`` superlevel evaluations."""
-        linear = _linear_cdf_1d(self)
-        if linear is not None:
-            return "linear", *linear
+        With xi = 0 this is a closed form on the survival spline S: the atoms
+        add jump * u^{-p}, and on each knot interval the density -S'(t) dt,
+        rewritten as a polynomial sum_l q_l u^l du in u = b t + c, integrates
+        term by term.  The powers u^{l-p} give exact rationals; only u^{-1}
+        (when the transform's dimension is at least p) takes a log(u_hi / u_lo).
+        Weighted, it is phi(lo) + int phi'(t) mu{lambda >= t} / mass dt by
+        adaptive quadrature.
+        """
+        b, c = rat(b), rat(c)
+        if any(self.weight_xi):
+            from .optimize import adaptive_simpson  # optimize imports this module
+
+            bf, cf = float(b), float(c)
+            info = self.support()
+            lo, hi = info.lambda_min, info.lambda_max
+            integral = adaptive_simpson(
+                lambda t: -p * bf * (bf * t + cf) ** (-p - 1) * self._share_above(rat(t)),
+                lo, hi, 1e-11)
+            return (bf * lo + cf) ** -p + integral
+        spline = self.transform._survival_spline
+        u = [b * t + c for t in spline.knots]
+        if min(u) <= 0:
+            raise DenominatorVanishes(f"{b} x + {c} vanishes on the support")
+        if b == 0:
+            return float(c ** -p)
+        n = len(spline.coeffs[0]) - 1
+        exponents = [l - p + 1 for l in range(n)]  # int u^{l-p} du = u^e / e
+        # per knot, u^e / e for each exponent e != 0 (e = 0 is the log term)
+        anti = [[ui ** e / e if e else 0 for e in exponents] for ui in u]
+        exact = sum((j * ui ** -p for j, ui in zip(spline.jumps, u)), Fraction(0))
+        logs = []
+        for i, coeffs in enumerate(spline.coeffs[:-1]):
+            # -S'(t) dt = sum_k -(k+1) c_{k+1} ((u - u_i) / b)^k du / b
+            q = _taylor_shift([-(k + 1) * coeffs[k + 1] / b ** (k + 1) for k in range(n)], -u[i])
+            for ql, e, hi, lo in zip(q, exponents, anti[i + 1], anti[i]):
+                if e:
+                    exact += ql * (hi - lo)
+                elif ql:
+                    logs.append((ql, u[i + 1] / u[i]))
+        total = spline.total
+        return float(exact / total) + math.fsum(float(ql / total) * math.log(ratio)
+                                                for ql, ratio in logs)
+
+    @cached_property
+    def _cdf(self):
+        """(knots, pieces) of the normalized CDF.
+
+        With xi = 0, the survival spline's knots and 1 - S / total per piece,
+        rounded from the exact coefficients; weighted, a step function on
+        ``SUPERLEVEL_GRID`` equal steps of the support.
+        """
+        if not any(self.weight_xi):
+            spline = self.transform._survival_spline
+            total = spline.total
+            return ([float(t) for t in spline.knots],
+                    [(float(1 - coeffs[0] / total), *(float(-x / total) for x in coeffs[1:]))
+                     for coeffs in spline.coeffs])
         info = self.support()
         if info.lambda_max == info.lambda_min:
             # all mass sits at one point: a single jump, not 1 - mu{lambda >= t} = 0
-            return "step", [info.lambda_min], [1.0]
-        return ("step", *zip(*_cdf_grid(self, info.lambda_min, info.lambda_max, grid)))
+            return [info.lambda_min], [(1.0,)]
+        knots, values = zip(*_cdf_grid(self, info.lambda_min, info.lambda_max, SUPERLEVEL_GRID))
+        return list(knots), [(v,) for v in values[:-1]] + [(1.0,)]
 
     def to_json(self) -> dict:
         return {
@@ -282,102 +365,82 @@ def measure_from_json(doc: dict) -> DHMeasure:
 # distribution functions and Wasserstein-1 distance
 
 
-def _linear_cdf_1d(measure: PushforwardMeasure):
-    """Piecewise-linear CDF of a 1-D pushforward with xi = 0 and sloped cells.
+def wasserstein1(mu: DHMeasure, nu: DHMeasure) -> float:
+    """W1 distance between the normalized measures: int |F_mu - F_nu| dt.
 
-    Returns (breakpoints, values) or None when the closed form does not apply.
+    Each CDF is (knots, pieces), piece i the polynomial on [knot_i, knot_{i+1})
+    in t - knot_i, 0 below the first knot.  On each interval of the merged
+    knots the difference is one polynomial, re-centred in doubles, whose
+    |.| is integrated in closed form between its sign changes.  Exact up to
+    rounding except for weighted pushforwards, whose CDF is sampled.
     """
-    if measure.transform.dim != 1 or any(x != 0 for x in measure.weight_xi):
-        return None
-    segments = []
-    for s, f in measure.transform.cells:
-        if f.gradient[0] == 0:
-            return None
-        (u,), (v,) = s.vertices
-        a, b = f((u,)), f((v,))
-        lo, hi = (a, b) if a <= b else (b, a)
-        segments.append((lo, hi, abs(v - u) / (hi - lo)))  # constant density
-    breaks = sorted({x for lo, hi, _ in segments for x in (lo, hi)})
-    total = sum((d * (hi - lo) for lo, hi, d in segments), Fraction(0))
-    values = []
-    for t in breaks:
-        acc = sum((d * (min(max(t, lo), hi) - lo) for lo, hi, d in segments), Fraction(0))
-        values.append(acc / total)
-    return [float(x) for x in breaks], [float(v) for v in values]
-
-
-def _eval_linear(xs, cs, t):
-    if t <= xs[0]:
-        return 0.0
-    if t >= xs[-1]:
-        return 1.0
-    i = bisect.bisect_right(xs, t) - 1
-    x0, x1 = xs[i], xs[i + 1]
-    c0, c1 = cs[i], cs[i + 1]
-    return c0 + (c1 - c0) * (t - x0) / (x1 - x0)
-
-
-def wasserstein1(mu: DHMeasure, nu: DHMeasure, grid: int = 2048) -> float:
-    """W1 distance between the normalized measures (1-D positions).
-
-    Exact for atomic vs atomic and atomic vs sloped 1-D pushforward; general
-    pushforwards are discretized on ``grid`` superlevel evaluations first.
-    """
-    (k1, x1, c1), (k2, x2, c2) = mu._cdf(grid), nu._cdf(grid)
+    (x1, p1), (x2, p2) = mu._cdf, nu._cdf
     breaks = sorted(set(x1) | set(x2))
-    total = 0.0
+    i1 = i2 = -1
+    parts = []
     for a, b in zip(breaks, breaks[1:]):
-        fa1, fb1 = _piece_values(k1, x1, c1, a, b)
-        fa2, fb2 = _piece_values(k2, x2, c2, a, b)
-        da, db = fa1 - fa2, fb1 - fb2
-        if da * db >= 0:
-            total += 0.5 * abs(da + db) * (b - a)
-        else:
-            t = da / (da - db)
-            total += 0.5 * (b - a) * (abs(da) * t + abs(db) * (1 - t))
-    return total
+        while i1 + 1 < len(x1) and x1[i1 + 1] <= a:
+            i1 += 1
+        while i2 + 1 < len(x2) and x2[i2 + 1] <= a:
+            i2 += 1
+        diff = [f - g for f, g in zip_longest(_local(x1, p1, i1, a), _local(x2, p2, i2, a),
+                                               fillvalue=0.0)]
+        parts.append(_abs_integral(diff, b - a))
+    return math.fsum(parts)
 
 
-def _piece_values(kind, xs, cs, a, b):
-    if kind == "step":
-        i = bisect.bisect_right(xs, a)
-        v = cs[i - 1] if i else 0.0
-        return v, v  # constant on [a, b): both breakpoints are in the union
-    return _eval_linear(xs, cs, a), _eval_linear(xs, cs, b)
+def _local(knots, pieces, i, a) -> list:
+    """Coefficients of piece i of a CDF in t - a (the zero polynomial for i < 0)."""
+    if i < 0:
+        return [0.0]
+    return _taylor_shift(pieces[i], a - knots[i]) if a != knots[i] else list(pieces[i])
+
+
+def _abs_integral(coeffs, width: float) -> float:
+    """int_0^width |sum_j coeffs[j] u^j| du."""
+    anti = [0.0] + [c / (j + 1) for j, c in enumerate(coeffs)]
+    cuts = [0.0, *_sign_changes(coeffs, 0.0, width), width]
+    return sum(abs(_horner(anti, hi) - _horner(anti, lo)) for lo, hi in zip(cuts, cuts[1:]))
+
+
+def _sign_changes(coeffs, lo: float, hi: float) -> list:
+    """The points in (lo, hi) where the polynomial changes sign, in increasing order.
+
+    Between consecutive sign changes of the derivative the polynomial is
+    monotone, so each such stretch holds at most one, found by bisection.
+    """
+    deg = len(coeffs) - 1
+    while deg > 0 and coeffs[deg] == 0:
+        deg -= 1
+    if deg == 0:
+        return []
+    if deg == 1:
+        root = -coeffs[0] / coeffs[1]
+        return [root] if lo < root < hi else []
+    turns = _sign_changes([j * coeffs[j] for j in range(1, deg + 1)], lo, hi)
+    roots = []
+    for a, b in zip([lo, *turns], [*turns, hi]):
+        fa = _horner(coeffs, a)
+        if fa * _horner(coeffs, b) < 0:
+            for _ in range(60):
+                mid = 0.5 * (a + b)
+                if not a < mid < b:
+                    break
+                if (_horner(coeffs, mid) < 0) == (fa < 0):
+                    a = mid
+                else:
+                    b = mid
+            roots.append(0.5 * (a + b))
+    return roots
 
 
 def _cdf_grid(measure: DHMeasure, lo: float, hi: float, count: int):
     """(t, 1 - mu{lambda >= t} / mass) at count + 1 equally spaced t in [lo, hi]."""
-    total = measure.mass()
-    out = []
-    for i in range(count + 1):
-        t = lo + (hi - lo) * i / count
-        out.append((t, 1.0 - measure.mass_above(Fraction(t).limit_denominator(10**12)) / total))
-    return out
+    return [(t, 1.0 - measure._share_above(Fraction(t).limit_denominator(10**12)))
+            for t in (lo + (hi - lo) * i / count for i in range(count + 1))]
 
 
 def cdf_samples(measure: DHMeasure, count: int = 200):
     """(t, CDF(t)) pairs across the support, for CSV export and plotting."""
     info = measure.support()
     return _cdf_grid(measure, info.lambda_min - 1e-9, info.lambda_max + 1e-9, count)
-
-
-def adaptive_simpson(g, a, b, tol, depth: int = 24):
-    """int_a^b g by adaptive Simpson with Richardson correction, to about ``tol``."""
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, d):
-        xm = 0.5 * (x0 + x2)
-        lm, rm = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        flm, frm = g(lm), g(rm)
-        left = simpson(x0, xm, f0, flm, f1)
-        right = simpson(xm, x2, f1, frm, f2)
-        if d <= 0 or abs(left + right - whole) < 15 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(x0, xm, f0, flm, f1, left, d - 1)
-                + recurse(xm, x2, f1, frm, f2, right, d - 1))
-
-    fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, depth)

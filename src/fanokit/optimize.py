@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernel import dd_exp_batch
+from ._kernel import compensated_tree_sum, dd_exp_batch
 from .errors import (
     DenominatorVanishes,
     InputError,
@@ -24,10 +24,10 @@ from .errors import (
     NonConvergence,
     OriginNotInterior,
 )
-from .expint import PLConcaveFunction, pl_exp_integral
+from .expint import PLConcaveFunction, pl_cell_integrals
 from .functionals import LPolicy
-from .geometry import AffineForm, RationalPolytope, origin_in_interior, pairing_form
-from .measure import DHMeasure, adaptive_simpson
+from .geometry import RationalPolytope, origin_in_interior, pairing_form
+from .measure import DHMeasure
 from .rational import rat, rat_vector
 
 NEWTON_TOL = 1e-10
@@ -387,12 +387,10 @@ def interpolation_derivative(transform_or_filtration, xi, L_hat,
         ell = pairing_form(xi_r, n)
 
         def h_hat(s):
+            # log int e^{-(s G + (1 - s) <y, xi>)}, from log-offset cell integrals
             s_r = rat(s).limit_denominator(10**15)
-            cells = [(simp, form.scaled(s_r).plus(ell.scaled(1 - s_r)))
-                     for simp, form in G.cells]
-            mixed = PLConcaveFunction(G.domain, tuple(cells))
-            total = pl_exp_integral(mixed).value
-            return float(s) * L_hat - (-math.log(total))
+            top, leaves = pl_cell_integrals(G, s_r, [(1 - s_r) * x for x in xi_r], 0)
+            return float(s) * L_hat + top + math.log(compensated_tree_sum(leaves))
 
         # analytic: L_hat - (int (G - <y, xi>) e^{-<y, xi>}) / (int e^{-<y, xi>})
         gap = PLConcaveFunction(G.domain, tuple((s, f.plus(ell.scaled(-1))) for s, f in G.cells))
@@ -410,10 +408,12 @@ def interpolation_derivative(transform_or_filtration, xi, L_hat,
         pairing = wts @ np.asarray([float(x) for x in xi])
 
         def h_hat(s):
-            vals = s * lam + (1 - s) * pairing
-            return s * L_hat - (-math.log(np.mean(np.exp(-vals))))
+            # log mean e^{-vals} as a log-sum-exp
+            z = -(s * lam + (1 - s) * pairing)
+            top = float(z.max())
+            return s * L_hat + top + math.log(float(np.mean(np.exp(z - top))))
 
-        p = np.exp(-pairing)
+        p = np.exp(-(pairing - pairing.min()))
         p /= p.sum()
         analytic = L_hat - float(np.sum((lam - pairing) * p))
 
@@ -443,10 +443,8 @@ def cone_family(A, mu_g: DHMeasure, s_grid=None, dim: int = 1) -> ConvexScan:
                 )
 
     def f(s):
-        return A**n1 * mu_g.expectation(
-            lambda x: (s * x + (1 - s) * A) ** (-n1),
-            lambda x: -n1 * s * (s * x + (1 - s) * A) ** (-n1 - 1),
-        )
+        b = rat(s)
+        return A**n1 * mu_g.inverse_power_mean(b, (1 - b) * rat(A), n1)
 
     values = tuple(f(s) for s in s_grid)
     e_g = mu_g.moment(1)
@@ -494,3 +492,24 @@ def vol_g_tau(V_g, volg_fn, tau, n: int, tol: float = 1e-11) -> float:
         lambda x: float(volg_fn(x)) / (x + tau) ** (n + 2), 0.0, lo, tol
     )
     return V_g / tau ** (n + 1) - (n + 1) * integral
+
+
+def adaptive_simpson(g, a, b, tol, depth: int = 24):
+    """int_a^b g by adaptive Simpson with Richardson correction, to about ``tol``."""
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    def recurse(x0, x2, f0, f1, f2, whole, d):
+        xm = 0.5 * (x0 + x2)
+        lm, rm = 0.5 * (x0 + xm), 0.5 * (xm + x2)
+        flm, frm = g(lm), g(rm)
+        left = simpson(x0, xm, f0, flm, f1)
+        right = simpson(xm, x2, f1, frm, f2)
+        if d <= 0 or abs(left + right - whole) < 15 * tol:
+            return left + right + (left + right - whole) / 15.0
+        return (recurse(x0, xm, f0, flm, f1, left, d - 1)
+                + recurse(xm, x2, f1, frm, f2, right, d - 1))
+
+    fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
+    whole = simpson(a, b, fa, fm, fb)
+    return recurse(a, b, fa, fm, fb, whole, depth)

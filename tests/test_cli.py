@@ -209,6 +209,51 @@ def test_cone_command(tmp_path, capsys):
     assert doc["midpoint_convex"] is True
 
 
+def _run_job(job, command, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(dumps_canonical(job))
+    out_path = tmp_path / "res.json"
+    code, _, _ = run_cli([command, "--input", str(path), "--output", str(out_path)], capsys)
+    assert code == 0
+    return json.loads(out_path.read_text())
+
+
+X_PLUS_Y = {"gradient": ["1", "1"], "constant": "0"}
+SQUARE_TENT = {"cells": [{"simplex": [["0", "0"], ["1", "0"], ["1", "1"]], "affine": X_PLUS_Y},
+                         {"simplex": [["0", "0"], ["0", "1"], ["1", "1"]], "affine": X_PLUS_Y}]}
+
+
+def test_dh_pushforward_limit_command(tmp_path, capsys):
+    """dh against a 2-D pushforward limit: W1 and Q of the limit in closed form."""
+    # y uniform on the triangle (0,0), (1,0), (0,1), G = x + y: CDF t^2 on [0, 1]
+    triangle = {"cells": [{"simplex": [["0", "0"], ["1", "0"], ["0", "1"]], "affine": X_PLUS_Y}]}
+    job = {"filtration": {"levels": {"1": {"dim": 2, "values": ["0", "1"]}}},
+           "ambient_dim": 1, "limit": {"transform": triangle}}
+    conv = _run_job(job, "dh", tmp_path, capsys)["convergence"]
+    (row,) = conv["rows"]
+    # atoms 1/2 at 0 and 1: W1 = int_0^1 |t^2 - 1/2| dt = sqrt(2)/3 - 1/6
+    assert abs(row["wasserstein1"] - (math.sqrt(2) / 3 - 1 / 6)) <= 1e-15
+    # Q = int_0^1 2t e^{-t} dt = 2 - 4/e
+    assert abs(conv["q_limit"] - (2 - 4 / math.e)) <= 1e-14
+
+
+def test_cone_pushforward_command(tmp_path, capsys):
+    """cone on a 2-D pushforward: the triangle law of x + y on the unit square."""
+    job = {"A": 3, "dim": 2, "measure": {"transform": SQUARE_TENT},
+           "s_grid": [0, "3/20", "1/2"]}
+    scan = _run_job(job, "cone", tmp_path, capsys)["scan"]
+    assert scan["values"][0] == 1.0
+    for s, got in zip((Fraction(3, 20), Fraction(1, 2)), scan["values"][1:]):
+        # E[u^-3], u = s t + c, density t on [0, 1] and 2 - t on [1, 2]
+        c = 3 * (1 - s)
+        u0, u1, u2 = c, s + c, 2 * s + c
+        rise = (-1 / u1 + c / (2 * u1**2) + 1 / u0 - c / (2 * u0**2)) / s**2
+        fall = ((2 + c / s) / (2 * s) * (1 / u1**2 - 1 / u2**2) + (1 / u2 - 1 / u1) / s**2)
+        want = float(27 * (rise + fall))
+        assert abs(got - want) <= 1e-15 * want
+    assert abs(scan["derivative_at_zero"] - 3 * (3 - 1) / 3) <= 1e-14
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{broken")

@@ -119,7 +119,7 @@ def test_wasserstein_p1_bound():
 
 
 def test_wasserstein_grid_fallback_flat_cell():
-    """A flat transform cell (point mass) forces the discretized-CDF path."""
+    """A flat transform cell is an atom, a jump in the survival spline."""
     from fanokit.expint import PLConcaveFunction
     from fanokit.geometry import AffineForm, Simplex
 
@@ -130,8 +130,89 @@ def test_wasserstein_grid_fallback_flat_cell():
     ]))
     uniform02 = DHMeasure.uniform(0, 2)
     # closed form: CDFs agree on [0,1], differ by (1 - t/2) on [1,2]: W1 = 1/4
-    dist = wasserstein1(uniform02, half_uniform_plus_atom, grid=512)
-    assert abs(dist - 0.25) < 5e-3
+    dist = wasserstein1(uniform02, half_uniform_plus_atom)
+    assert abs(dist - 0.25) <= 1e-14 * 0.25
+
+
+def _triangle_cdf(a, b, c, t) -> Fraction:
+    """CDF at t of G(y), y uniform on a triangle whose vertex values of G are a <= b <= c."""
+    if t <= a:
+        return Fraction(0)
+    if t >= c:
+        return Fraction(1)
+    if t <= b:
+        return (t - a) ** 2 / ((c - a) * (b - a))
+    return 1 - (c - t) ** 2 / ((c - a) * (c - b))
+
+
+def _w1_atoms_vs_triangles(atoms, triangles):
+    """W1 between atoms [(x, m)] and a mixture of triangle pushforwards [(weight, (a, b, c))].
+
+    On each interval between breakpoints the CDF difference is a quadratic,
+    fixed exactly by its values at three points; |quadratic| is integrated
+    between its real roots.
+    """
+    total_m = sum(m for _, m in atoms)
+    total_w = sum(w for w, _ in triangles)
+    breaks = sorted({x for x, _ in atoms} | {v for _, abc in triangles for v in abc})
+
+    def diff(t, step):
+        return step - sum(w * _triangle_cdf(*abc, t) for w, abc in triangles) / total_w
+
+    result = 0.0
+    for lo, hi in zip(breaks, breaks[1:]):
+        step = sum(m for x, m in atoms if x <= lo) / total_m
+        mid = (lo + hi) / 2
+        # D(lo + u) = d0 + d1 u + d2 u^2, from D at u = 0, h/2, h
+        h = hi - lo
+        f0, fm, f1 = diff(lo, step), diff(mid, step), diff(hi, step)
+        d2 = 2 * (f1 - 2 * fm + f0) / h ** 2
+        d1 = (f1 - f0) / h - d2 * h
+        cuts = [0.0, float(h)]
+        if d2:
+            disc = float(d1 * d1 - 4 * d2 * f0)
+            if disc > 0:
+                r = math.sqrt(disc)
+                cuts += [(-float(d1) - r) / float(2 * d2), (-float(d1) + r) / float(2 * d2)]
+        elif d1:
+            cuts.append(float(-f0 / d1))
+        cuts = sorted(u for u in cuts if 0 <= u <= h)
+
+        def anti(u):
+            return float(f0) * u + float(d1) * u * u / 2 + float(d2) * u ** 3 / 3
+
+        result += sum(abs(anti(v) - anti(u)) for u, v in zip(cuts, cuts[1:]))
+    return result
+
+
+def test_wasserstein_atoms_vs_triangles():
+    """W1 against a 2-D pushforward is exact: its CDF is piecewise quadratic."""
+    # y uniform on the triangle (0,0), (1,0), (0,1) and G = x + y: CDF t^2 on [0, 1];
+    # against atoms 1/2 at 0 and 1, W1 = int_0^1 |t^2 - 1/2| dt = sqrt(2)/3 - 1/6
+    tri = RationalPolytope.from_vertices([(0, 0), (1, 0), (0, 1)])
+    mu = DHMeasure.pushforward(PLConcaveFunction.linear(tri, [1, 1], 0))
+    atoms = DHMeasure.atomic([(0, 1, None), (1, 1, None)])
+    assert abs(wasserstein1(atoms, mu) - (math.sqrt(2) / 3 - 1 / 6)) <= 1e-15
+    # two triangles of a square with different shapes, against three atoms
+    value = {(0, 0): Fraction(0), (1, 0): Fraction(1), (0, 1): Fraction(1, 2), (1, 1): Fraction(2)}
+    triangles = [((0, 0), (1, 0), (1, 1)), ((0, 0), (0, 1), (1, 1))]
+    G = PLConcaveFunction.make(
+        RationalPolytope.from_vertices(list(value)),
+        [(Simplex.make(t), _affine_through(t, [value[v] for v in t])) for t in triangles])
+    points = [(Fraction(1, 4), 1), (Fraction(1), 2), (Fraction(3, 2), 1)]
+    want = _w1_atoms_vs_triangles(points, [(1, sorted(value[v] for v in t)) for t in triangles])
+    got = wasserstein1(DHMeasure.atomic([(x, m, None) for x, m in points]),
+                       DHMeasure.pushforward(G))
+    assert abs(got - want) <= 1e-15
+    assert wasserstein1(DHMeasure.pushforward(G), DHMeasure.pushforward(G)) == 0.0
+
+
+def test_wasserstein_between_pushforwards():
+    """Two splines: the difference of uniform [0, 2] and the triangle law on [0, 2]."""
+    square = RationalPolytope.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+    tent = DHMeasure.pushforward(PLConcaveFunction.linear(square, [1, 1], 0))
+    # CDFs t^2/2 and t/2 on [0, 1], symmetric about 1: W1 = 2 int_0^1 (t - t^2)/2 dt = 1/6
+    assert abs(wasserstein1(DHMeasure.uniform(0, 2), tent) - 1 / 6) <= 1e-15
 
 
 def test_wasserstein_zero_span_pushforward():
@@ -228,6 +309,43 @@ def test_mass_above():
     nu = DHMeasure.atomic([(0, 1, None), (1, 2, None)])
     assert nu.mass_above(Fraction(1, 2)) == 2.0
     assert nu.mass_above(0) == 3.0
+
+
+def test_atomic_cdf_bit_identical():
+    """The integer cumulative sums round exactly as the Fraction quotients did."""
+    import random
+
+    rng = random.Random(5)
+    atoms = [(Fraction(rng.randint(-20, 20), rng.randint(1, 6)),
+              Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4)), None) for _ in range(50)]
+    mu = DHMeasure.atomic(atoms)
+    knots, pieces = mu._cdf
+    total = sum(m for _, m, _ in atoms)
+    running = Fraction(0)
+    for x, (value,) in zip(sorted({x for x, _, _ in atoms}), pieces):
+        running += sum(m for y, m, _ in atoms if y == x)
+        assert value == float(running / total)
+    assert pieces[-1] == (1.0,)
+
+
+def test_weighted_superlevel_far_weight():
+    """Density e^{1000 y} on [0, 1]: the normalized survival and the cone stay finite."""
+    from fanokit.optimize import cone_family
+
+    tilted = DHMeasure.pushforward(
+        PLConcaveFunction.linear(RationalPolytope.interval(0, 1), [1], 0), [-1000])
+    with pytest.raises(NonFiniteResult):
+        tilted.mass_above(Fraction(1, 2))  # e^1000 (1 - e^-500) / 1000 overflows
+    for t in (Fraction(1, 2), Fraction(999, 1000), Fraction(9999, 10000)):
+        # mu{y >= t} / mass = (1 - e^{-1000 (1 - t)}) / (1 - e^{-1000})
+        want = math.expm1(-1000 * (1 - t)) / math.expm1(-1000)
+        assert abs(tilted._share_above(t) - want) <= 1e-13 * want
+    # f(s) = 3^2 E[(s y + 3 (1 - s))^{-2}]; with 1 - y ~ Exp(1000), Laplace's series
+    # E[phi(y)] = sum_j (-1)^j phi^(j)(1) / 1000^j = sum_j (j + 1)! (1/4000)^j / 4 at s = 1/2
+    scan = cone_family(3, tilted, [0, 0.5])
+    series = sum(math.factorial(j + 1) * (1 / 4000) ** j for j in range(12)) / 4
+    assert scan.values[0] == 1.0
+    assert abs(scan.values[1] - 9 * series) <= 1e-9 * 9 * series
 
 
 def test_cdf_samples_monotone():

@@ -416,6 +416,22 @@ def test_interpolation_derivative_filtration_input():
     assert abs(analytic - fd) <= 1e-5 * max(1.0, abs(analytic))
 
 
+def test_interpolation_derivative_far_support():
+    """Data far from 0: h_hat's log integrals come from log offsets, not logs of underflows."""
+    # G = <y, xi> on [800, 801]: the family is constant in s, so both derivatives are L_hat
+    G = PLConcaveFunction.linear(RationalPolytope.interval(800, 801), [1], 0)
+    analytic, fd = interpolation_derivative(G, (1,), L_hat=0.75)
+    assert abs(analytic - 0.75) <= 1e-12
+    assert abs(fd - 0.75) <= 1e-8
+    # a level whose values equal its weight pairings, all near 800: same closed form
+    m = 4
+    values = [800 * m + i for i in range(m + 1)]
+    lv = FiltrationLevel.from_values(m, values, weights=[(v,) for v in values])
+    analytic, fd = interpolation_derivative(GradedFiltration({m: lv}), (1,), L_hat=0.75)
+    assert abs(analytic - 0.75) <= 1e-12
+    assert abs(fd - 0.75) <= 1e-8
+
+
 # -- cone family -------------------------------------------------------------
 
 
@@ -455,6 +471,61 @@ def test_cone_family_pushforward_matches_atomic():
 def test_cone_family_denominator_guard():
     with pytest.raises(DenominatorVanishes):
         cone_family(1.0, DHMeasure.atomic([(-2, 1, None)]), s_grid=[0.0, 0.9], dim=1)
+
+
+def _cone_exact(s, A, p, lo, hi, density):
+    """A^p E[(s x + (1 - s) A)^{-p}] for a piecewise-linear density on [lo, hi].
+
+    ``density`` lists (t0, t1, alpha, beta) with density alpha + beta t on
+    [t0, t1]; with u = s t + c, (alpha + beta t) dt = (alpha + beta (u - c)/s) du/s,
+    so each piece is int (k0 + k1 u) u^{-p} du.  Returns (rational part, log part).
+    """
+    b = Fraction(repr(s))
+    A = Fraction(A)
+    c = (1 - b) * A
+    exact, logs = Fraction(0), 0.0
+    for t0, t1, alpha, beta in density:
+        u0, u1 = b * t0 + c, b * t1 + c
+        k0, k1 = (alpha - beta * c / b) / b, beta / b ** 2
+        for k, e in ((k0, 1 - p), (k1, 2 - p)):  # int u^{e - 1} du
+            if e == 0:
+                logs += float(k) * math.log(u1 / u0)
+            else:
+                exact += k * (u1 ** e - u0 ** e) / e
+    mass = sum(((alpha + beta * (t0 + t1) / 2) * (t1 - t0) for t0, t1, alpha, beta in density),
+               Fraction(0))
+    return A ** p * exact / mass, float(A ** p) * logs / float(mass)
+
+
+def test_cone_family_exact_values():
+    """Cone values of pushforwards are closed forms, exact up to one rounding."""
+    # uniform on [-2, 1], A = 1: s x + (1 - s) vanishes at x = -2 for s = 1/3
+    uniform = DHMeasure.uniform(-2, 1)
+    grid = [0.0, 0.2, 0.33333, 0.3333333333]
+    scan = cone_family(1.0, uniform, s_grid=grid, dim=1)
+    for s, got in zip(grid, scan.values):
+        if s == 0:
+            assert got == 1.0
+            continue
+        exact, logs = _cone_exact(s, 1, 2, -2, 1, [(-2, 1, Fraction(1), Fraction(0))])
+        assert logs == 0.0
+        assert abs(got - float(exact)) <= 2e-16 * float(exact)
+    assert scan.values[-1] > 1e9  # u_min = 1e-10: large, finite and exact
+    with pytest.raises(DenominatorVanishes):
+        cone_family(1.0, uniform, s_grid=[0.34], dim=1)
+    with pytest.raises(DenominatorVanishes):  # the exact check: u = 0 at x = -2
+        uniform.inverse_power_mean(Fraction(1, 3), Fraction(2, 3), 2)
+    # G = x + y - 2 on the unit square: the triangle law on [-2, 0]
+    square = RationalPolytope.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+    tent = DHMeasure.pushforward(PLConcaveFunction.linear(square, [1, 1], -2))
+    density = [(-2, -1, Fraction(2), Fraction(1)), (-1, 0, Fraction(0), Fraction(-1))]
+    for dim in (2, 1):  # dim 1: the transform's dimension reaches p - 1, a log term
+        scan = cone_family(1.0, tent, s_grid=[0.0, 0.15, 0.3333], dim=dim)
+        for s, got in zip(scan.points[1:], scan.values[1:]):
+            exact, logs = _cone_exact(s, 1, dim + 1, -2, 0, density)
+            want = float(exact) + logs
+            assert (logs != 0.0) == (dim == 1)
+            assert abs(got - want) <= 1e-13 * want
 
 
 def test_cone_family_derivative_vs_fd(rng):

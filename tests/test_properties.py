@@ -6,7 +6,13 @@ from fractions import Fraction
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fanokit._kernel import compensated_tree_sum
-from fanokit.expint import PLConcaveFunction, _superlevel_share, simplex_exp_integral, superlevel_gvolume
+from fanokit.expint import (
+    PLConcaveFunction,
+    _superlevel_share,
+    _survival_spline,
+    simplex_exp_integral,
+    superlevel_gvolume,
+)
 from fanokit.filtration import (
     FiltrationLevel,
     GradedFiltration,
@@ -200,3 +206,31 @@ def test_integral_shift_identity(s, g1, g2, c, shift):
     moved = simplex_exp_integral(s, l.shifted(shift)).value
     expected = base * math.exp(-float(shift))
     assert abs(moved - expected) <= 1e-11 * max(abs(expected), 1e-30)
+
+@st.composite
+def cell_tables(draw):
+    """(table, n): n + 1 vertex values and an n! vol per cell, drawn from a small pool
+    of values so that tied and flat cells are common."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    pool = draw(st.lists(rationals, min_size=1, max_size=n + 2, unique=True))
+    cells = draw(st.lists(st.tuples(st.lists(st.sampled_from(pool), min_size=n + 1, max_size=n + 1),
+                                    st.integers(min_value=1, max_value=6)),
+                          min_size=1, max_size=4))
+    return tuple((tuple(values), Fraction(det)) for values, det in cells), n
+
+
+@settings(max_examples=80, deadline=None)
+@given(cell_tables(), st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=24),
+                               min_size=1, max_size=6))
+@example((((tuple(map(Fraction, (0, 0, 0))), Fraction(1)),
+           (tuple(map(Fraction, (0, 1, 1))), Fraction(2))), 2),
+         [Fraction(1, 2)])  # a flat cell (an atom) at a knot of a tied cell
+@example(((((Fraction(-1), Fraction(2), Fraction(2), Fraction(2), Fraction(5)), Fraction(3)),), 4),
+         [Fraction(2), Fraction(3)])
+def test_survival_spline_matches_shares(case, levels):
+    """The spline equals sum det * P_s(G >= t) exactly, at its knots and in between."""
+    table, n = case
+    spline = _survival_spline(table, n)
+    for t in [*levels, *spline.knots, spline.knots[0] - 1, spline.knots[-1] + 1]:
+        assert spline(t) == sum((det * _superlevel_share(values, t) for values, det in table),
+                                Fraction(0))
