@@ -74,6 +74,16 @@ def _need(doc: dict, key: str):
     return doc[key]
 
 
+def _projection_rank(doc: dict) -> int | None:
+    rank = doc.get("projection_rank")
+    if rank is None:
+        return None
+    try:
+        return int(rank)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"projection_rank {rank!r} is not an integer") from exc
+
+
 def _measure_from_doc(doc: dict) -> DHMeasure:
     if "measure" in doc:
         return measure_from_json(doc["measure"])
@@ -176,8 +186,7 @@ def _cmd_report(doc, options):
 
 def _cmd_soliton(doc, options):
     poly = polytope_from_json(_need(doc, "polytope"))
-    rank = doc.get("projection_rank")
-    res = soliton_vector(poly, int(rank) if rank is not None else None, tol=options.tol)
+    res = soliton_vector(poly, _projection_rank(doc), tol=options.tol)
     return {"command": "soliton", "result": res.to_json()}, None
 
 
@@ -264,9 +273,8 @@ def _cmd_check(doc, options):
         volume = rat(doc.get("volume", 1))
         results.extend(run_p1_checks(F, limit, n, volume))
     if "polytope" in doc:
-        rank = doc.get("projection_rank")
         results.extend(run_soliton_checks(polytope_from_json(doc["polytope"]),
-                                          int(rank) if rank is not None else None))
+                                          _projection_rank(doc)))
     if not results:
         raise InputError("check document needs 'filtration' (+'limit') or 'polytope'")
     for name, ok, detail in results:

@@ -5,11 +5,19 @@ caller supplies, the other is derived and the two are cross-validated.  All
 combinatorics (facet incidence, slicing, triangulation) is exact over Q;
 floats never enter this module.
 
-Facets of a point set come from the double-description method on integer
-rows, adding one point at a time.  The other direction, vertices of a
-halfspace system, solves every n-subset of the halfspaces; it also serves
-as the cross-check, independent of the hull code, that every full-dimensional
-polytope runs on construction.
+Every polytope question runs on one core, the double-description method on
+integer rows (``_extreme_rays``), which is self-dual:
+
+- facets of a point set are the extreme rays of the cone of rows (1, p);
+- vertices and boundedness of a halfspace system are the extreme rays of the
+  cone of rows (b, -a) and (1, 0, ..., 0); every full-dimensional polytope
+  recomputes its vertices this way from its halfspaces on construction and
+  compares them with the stated ones;
+- 0 is strictly inside a hull when every facet offset is positive;
+- membership in a lower-dimensional hull is a facet test after projecting
+  onto coordinates of its affine hull;
+- a slice of a simplex by a halfspace is triangulated over the hull of its
+  vertices.
 
 Triangulations fan out from the lexicographically smallest vertex over a
 facet decomposition, so the output is deterministic and independent of the
@@ -38,8 +46,8 @@ from .rational import (
     primitive,
     rat,
     rat_vector,
+    row_echelon,
     smul,
-    solve_square,
     vsub,
 )
 
@@ -130,56 +138,34 @@ def _lex_min_index(points) -> int:
     return min(range(len(points)), key=lambda i: points[i])
 
 
-def _hyperplane_normal(points) -> Vector | None:
-    """Normal of the hyperplane through n points of Q^n (generalized cross product)."""
-    n = len(points[0])
-    base = points[0]
-    edges = [list(vsub(p, base)) for p in points[1:]]
-    normal = []
-    for k in range(n):
-        minor = [[row[c] for c in range(n) if c != k] for row in edges]
-        entry = det(minor) if minor else Fraction(1)
-        normal.append(entry if k % 2 == 0 else -entry)
-    vec = tuple(normal)
-    return None if all(x == 0 for x in vec) else vec
-
-
 def _primitive_ray(ray) -> list[int]:
     g = gcd(*ray)
     return [x // g for x in ray] if g > 1 else ray
 
 
-def _facets_from_points(points) -> list[Facet]:
-    """All facets of conv(points), assuming the hull is full-dimensional.
+def _extreme_rays(rows) -> tuple[list[list[int]], list[frozenset[int]]] | None:
+    """Extreme rays of the cone {r : <row, r> >= 0 for every row}, with zero sets.
 
-    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) in
-    integers.  <a, y> <= b holds on every point exactly when r = (b, -a) has
-    <r, (1, p)> >= 0 for every point p, so the facets are the extreme rays
-    of that cone.  Each row (1, p) is scaled to integers, which leaves the
-    cone unchanged.  The cone of n + 1 independent rows has the columns of
-    their inverse as rays; every further row keeps the rays on its
-    nonnegative side and adds one ray on the row's hyperplane for each
-    adjacent pair across it.  A ray carries its zero set, the rows it lies
-    on; two rays are adjacent exactly when their zero sets share at least
-    n - 1 rows and no third ray's zero set contains that intersection.  Once
-    every row is added, a ray's zero set is its facet's incidence set.
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) on
+    integer rows.  The cone of m independent rows has the columns of their
+    inverse as rays; every further row keeps the rays on its nonnegative side
+    and adds one ray on the row's hyperplane for each adjacent pair across
+    it.  A ray carries its zero set, the indices of the rows it lies on; two
+    rays are adjacent exactly when their zero sets share at least m - 2 rows
+    and no third ray's zero set contains that intersection.  Rays are
+    primitive integer vectors.  Returns None when the rows do not span Q^m,
+    so that the cone contains a line; the cone {0} has no rays.
     """
-    n = len(points[0])
-    if n == 1:
-        lo = min(p[0] for p in points)
-        hi = max(p[0] for p in points)
-        return [
-            Facet((Fraction(1),), hi, tuple(i for i, p in enumerate(points) if p[0] == hi)),
-            Facet((Fraction(-1),), -lo, tuple(i for i, p in enumerate(points) if p[0] == lo)),
-        ]
-    rows = integer_rows((Fraction(1), *p) for p in points)
+    m = len(rows[0])
     seed = independent_rows(rows)
+    if len(seed) < m:
+        return None
     # the unit vectors in the seed rows' columns: row j is d times column j
     # of the inverse, zero on every seed row but the j-th, where it has d's sign
-    unit = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    unit = [[int(i == j) for j in range(m)] for i in range(m)]
     d, inverse = coordinates(list(zip(*(rows[i] for i in seed))), unit)
     rays = [_primitive_ray([x if d > 0 else -x for x in row]) for row in inverse]
-    zeros = [frozenset(seed[:j] + seed[j + 1 :]) for j in range(n + 1)]
+    zeros = [frozenset(seed[:j] + seed[j + 1 :]) for j in range(m)]
     seeded = set(seed)
     for k, row in enumerate(rows):
         if k in seeded:
@@ -191,7 +177,7 @@ def _facets_from_points(points) -> list[Facet]:
         for i in positive:
             for j in negative:
                 common = zeros[i] & zeros[j]
-                if len(common) < n - 1 or any(
+                if len(common) < m - 2 or any(
                     common <= z for t, z in enumerate(zeros) if t != i and t != j
                 ):
                     continue
@@ -201,8 +187,32 @@ def _facets_from_points(points) -> list[Facet]:
         kept = [i for i, v in enumerate(values) if v >= 0]
         rays = [rays[i] for i in kept] + new_rays
         zeros = [zeros[i] | {k} if values[i] == 0 else zeros[i] for i in kept] + new_zeros
+    return rays, zeros
+
+
+def _facets_from_points(points) -> list[Facet]:
+    """All facets of conv(points), sorted; [] if the hull is lower-dimensional.
+
+    <a, y> <= b holds on every point exactly when r = (b, -a) has
+    <r, (1, p)> >= 0 for every point p, so the facets are the extreme rays
+    of that cone, and a ray's zero set is its facet's incidence set.  Each
+    row (1, p) is scaled to integers, which leaves the cone unchanged.
+    """
+    n = len(points[0])
+    if n == 1:
+        lo = min(p[0] for p in points)
+        hi = max(p[0] for p in points)
+        if lo == hi:
+            return []
+        return [
+            Facet((Fraction(1),), hi, tuple(i for i, p in enumerate(points) if p[0] == hi)),
+            Facet((Fraction(-1),), -lo, tuple(i for i, p in enumerate(points) if p[0] == lo)),
+        ]
+    cone = _extreme_rays(integer_rows((Fraction(1), *p) for p in points))
+    if cone is None:
+        return []
     facets = []
-    for ray, zero in zip(rays, zeros):
+    for ray, zero in zip(*cone):
         key = primitive(tuple(-x for x in ray[1:]) + (ray[0],))
         facets.append(Facet(key[:-1], key[-1], tuple(sorted(zero))))
     return sorted(facets, key=lambda f: (f.normal, f.offset))
@@ -219,17 +229,24 @@ def _extreme_points(points, facets) -> list[Vector]:
     return sorted(set(out))
 
 
-def _vertices_from_halfspaces(halfspaces, n: int) -> list[Vector]:
-    verts = set()
-    for subset in itertools.combinations(range(len(halfspaces)), n):
-        rows = [list(halfspaces[i][0]) for i in subset]
-        rhs = [halfspaces[i][1] for i in subset]
-        sol = solve_square(rows, rhs)
-        if sol is None:
-            continue
-        if all(dot(a, sol) <= b for a, b in halfspaces):
-            verts.add(sol)
-    return sorted(verts)
+def _vertices_from_halfspaces(halfspaces, n: int) -> tuple[list[Vector], bool]:
+    """Vertices of {y : <a, y> <= b} and whether that set is bounded.
+
+    The facet search run backwards: (x0, x) lies in the cone x0 >= 0,
+    b x0 - <a, x> >= 0 exactly when x / x0 satisfies every halfspace
+    (x0 > 0) or x is a recession direction (x0 = 0).  So each extreme ray
+    with x0 > 0 is the vertex x / x0, and the set is unbounded when a ray has
+    x0 = 0 or the rows do not span (the normals miss a direction); these are
+    the systems whose normals do not positively span Q^n.  No ray at all
+    means the set is empty.
+    """
+    rows = [(b, *(-x for x in a)) for a, b in halfspaces]
+    cone = _extreme_rays(integer_rows(rows + [(Fraction(1),) + (Fraction(0),) * n]))
+    if cone is None:
+        return [], False
+    rays = cone[0]
+    vertices = sorted(tuple(Fraction(x, r[0]) for x in r[1:]) for r in rays if r[0] > 0)
+    return vertices, all(r[0] > 0 for r in rays)
 
 
 @dataclass(frozen=True)
@@ -252,9 +269,9 @@ class RationalPolytope:
         n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise InputError("vertices of mixed dimension")
-        if affine_rank(pts) < n:
-            return cls(n, tuple(pts), (), False)
         facets = _facets_from_points(pts)
+        if not facets:
+            return cls(n, tuple(pts), (), False)
         extreme = _extreme_points(pts, facets)
         halfspaces = tuple((f.normal, f.offset) for f in facets)
         poly = cls(n, tuple(extreme), halfspaces, True)
@@ -271,18 +288,12 @@ class RationalPolytope:
         spaces = [(rat_vector(a), rat(b)) for a, b in halfspaces]
         if not spaces or any(len(a) != dim for a, _ in spaces):
             raise InputError("halfspaces missing or of wrong dimension")
-        # bounded exactly when the normals positively span Q^dim (Davis)
-        if not origin_in_interior([a for a, _ in spaces]):
+        verts, bounded = _vertices_from_halfspaces(spaces, dim)
+        if not bounded:
             raise InputError("halfspace intersection is unbounded")
-        verts = _vertices_from_halfspaces(spaces, dim)
         if not verts:
             raise InputError("halfspace intersection is empty")
-        poly = cls.from_vertices(verts)
-        if poly.full_dimensional:
-            for a, b in spaces:
-                if any(dot(a, v) > b for v in poly.vertices):
-                    raise InputError("inconsistent halfspace data")
-        return poly
+        return cls.from_vertices(verts)
 
     @classmethod
     def interval(cls, lo, hi) -> "RationalPolytope":
@@ -292,7 +303,7 @@ class RationalPolytope:
         if self.full_dimensional and self.halfspaces:
             # cross-validation: the stated vertices must be exactly the
             # extreme points of the stated halfspace intersection
-            recomputed = _vertices_from_halfspaces(list(self.halfspaces), self.dim)
+            recomputed, _ = _vertices_from_halfspaces(self.halfspaces, self.dim)
             if sorted(self.vertices) != recomputed:
                 raise InputError("vertex and halfspace descriptions disagree")
 
@@ -366,27 +377,41 @@ class RationalPolytope:
 
 
 def _in_hull(p, points) -> bool:
-    """Membership test for possibly lower-dimensional hulls (small instances)."""
-    pts = list(points)
-    if len(pts) == 1:
-        return p == pts[0]
-    # solve sum t_i v_i = p, sum t_i = 1, t_i >= 0 by brute force over bases
-    d = affine_rank(pts)
-    for subset in itertools.combinations(pts, d + 1):
-        rows = [[v[i] for v in subset] for i in range(len(p))] + [[Fraction(1)] * len(subset)]
-        rhs = list(p) + [Fraction(1)]
-        sq = len(subset)
-        if len(rows) < sq:
-            continue
-        for rsel in itertools.combinations(range(len(rows)), sq):
-            sol = solve_square([rows[i] for i in rsel], [rhs[i] for i in rsel])
-            if sol is None:
-                continue
-            if all(t >= 0 for t in sol):
-                combo = [sum(sol[j] * subset[j][i] for j in range(sq)) for i in range(len(p))]
-                if tuple(combo) == p and sum(sol) == 1:
-                    return True
-    return False
+    """Membership of p, a point on the affine hull of ``points``, in their hull.
+
+    The pivot columns of the points' difference rows are coordinates on that
+    affine hull, so projecting onto them keeps membership and makes the hull
+    full-dimensional; p is then tested against the projection's facets.
+    """
+    base = points[0]
+    pivots, _ = row_echelon([vsub(v, base) for v in points[1:]], reduced=False)
+    if not pivots:
+        return p == base
+    flat = [tuple(v[c] for c in pivots) for v in points]
+    q = tuple(p[c] for c in pivots)
+    return all(dot(f.normal, q) <= f.offset for f in _facets_from_points(flat))
+
+
+def _coordinate_list(value, what: str):
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{what} must be a list of coordinates, got {value!r}")
+    return value
+
+
+def _halfspace(h) -> tuple:
+    if not isinstance(h, dict) or "normal" not in h or "offset" not in h:
+        raise InputError(f"a halfspace must be an object with 'normal' and 'offset', got {h!r}")
+    return _coordinate_list(h["normal"], "a halfspace normal"), h["offset"]
+
+
+def _dim_field(dim) -> int:
+    try:
+        n = int(dim)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"polytope dim field {dim!r} is not an integer") from exc
+    if n < 1:
+        raise InputError(f"polytope dim field {dim!r} is not positive")
+    return n
 
 
 def polytope_from_json(doc: dict) -> RationalPolytope:
@@ -395,14 +420,16 @@ def polytope_from_json(doc: dict) -> RationalPolytope:
     dim = doc.get("dim")
     verts = doc.get("vertices")
     spaces = doc.get("halfspaces")
+    if spaces and not isinstance(spaces, list):
+        raise InputError("polytope halfspaces must be a list")
     if verts:
-        poly = RationalPolytope.from_vertices(verts)
-        if dim is not None and poly.dim != int(dim):
+        poly = RationalPolytope.from_vertices(
+            _coordinate_list(v, "a vertex") for v in _coordinate_list(verts, "vertices")
+        )
+        if dim is not None and poly.dim != _dim_field(dim):
             raise InputError(f"polytope dim field {dim} != vertex dimension {poly.dim}")
         if spaces:
-            given = {
-                (primitive(rat_vector(h["normal"]) + (rat(h["offset"]),))) for h in spaces
-            }
+            given = {primitive(rat_vector(a) + (rat(b),)) for a, b in map(_halfspace, spaces)}
             for key in given:
                 a, b = key[:-1], key[-1]
                 if any(dot(a, v) > b for v in poly.vertices):
@@ -411,9 +438,7 @@ def polytope_from_json(doc: dict) -> RationalPolytope:
     if spaces:
         if dim is None:
             raise InputError("halfspace-only polytope document needs a dim field")
-        return RationalPolytope.from_halfspaces(
-            [(h["normal"], h["offset"]) for h in spaces], int(dim)
-        )
+        return RationalPolytope.from_halfspaces(map(_halfspace, spaces), _dim_field(dim))
     raise InputError("polytope document needs vertices or halfspaces")
 
 
@@ -485,11 +510,11 @@ def barycenter(p: RationalPolytope) -> Vector:
 def halfspace_slice(s: Simplex, h: AffineForm, level) -> list[Simplex]:
     """Triangulation of s ∩ {y : h(y) >= level}; [] if that region is lower-dimensional.
 
-    The slice's facet hyperplanes are known a priori (the n+1 facets of s and
-    the cut plane), so no facet search is needed at the top level.
+    The region's vertices are the vertices of s on the kept side and the
+    points where the cut plane crosses an edge of s; its facets come from
+    the hull of those points.
     """
     level = rat(level)
-    n = s.dim
     vals = [h(v) for v in s.vertices]
     if min(vals) >= level:
         return [s]
@@ -503,50 +528,15 @@ def halfspace_slice(s: Simplex, h: AffineForm, level) -> list[Simplex]:
             t = (a - level) / (a - b)
             points.add(tuple(ux + t * (wx - ux) for ux, wx in zip(u, w)))
     pts = sorted(points)
-    if affine_rank(pts) < n:
-        return []
-
-    candidates = []
-    for iv in range(n + 1):  # facets of s, outward-oriented
-        others = [v for k, v in enumerate(s.vertices) if k != iv]
-        normal = _hyperplane_normal(others)
-        offset = dot(normal, others[0])
-        if dot(normal, s.vertices[iv]) > offset:
-            normal, offset = tuple(-x for x in normal), -offset
-        candidates.append((normal, offset))
-    candidates.append((tuple(-g for g in h.gradient), h.constant - level))  # cut plane
-
-    facets = []
-    for normal, offset in candidates:
-        incident = tuple(i for i, p in enumerate(pts) if dot(normal, p) == offset)
-        if len(incident) >= n and affine_rank([pts[i] for i in incident]) == n - 1:
-            key = primitive(normal + (offset,))
-            facets.append(Facet(key[:-1], key[-1], incident))
-    facets = sorted({f.normal + (f.offset,): f for f in facets}.values(),
-                    key=lambda f: (f.normal, f.offset))
-    return [Simplex(piece) for piece in _cone_triangulation(pts, facets)]
+    return [Simplex(piece) for piece in _cone_triangulation(pts, _facets_from_points(pts))]
 
 
 def origin_in_interior(points) -> bool:
     """Exact test that 0 lies strictly inside conv(points).
 
-    That holds exactly when the points span Q^n and no hyperplane through 0
-    spanned by n - 1 of them has all points on one closed side: a cone other
-    than Q^n has a facet, and a facet is spanned by n - 1 of its generators.
-    Scaling a point by a positive number leaves the cone unchanged, so the
-    test runs on integer points.
+    That holds exactly when the hull is full-dimensional and every outward
+    facet <a, y> <= b has b > 0.
     """
-    pts = sorted({tuple(row) for row in integer_rows(rat_vector(p) for p in points)})
-    n = len(pts[0]) if pts else 0
-    if not pts or matrix_rank(pts) < n:
-        return False
-    origin = (0,) * n
-    for subset in itertools.combinations(pts, n - 1):
-        normal = _hyperplane_normal([origin, *subset])
-        if normal is None:
-            continue
-        normal = [int(x) for x in normal]
-        sides = [sum(map(mul, normal, p)) for p in pts]
-        if min(sides) >= 0 or max(sides) <= 0:
-            return False
-    return True
+    pts = sorted({rat_vector(p) for p in points})
+    facets = _facets_from_points(pts) if pts else []
+    return bool(facets) and all(f.offset > 0 for f in facets)

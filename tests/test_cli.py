@@ -314,6 +314,30 @@ def test_malformed_measure_exit_2(tmp_path, capsys, measure):
     assert err.startswith("input error")
 
 
+TRIANGLE = {"vertices": [["-1", "-1"], ["1", "0"], ["0", "1"]]}
+INTERVAL_SPACES = [{"normal": ["1"], "offset": "1"}, {"normal": ["-1"], "offset": "1"}]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("soliton", {"polytope": {"dim": "two", **TRIANGLE}}),
+    ("soliton", {"polytope": {"dim": 1.5, "halfspaces": INTERVAL_SPACES}}),
+    ("soliton", {"polytope": {"dim": 1, "halfspaces": [{"normal": ["1"]}, INTERVAL_SPACES[1]]}}),
+    ("soliton", {"polytope": {"dim": 1, "halfspaces": [{"offset": "1"}, INTERVAL_SPACES[1]]}}),
+    ("soliton", {"polytope": {"dim": 1, "halfspaces": [[["1"], "1"], [["-1"], "1"]]}}),
+    ("soliton", {"polytope": {"vertices": [0, 1]}}),
+    ("soliton", {"polytope": TRIANGLE, "projection_rank": "x"}),
+    ("check", {"polytope": TRIANGLE, "projection_rank": "x"}),
+], ids=["dim-word", "dim-fraction", "no-offset", "no-normal", "halfspace-list",
+        "vertex-scalars", "rank-word", "check-rank-word"])
+def test_malformed_polytope_exit_2(tmp_path, capsys, command, doc):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli([command, "--input", str(path), "--output", str(tmp_path / "o")],
+                           capsys)
+    assert code == 2
+    assert err.startswith("input error: ")
+
+
 def test_reruns_byte_identical(tmp_path, capsys):
     outs = []
     for name in ("a.json", "b.json", "c.json"):

@@ -1,5 +1,7 @@
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,11 +22,13 @@ from fanokit.geometry import (
     volume,
 )
 
-from fanokit.rational import affine_rank, dot
+from fanokit.cli import _fixture_path
+from fanokit.rational import affine_rank, dot, rat, rat_vector, solve_square
 
 from conftest import random_full_polytope
 from oracles import _facet_hyperplanes, hull_volume_boundary
 
+F = Fraction
 UNIT_SQUARE = RationalPolytope.from_vertices([[0, 0], [1, 0], [0, 1], [1, 1]])
 UNIT_TRIANGLE = RationalPolytope.from_vertices([[0, 0], [1, 0], [0, 1]])
 
@@ -220,9 +224,9 @@ def _origin_inside_hull(points):
 
 @st.composite
 def point_sets(draw):
-    """1-8 rational points in 1-3 D: free, with 0 among them, with 0 on a
+    """1-8 rational points in 1-4 D: free, with 0 among them, with 0 on a
     segment between two of them, or all on a hyperplane (through 0 or not)."""
-    n = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=4))
     coord = st.one_of(st.integers(min_value=-3, max_value=3).map(Fraction),
                       st.fractions(min_value=-3, max_value=3, max_denominator=4))
     pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=8))
@@ -248,8 +252,71 @@ def point_sets(draw):
 @example([(0, 0), (1, 1), (-2, -2)])  # rank one, 0 among the points
 @example([(-1, -1), (1, -1), (0, 2), (0, 0)])  # interior, 0 among the points
 @example([(0,)])
+@example([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)])
+@example([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, 0)])
 def test_origin_interior_matches_hull(points):
     assert origin_in_interior(points) == _origin_inside_hull(points)
+
+
+def _subset_vertices(halfspaces, n):
+    """Reference vertex enumeration: solve every n-subset of the halfspaces as
+    equations and keep the solutions that satisfy all of them."""
+    verts = set()
+    for subset in itertools.combinations(range(len(halfspaces)), n):
+        sol = solve_square([list(halfspaces[i][0]) for i in subset],
+                           [halfspaces[i][1] for i in subset])
+        if sol is not None and all(dot(a, sol) <= b for a, b in halfspaces):
+            verts.add(sol)
+    return sorted(verts)
+
+
+@st.composite
+def halfspace_systems(draw):
+    """Up to four free halfspaces in 1-4 D, often inside a box, plus up to two of:
+    the reverse of one (an equality pair, so the set is lower-dimensional), a
+    duplicate, a loosened copy (redundant) and a reverse moved past it (empty)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    coord = st.one_of(st.integers(min_value=-3, max_value=3).map(Fraction),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    spaces = draw(st.lists(st.tuples(st.tuples(*[coord] * n), coord), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        side = st.integers(min_value=1, max_value=3).map(Fraction)
+        for i in range(n):
+            unit = tuple(Fraction(int(i == j)) for j in range(n))
+            spaces += [(unit, draw(side)), (tuple(-x for x in unit), draw(side))]
+    for extra in draw(st.lists(st.sampled_from(("equality", "duplicate", "redundant", "empty")),
+                               max_size=2)):
+        a, b = spaces[draw(st.integers(min_value=0, max_value=len(spaces) - 1))]
+        minus = tuple(-x for x in a)
+        spaces.append({"equality": (minus, -b), "duplicate": (a, b), "redundant": (a, b + 1),
+                       "empty": (minus, -b - 1)}[extra])
+    return n, spaces
+
+
+@settings(max_examples=200, deadline=None)
+@given(halfspace_systems())
+@example((2, [((F(1), F(0)), F(1)), ((F(-1), F(0)), F(0)), ((F(0), F(1)), F(1)),
+              ((F(0), F(-1)), F(0))]))  # the unit square
+@example((2, [((F(1), F(0)), F(1)), ((F(-1), F(0)), F(-1)), ((F(0), F(1)), F(1)),
+              ((F(0), F(-1)), F(0)), ((F(-1), F(-1)), F(0))]))  # a segment, by an equality pair
+@example((2, [((F(1), F(0)), F(0)), ((F(-1), F(0)), F(-1)), ((F(0), F(1)), F(1)),
+              ((F(0), F(-1)), F(1))]))  # empty
+@example((2, [((F(0), F(-1)), F(0)), ((F(-1), F(0)), F(0)), ((F(-1), F(-2)), F(-2)),
+              ((F(-2), F(-1)), F(-2))]))  # unbounded, three vertices spanning Q^2
+@example((3, [((F(1), F(0), F(0)), F(1)), ((F(-1), F(0), F(0)), F(1))]))  # normals of rank 1
+def test_polar_vertices_match_subset_reference(system):
+    n, spaces = system
+    vertices, bounded = geometry._vertices_from_halfspaces(spaces, n)
+    assert vertices == _subset_vertices(spaces, n)
+    assert bounded == origin_in_interior([a for a, _ in spaces])
+    if not bounded:
+        with pytest.raises(InputError, match="unbounded"):
+            RationalPolytope.from_halfspaces(spaces, n)
+    elif not vertices:
+        with pytest.raises(InputError, match="empty"):
+            RationalPolytope.from_halfspaces(spaces, n)
+    else:
+        assert list(RationalPolytope.from_halfspaces(spaces, n).vertices) == vertices
 
 
 BOX3 = RationalPolytope.from_vertices(
@@ -340,7 +407,6 @@ def test_facets_match_subset_oracle(points):
     assert sorted((f.normal, f.offset, f.incident) for f in facets) == _oracle_facets(points)
 
 
-F = Fraction
 L = F(-1)  # every side of the pinned box starts at -1
 X, Y, Z, W = F(21, 20), F(26, 25), F(51, 50), F(101, 100)
 BOX4 = RationalPolytope.from_vertices(itertools.product((L, X), (L, Y), (L, Z), (L, W)))
@@ -407,3 +473,146 @@ def test_box4d_pinned():
     assert BOX4.facets() == BOX4_FACETS
     assert geometry._facets_from_points(list(BOX4.vertices)) == BOX4_FACETS
     assert [s.vertices for s in BOX4.triangulate()] == BOX4_CELLS
+
+
+def _stated(doc):
+    return ([rat_vector(v) for v in doc["vertices"]],
+            [(rat_vector(h["normal"]), rat(h["offset"])) for h in doc["halfspaces"]])
+
+
+# the benchmark's symmetric3d-1 polytope (seed 1, round 0) as from_vertices stores it
+SYMMETRIC3_JSON = {
+    "dim": 3,
+    "vertices": [["-2", "1", "1"], ["-2", "2", "-2"], ["-1", "2", "-2"], ["0", "-2", "1"],
+                 ["0", "2", "-1"], ["1", "-2", "2"], ["2", "-2", "2"], ["2", "-1", "-1"]],
+    "halfspaces": [{"normal": a, "offset": b} for a, b in [
+        (["-9", "-6", "-2"], "10"), (["-3", "-2", "3"], "7"), (["-1", "-2", "-2"], "2"),
+        (["-1", "6", "2"], "10"), (["0", "-1", "-3"], "4"), (["0", "-1", "0"], "2"),
+        (["0", "1", "0"], "2"), (["0", "1", "3"], "4"), (["1", "-6", "-2"], "10"),
+        (["1", "2", "2"], "2"), (["3", "2", "-3"], "7"), (["9", "6", "2"], "10")]],
+}
+
+
+# the lattice hexagon of the bundled fixture
+HEXAGON_JSON = json.loads(Path(_fixture_path("symmetric_polytopes.json")).read_text())["polytope"]
+
+
+@pytest.mark.parametrize("doc", [BOX4_JSON, SYMMETRIC3_JSON, HEXAGON_JSON],
+                         ids=["box4d", "symmetric3d", "hexagon"])
+def test_cross_check_mutations_match_subset_reference(doc):
+    """The constructor's cross-check rejects a mutated description exactly when
+    the subset enumeration of the stated halfspaces misses the stated vertices."""
+    n = doc["dim"]
+    verts, spaces = _stated(doc)
+    assert RationalPolytope.from_vertices(verts).to_json() == doc
+    half = Fraction(1, 2)
+    cases = [(verts, spaces)]
+    for i, (a, b) in enumerate(spaces):
+        rest = spaces[:i] + spaces[i + 1:]
+        a2, b2 = spaces[i - 1]
+        # drop the facet, shift it in or out, add a loosened copy or the sum with a neighbour
+        cases += [(verts, rest), (verts, rest + [(a, b - half)]), (verts, rest + [(a, b + half)]),
+                  (verts, spaces + [(a, b + 1)]),
+                  (verts, spaces + [(tuple(x + y for x, y in zip(a, a2)), b + b2)])]
+    for j, v in enumerate(verts):
+        rest = verts[:j] + verts[j + 1:]
+        w = verts[j - 1]
+        # drop the vertex, move it, add the midpoint of an edge or a diagonal
+        cases += [(rest, spaces), (rest + [(v[0] + Fraction(1, 3),) + v[1:]], spaces),
+                  (verts + [tuple((x + y) / 2 for x, y in zip(v, w))], spaces)]
+    cases.append((verts + [tuple(sum(c) / len(verts) for c in zip(*verts))], spaces))
+    verdicts = []
+    for vs, hs in cases:
+        agree = sorted(vs) == _subset_vertices(hs, n)
+        verdicts.append(agree)
+        if agree:
+            RationalPolytope(n, tuple(vs), tuple(hs), True)
+        else:
+            with pytest.raises(InputError, match="disagree"):
+                RationalPolytope(n, tuple(vs), tuple(hs), True)
+    # only the stated description and its two redundant additions per facet agree
+    assert verdicts.count(True) == 1 + 2 * len(spaces) and verdicts.count(False) > 0
+
+
+def _subset_in_hull(p, points):
+    """Reference membership of p in conv(points), the points spanning a flat of
+    dimension d: solve sum t_i v_i = p, sum t_i = 1 on every (d + 1)-subset of
+    the points and every square choice of equations, and look for t >= 0."""
+    pts = list(points)
+    if len(pts) == 1:
+        return p == pts[0]
+    d = affine_rank(pts)
+    for subset in itertools.combinations(pts, d + 1):
+        rows = [[v[i] for v in subset] for i in range(len(p))] + [[Fraction(1)] * len(subset)]
+        rhs = list(p) + [Fraction(1)]
+        sq = len(subset)
+        for rsel in itertools.combinations(range(len(rows)), sq):
+            sol = solve_square([rows[i] for i in rsel], [rhs[i] for i in rsel])
+            if sol is None or any(t < 0 for t in sol):
+                continue
+            combo = [sum(sol[j] * subset[j][i] for j in range(sq)) for i in range(len(p))]
+            if tuple(combo) == p and sum(sol) == 1:
+                return True
+    return False
+
+
+@st.composite
+def flat_hulls(draw):
+    """A segment, triangle or tetrahedron in 2-4 D, sometimes with an extra point
+    of its flat, and a query point: a vertex, a convex or an affine combination
+    of the vertices (on the flat), or a free point (mostly off it)."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=min(3, n - 1)))
+    coord = st.one_of(st.integers(min_value=-3, max_value=3).map(Fraction),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=k + 1, max_size=k + 1))
+    assume(affine_rank(pts) == k)
+
+    def combination(weights):
+        total = sum(weights)
+        return tuple(sum(w * p[i] for w, p in zip(weights, pts)) / total for i in range(n))
+
+    nonneg = st.lists(st.integers(min_value=0, max_value=3).map(Fraction),
+                      min_size=k + 1, max_size=k + 1).filter(any)
+    signed = st.lists(st.integers(min_value=-3, max_value=3).map(Fraction),
+                      min_size=k + 1, max_size=k + 1).filter(sum)
+    if draw(st.booleans()):
+        pts.append(combination(draw(signed)))
+    kind = draw(st.sampled_from(("vertex", "convex", "affine", "free")))
+    if kind == "vertex":
+        query = draw(st.sampled_from(pts))
+    elif kind == "convex":
+        query = combination(draw(nonneg))
+    elif kind == "affine":
+        query = combination(draw(signed))
+    else:
+        query = draw(st.tuples(*[coord] * n))
+    return pts, query
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_hulls())
+@example(([(F(0), F(0)), (F(2), F(2))], (F(1), F(1))))  # segment midpoint
+@example(([(F(0), F(0)), (F(2), F(2))], (F(3), F(3))))  # on the line, past the end
+@example(([(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0))],
+          (F(1, 2), F(1, 2), F(0))))  # on an edge of a triangle in 3-D
+@example(([(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0))],
+          (F(1, 4), F(1, 4), F(1))))  # above the triangle
+def test_flat_contains_matches_subset_reference(case):
+    pts, query = case
+    poly = RationalPolytope.from_vertices(pts)
+    assert not poly.full_dimensional
+    on_flat = affine_rank(list(poly.vertices) + [query]) == affine_rank(poly.vertices)
+    assert poly.contains(query) == (on_flat and _subset_in_hull(query, poly.vertices))
+
+
+def test_halfspace_slice_pinned_3d():
+    """Two vertices kept, four edges cut: the hull of six points, in three
+    pieces, exactly as the hand-built facet list of the cut gave them."""
+    s = Simplex.make([[0, 0, 0], [2, 0, 0], [0, 3, 0], [1, 1, 2]])
+    h = AffineForm.make([1, -1, 2], Fraction(1, 3))
+    a, b = (F(1, 24), F(1, 24), F(1, 12)), (F(1, 6), F(0), F(0))
+    c, d = (F(19, 15), F(11, 10), F(0)), (F(2), F(0), F(0))
+    e, f = (F(19, 42), F(44, 21), F(19, 21)), (F(1), F(1), F(2))
+    pieces = halfspace_slice(s, h, Fraction(1, 2))
+    assert [p.vertices for p in pieces] == [(a, b, c, d), (a, d, e, f), (a, d, c, e)]
