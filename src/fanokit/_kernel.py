@@ -1,22 +1,24 @@
 """Divided differences of exp and their derivatives: the numerical kernel.
 
 The integral of e^{-l(y)} over an n-simplex equals n!*vol * the n-th divided
-difference of exp at the negated vertex values of l.  Two evaluation paths:
+difference of exp at the negated vertex values of l.  Two evaluation paths,
+each a polynomial of one fixed degree with no convergence test:
 
 * ``dd_exp_batch`` - the divided-difference tables of a stack of node lists,
   realized as the first rows of exp(Z) where each Z is an upper-bidiagonal
   node matrix: entry j of the first row is the divided difference at the
   first j+1 nodes (Opitz 1964; McCurdy, Ng & Parlett 1984).  Each list is
   shifted by its largest node, which is returned as a log offset instead of
-  being multiplied back, and each matrix gets its own scaling-and-squaring
-  exponent, so a list's result never depends on the other lists in its
+  being multiplied back.  Each matrix gets its own scaling-and-squaring
+  exponent, and every matrix takes the same degree-``_TAYLOR_DEGREE`` Taylor
+  polynomial, so a list's result never depends on the other lists in its
   batch.  Uniformly accurate for any node spread, including exactly repeated
   nodes (the matrix route is the confluent table).  ``dd_exp`` and
   ``dd_exp_weighted`` are its batch-of-one forms.
 * ``dd_exp_series`` - Taylor expansion of the divided difference around the
-  mean node, in complete homogeneous symmetric polynomials, with the mean
-  returned as the log offset.  Fast and cancellation-free for tightly
-  clustered nodes.
+  mean node, in complete homogeneous symmetric polynomials up to degree
+  ``_SERIES_DEGREE``, with the mean returned as the log offset.  Fast and
+  cancellation-free for tightly clustered nodes.
 
 Moment weights (int w^k e^{-l}) come from ``dd_exp_weighted``: the k-th
 derivative of the divided difference along a diagonal deformation of the node
@@ -30,9 +32,16 @@ import math
 
 import numpy as np
 
-_SERIES_CUTOFF = 1e-20
-_TAYLOR_CUTOFF = 1e-24
-_MAX_TERMS = 61
+# Scaled node matrices have ||A||_inf <= 1/2, so the degree-20 Taylor
+# polynomial misses exp(A) by at most 2^-21/21! * e^(1/2) < 2e-26 in norm
+# (Higham, Functions of Matrices, 2008, Thm 4.8).  First-row entry p is small,
+# about h^c/c! for a chain of c superdiagonal and deformation steps, so the
+# degree also stays above the longest chain n1 - 1 + k: at most 8 in 4-D cells
+# with k = 4, and the plain table keeps about 1e-14 relative up to 20 nodes.
+_TAYLOR_DEGREE = 20
+# Series rows have a node spread s < 1e-4 (``expint.CLUSTER_SPREAD``), so the
+# first omitted term is below s^7/7! < 1e-31 of the leading 1/n!.
+_SERIES_DEGREE = 6
 _EPS = 2.220446049250313e-16
 
 
@@ -65,7 +74,7 @@ def dd_exp_batch(z, b=None, k: int = 0):
         a[:, off[:-1], off[1:]] = h
         if p < k:
             a[:, off, off + n1] = b * h
-    e, terms = _expm_taylor(a)
+    e = _expm_taylor(a)
     for s in range(int(q.max(initial=0))):
         sel = q > s
         if sel.all():
@@ -73,34 +82,23 @@ def dd_exp_batch(z, b=None, k: int = 0):
         else:
             part = e[sel]
             e[sel] = part @ part
-    err = (terms + q * d) * 4.0 * _EPS
+    err = (_TAYLOR_DEGREE + q * d) * 4.0 * _EPS
     return e[:, 0, :], offset, err
 
 
 def _expm_taylor(a):
-    """exp of a stack of small-norm upper-triangular matrices, by Taylor series.
+    """exp of a stack of matrices with ||A||_inf <= 1/2 by Horner's rule.
 
-    Each matrix stops accumulating at its own first term below the cutoff;
-    returns the exponentials and the number of terms each one took.
+    The degree-20 Taylor polynomial is I + A(I + A(... (I + A/20) ...)/2),
+    the same 19 matmuls for every matrix, so no matrix depends on its stack.
     """
-    m, d, _ = a.shape
-    e = a + np.eye(d)
-    term = a
-    live = np.abs(a).max(axis=(1, 2)) >= _TAYLOR_CUTOFF
-    terms = np.where(live, _MAX_TERMS, 1)
-    n_live = int(live.sum())
-    for j in range(2, _MAX_TERMS + 1):
-        if n_live == 0:
-            break
-        term = term @ a
-        term *= 1.0 / j
-        e += term if n_live == m else term * live[:, None, None]
-        done = live & (np.abs(term).max(axis=(1, 2)) < _TAYLOR_CUTOFF)
-        if done.any():
-            terms[done] = j
-            live &= ~done
-            n_live = int(live.sum())
-    return e, terms
+    eye = np.eye(a.shape[1])
+    e = a / _TAYLOR_DEGREE + eye
+    for j in range(_TAYLOR_DEGREE - 1, 0, -1):
+        e = a @ e
+        e *= 1.0 / j
+        e += eye
+    return e
 
 
 def dd_exp_weighted(z, b, k):
@@ -126,33 +124,30 @@ def dd_exp_series(z):
 
     DD[exp](z) = e^{mean} * sum_j h_j(z - mean) / (n + j)! where h_j is the
     complete homogeneous symmetric polynomial; h_1 vanishes by centering.
-    Returns ``(value, offset, rel_err)`` with DD[exp](z) = value * e^{offset}
-    and ``offset`` the mean node.  Intended for node spreads below the
-    clustering threshold.
+    The sum stops at j = ``_SERIES_DEGREE`` = 6.  For nodes of spread s
+    (max - min) every |z_i - mean| <= s, so |h_j| <= C(n + j, j) s^j and the
+    omitted tail is below s^7/7! relative to the j = 0 term 1/n!: under
+    1e-31 for the spreads below ``expint.CLUSTER_SPREAD`` = 1e-4 that take
+    this path.  Returns ``(value, offset, rel_err)`` with
+    DD[exp](z) = value * e^{offset} and ``offset`` the mean node.
     """
     n1 = len(z)
     n = n1 - 1
     mu = math.fsum(z) / n1
     delta = [x - mu for x in z]
-    maxj = 60
-    hpoly = [1.0] + [0.0] * maxj
+    hpoly = [1.0] + [0.0] * _SERIES_DEGREE
     for x in delta:
         # ascending order extends h_j to one more variable in place
-        for j in range(1, maxj + 1):
+        for j in range(1, _SERIES_DEGREE + 1):
             hpoly[j] += x * hpoly[j - 1]
     coeff = 1.0
     for i in range(1, n + 1):
         coeff /= i
     total = coeff  # j = 0 term: 1/n!
-    term_count = 1
-    for j in range(1, maxj + 1):
+    for j in range(1, _SERIES_DEGREE + 1):
         coeff /= n + j
-        term = hpoly[j] * coeff
-        total += term
-        term_count += 1
-        if j >= 2 and abs(term) < _SERIES_CUTOFF * abs(total):
-            break
-    err = term_count * (n1 + 1) * _EPS + 10.0 * _SERIES_CUTOFF
+        total += hpoly[j] * coeff
+    err = (_SERIES_DEGREE + 1) * (n1 + 1) * _EPS
     return total, mu, err
 
 

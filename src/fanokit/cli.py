@@ -57,15 +57,24 @@ def _fixture_path(name: str) -> str:
     return str(resources.files("fanokit").joinpath(f"fixtures/{name}"))
 
 
+def _number(value, name: str, kind=int):
+    """``kind(value)`` for an ``int`` or ``float`` field; anything else is an input error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise InputError(f"{name} {value!r} is not {noun}") from exc
+
+
 def _parse_degrees(arg) -> list[int]:
+    """Degrees from ``m``, ``m1..m2`` or a list; [] when absent."""
     if arg is None:
         return []
-    if isinstance(arg, str):
-        if ".." in arg:
-            lo, hi = arg.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(arg)]
-    return [int(x) for x in arg]
+    if isinstance(arg, list):
+        return [_number(x, "degree") for x in arg]
+    lo, dots, hi = str(arg).partition("..")
+    lo = _number(lo, "degree")
+    return list(range(lo, (_number(hi, "degree") if dots else lo) + 1))
 
 
 def _need(doc: dict, key: str):
@@ -74,22 +83,13 @@ def _need(doc: dict, key: str):
     return doc[key]
 
 
-def _projection_rank(doc: dict) -> int | None:
-    rank = doc.get("projection_rank")
-    if rank is None:
-        return None
-    try:
-        return int(rank)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"projection_rank {rank!r} is not an integer") from exc
-
-
 def _measure_from_doc(doc: dict) -> DHMeasure:
     if "measure" in doc:
         return measure_from_json(doc["measure"])
     if "filtration" in doc and "degree" in doc:
         F = filtration_from_json(doc["filtration"])
-        return empirical_dh(F, int(doc["degree"]), int(_need(doc, "ambient_dim")))
+        return empirical_dh(F, _number(doc["degree"], "degree"),
+                            _number(_need(doc, "ambient_dim"), "ambient_dim"))
     raise InputError("document needs 'measure' or 'filtration' + 'degree'")
 
 
@@ -99,7 +99,7 @@ def _measure_from_doc(doc: dict) -> DHMeasure:
 
 def _cmd_dh(doc, options):
     F = filtration_from_json(_need(doc, "filtration"))
-    n = int(_need(doc, "ambient_dim"))
+    n = _number(_need(doc, "ambient_dim"), "ambient_dim")
     degrees = _parse_degrees(options.degrees) or _parse_degrees(doc.get("degrees")) or F.degrees()
     out = {"command": "dh", "ambient_dim": n, "measures": {}}
     for m in degrees:
@@ -186,7 +186,8 @@ def _cmd_report(doc, options):
 
 def _cmd_soliton(doc, options):
     poly = polytope_from_json(_need(doc, "polytope"))
-    res = soliton_vector(poly, _projection_rank(doc), tol=options.tol)
+    rank = _number(doc.get("projection_rank", poly.dim), "projection_rank")
+    res = soliton_vector(poly, rank, tol=options.tol)
     return {"command": "soliton", "result": res.to_json()}, None
 
 
@@ -205,10 +206,10 @@ def _cmd_twist_opt(doc, options):
 
 
 def _cmd_degenerate(doc, options):
-    model = MonomialModel(int(_need(doc, "model")["num_vars"]))
+    model = MonomialModel(_number(_need(_need(doc, "model"), "num_vars"), "num_vars"))
     w = rat_vector(_need(doc, "w"))
     F1 = filtration_from_json(_need(doc, "filtration"))
-    m = int(_need(doc, "degree"))
+    m = _number(_need(doc, "degree"), "degree")
     prime = initial_term_degeneration(model, w, F1, m)
     F0 = weight_filtration(model, w, m)
     lhs = relative_minima(F0, F1, m)
@@ -229,7 +230,7 @@ def _cmd_distance(doc, options):
     degrees = _parse_degrees(options.degrees) or _parse_degrees(doc.get("degrees"))
     if not degrees:
         degrees = sorted(set(Fa.degrees()) & set(Fb.degrees()))
-    p = float(doc.get("p", 2))
+    p = _number(doc.get("p", 2), "p", float)
     rows = [{"degree": m, "d_p": d_p_level(Fa, Fb, m, p)} for m in degrees]
     out = {"command": "distance", "p": p, "rows": rows}
     if len(rows) >= 2:
@@ -252,7 +253,7 @@ def _cmd_cone(doc, options):
     mu = _measure_from_doc(doc)
     A = float(rat(_need(doc, "A")))
     s_grid = [float(rat(s)) for s in doc.get("s_grid", [])] or None
-    scan = cone_family(A, mu, s_grid, dim=int(doc.get("dim", 1)))
+    scan = cone_family(A, mu, s_grid, dim=_number(doc.get("dim", 1), "dim"))
     out = {
         "command": "cone",
         "scan": scan.to_json(),
@@ -269,12 +270,13 @@ def _cmd_check(doc, options):
     if "filtration" in doc:
         F = filtration_from_json(doc["filtration"])
         limit = measure_from_json(_need(doc, "limit"))
-        n = int(_need(doc, "ambient_dim"))
+        n = _number(_need(doc, "ambient_dim"), "ambient_dim")
         volume = rat(doc.get("volume", 1))
         results.extend(run_p1_checks(F, limit, n, volume))
     if "polytope" in doc:
-        results.extend(run_soliton_checks(polytope_from_json(doc["polytope"]),
-                                          _projection_rank(doc)))
+        poly = polytope_from_json(doc["polytope"])
+        rank = _number(doc.get("projection_rank", poly.dim), "projection_rank")
+        results.extend(run_soliton_checks(poly, rank))
     if not results:
         raise InputError("check document needs 'filtration' (+'limit') or 'polytope'")
     for name, ok, detail in results:

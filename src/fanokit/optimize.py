@@ -109,6 +109,7 @@ def newton_minimize(f, grad, hess, x0, tol: float = NEWTON_TOL,
         if -slope <= 1e-15 * max(1.0, abs(fx)):
             # predicted decrease is below evaluation noise: trust the model step
             x = x + step
+            fx = f(x)
         else:
             t = 1.0
             while t > 1e-14:
@@ -119,8 +120,7 @@ def newton_minimize(f, grad, hess, x0, tol: float = NEWTON_TOL,
                 t *= BACKTRACK
             else:
                 raise NonConvergence("line search stalled")
-            x = x + t * step
-        fx = f(x)
+            x, fx = candidate, fc
         g = np.atleast_1d(grad(x))
         iters += 1
     gnorm = float(np.linalg.norm(g))

@@ -338,6 +338,35 @@ def test_malformed_polytope_exit_2(tmp_path, capsys, command, doc):
     assert err.startswith("input error: ")
 
 
+LEVELS = {"levels": {"4": {"dim": 5, "values": ["1", "2", "2", "3", "4"]}}}
+DIRAC = {"atoms": [{"pos": "0", "mass": 1}]}
+DEGENERATE = {"model": {"num_vars": 2}, "w": [1, 0], "degree": 2,
+              "filtration": {"levels": {"2": {"dim": 3, "values": [1, 0, 2]}}}}
+
+
+@pytest.mark.parametrize("command, doc, extra", [
+    ("dh", {"filtration": LEVELS, "ambient_dim": "x"}, []),
+    ("check", {"filtration": LEVELS, "limit": DIRAC, "ambient_dim": "x"}, []),
+    ("report", {"filtration": LEVELS, "degree": "x", "ambient_dim": 1}, []),
+    ("cone", {"measure": DIRAC, "A": "1/2", "dim": "x"}, []),
+    ("degenerate", dict(DEGENERATE, model={"num_vars": "x"}), []),
+    ("degenerate", dict(DEGENERATE, degree="x"), []),
+    ("distance", {"filtration_a": LEVELS, "filtration_b": LEVELS, "p": "x"}, []),
+    ("distance", {"filtration_a": LEVELS, "filtration_b": LEVELS, "degrees": "a..3"}, []),
+    ("dh", {"filtration": LEVELS, "ambient_dim": 1}, ["--degrees", "x"]),
+], ids=["dh-ambient-dim", "check-ambient-dim", "report-degree", "cone-dim",
+        "degenerate-num-vars", "degenerate-degree", "distance-p", "distance-degrees",
+        "degrees-flag"])
+def test_malformed_number_exit_2(tmp_path, capsys, command, doc, extra):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli([command, "--input", str(path), "--output", str(tmp_path / "o")]
+                           + extra, capsys)
+    assert code == 2
+    assert err.startswith("input error: ") and " is not a" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_reruns_byte_identical(tmp_path, capsys):
     outs = []
     for name in ("a.json", "b.json", "c.json"):

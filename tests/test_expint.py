@@ -1,14 +1,20 @@
+import itertools
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
+from fanokit import _kernel
 from fanokit._kernel import dd_exp, dd_exp_batch, dd_exp_series
 from fanokit.errors import InputError, UnsupportedOrder
 from fanokit.expint import (
+    MAX_MOMENT_ORDER,
     PLConcaveFunction,
     pl_exp_integral,
     simplex_exp_integral,
@@ -151,6 +157,111 @@ def test_batch_row_independent_of_neighbours():
     rows, offset, _ = alone
     value, _ = dd_exp(cell)
     assert value == rows[0, -1] * math.exp(offset[0])
+
+
+def _expm_taylor_reference(a):
+    """The adaptive Taylor loop the fixed-degree kernel replaced, kept as a reference.
+
+    Each matrix accumulates terms until its own first term below 1e-24.
+    """
+    m, d, _ = a.shape
+    e = a + np.eye(d)
+    term = a
+    live = np.abs(a).max(axis=(1, 2)) >= 1e-24
+    n_live = int(live.sum())
+    for j in range(2, 62):
+        if n_live == 0:
+            break
+        term = term @ a
+        term *= 1.0 / j
+        e += term if n_live == m else term * live[:, None, None]
+        done = live & (np.abs(term).max(axis=(1, 2)) < 1e-24)
+        if done.any():
+            live &= ~done
+            n_live = int(live.sum())
+    return e
+
+
+def _dd_decimal(nodes):
+    """Divided difference of exp at Decimal nodes; tied nodes take e^x/j!."""
+    x = sorted(nodes)
+    table = [v.exp() for v in x]
+    for j in range(1, len(x)):
+        table = [x[i].exp() / math.factorial(j) if x[i + j] == x[i]
+                 else (table[i + 1] - table[i]) / (x[i + j] - x[i])
+                 for i in range(len(x) - j)]
+    return table[0]
+
+
+def _corners_decimal(z, b, k):
+    """[D_0, ..., D_k] at 120 digits: D_j sums b^alpha * DD(z, z_alpha) over
+    multisets alpha of j node indices (Hermite-Genocchi, expanded)."""
+    with localcontext() as ctx:
+        ctx.prec = 120
+        zd = [Decimal(v) for v in z]
+        out = [_dd_decimal(zd)]
+        for j in range(1, k + 1):
+            total = Decimal(0)
+            for alpha in itertools.combinations_with_replacement(range(len(z)), j):
+                total += (math.prod(Decimal(b[i]) for i in alpha)
+                          * _dd_decimal(zd + [zd[i] for i in alpha]))
+            out.append(total)
+        return out
+
+
+def _corners(z, b, k):
+    """Corner entries [D_0, ..., D_k] of ``dd_exp_batch`` for one node list, with its offset."""
+    rows, offset, _ = dd_exp_batch([z], [b] if k else None, k)
+    n1 = len(z)
+    return [float(rows[0, j * n1 + n1 - 1]) for j in range(k + 1)], float(offset[0])
+
+
+@st.composite
+def node_lists(draw):
+    """Up to 8 nodes of spread 1e-5 to 1e3 on a grid of 1000 steps (ties
+    included), a deformation direction and a derivative order k <= 4."""
+    n1 = draw(st.integers(min_value=2, max_value=8))
+    k = draw(st.integers(min_value=0, max_value=MAX_MOMENT_ORDER))
+    spread = 10.0 ** draw(st.floats(min_value=-5, max_value=3))
+    center = draw(st.floats(min_value=-50, max_value=50))
+    z = [center + spread * draw(st.integers(0, 1000)) / 1000 for _ in range(n1)]
+    b = [draw(st.integers(-300, 300)) / 100 for _ in range(n1)]
+    return z, b, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(node_lists())
+def test_kernel_matches_adaptive_and_decimal_references(case):
+    """D_j agrees with a 120-digit reference and with the adaptive Taylor loop.
+
+    Errors are relative to |b|max^j * D_0, the cancellation-free bound that
+    ``expint._exp_integrals`` measures moment errors against.
+    """
+    z, b, k = case
+    got, offset = _corners(z, b, k)
+    with mock.patch.object(_kernel, "_expm_taylor", _expm_taylor_reference):
+        adaptive, _ = _corners(z, b, k)
+    exact = [float(v / Decimal(offset).exp()) for v in _corners_decimal(z, b, k)]
+    bmax = max(abs(v) for v in b)
+    for j in range(k + 1):
+        scale = max(abs(exact[j]), bmax ** j * exact[0])
+        assert abs(got[j] - exact[j]) <= 1e-12 * scale
+        assert abs(got[j] - adaptive[j]) <= 1e-12 * scale
+
+
+def test_kernel_twenty_nodes():
+    """The plain divided difference at 20 nodes i/128 to 1e-12 relative.
+
+    Equispaced nodes have the closed form DD = (e^h - 1)^n / (n! h^n); the
+    adaptive Taylor loop's absolute stopping test left 6e-10 here.
+    """
+    n = 19
+    value, _ = dd_exp([i / 128 for i in range(n + 1)])
+    with localcontext() as ctx:
+        ctx.prec = 60
+        h = Decimal(1) / 128
+        exact = (h.exp() - 1) ** n / (math.factorial(n) * h ** n)
+    assert abs(value - float(exact)) <= 1e-12 * float(exact)
 
 
 def test_stability_sweep_methods(rng):

@@ -36,15 +36,18 @@ from oracles import bisect_root, central_diff
 
 def test_newton_quadratic_one_step():
     c = np.array([1.5, -2.0])
-    res = newton_minimize(
-        lambda x: 0.5 * float((x - c) @ (x - c)),
-        lambda x: x - c,
-        lambda x: np.eye(2),
-        [0.0, 0.0],
-    )
+    calls = []
+
+    def f(x):
+        calls.append(np.array(x))
+        return 0.5 * float((x - c) @ (x - c))
+
+    res = newton_minimize(f, lambda x: x - c, lambda x: np.eye(2), [0.0, 0.0])
     assert res.iterations == 1 and res.converged
     assert np.allclose(res.argmin, c, atol=1e-12)
     assert res.hessian_min_eig >= 0
+    # f at x0 and at the accepted full step; the accepted value is not recomputed
+    assert len(calls) == 2
 
 
 def test_newton_starting_at_minimum():
