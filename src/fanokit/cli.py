@@ -32,7 +32,7 @@ from .functionals import LPolicy, na_report
 from .geometry import polytope_from_json
 from .measure import DHMeasure, cdf_samples, measure_from_json, wasserstein1
 from .optimize import cone_family, rescale_opt, soliton_vector, twist_opt
-from .rational import format_rat, rat, rat_vector
+from .rational import format_rat, parse_number, rat, rat_vector
 from .serialize import csv_table, dumps_canonical
 
 COMMANDS = ("dh", "report", "soliton", "rescale", "twist-opt", "degenerate",
@@ -46,24 +46,18 @@ def _load_document(path: str) -> dict:
         raise InputError(f"cannot read input file {path}: {exc}") from exc
     try:
         # decimals are parsed as strings so rational parsing stays exact
-        return json.loads(text, parse_float=str)
+        doc = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} holds a JSON {type(doc).__name__}, not a job object")
+    return doc
 
 
 def _fixture_path(name: str) -> str:
     return str(resources.files("fanokit").joinpath(f"fixtures/{name}"))
-
-
-def _number(value, name: str, kind=int):
-    """``kind(value)`` for an ``int`` or ``float`` field; anything else is an input error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise InputError(f"{name} {value!r} is not {noun}") from exc
 
 
 def _parse_degrees(arg) -> list[int]:
@@ -71,13 +65,16 @@ def _parse_degrees(arg) -> list[int]:
     if arg is None:
         return []
     if isinstance(arg, list):
-        return [_number(x, "degree") for x in arg]
+        return [parse_number(x, "degree", minimum=1) for x in arg]
     lo, dots, hi = str(arg).partition("..")
-    lo = _number(lo, "degree")
-    return list(range(lo, (_number(hi, "degree") if dots else lo) + 1))
+    lo = parse_number(lo, "degree", minimum=1)
+    return list(range(lo, (parse_number(hi, "degree", minimum=1) if dots else lo) + 1))
 
 
 def _need(doc: dict, key: str):
+    if not isinstance(doc, dict):
+        raise InputError(f"expected a JSON object with a '{key}' field, "
+                         f"got {type(doc).__name__}")
     if key not in doc:
         raise InputError(f"input document is missing the '{key}' field")
     return doc[key]
@@ -88,8 +85,8 @@ def _measure_from_doc(doc: dict) -> DHMeasure:
         return measure_from_json(doc["measure"])
     if "filtration" in doc and "degree" in doc:
         F = filtration_from_json(doc["filtration"])
-        return empirical_dh(F, _number(doc["degree"], "degree"),
-                            _number(_need(doc, "ambient_dim"), "ambient_dim"))
+        return empirical_dh(F, parse_number(doc["degree"], "degree", minimum=1),
+                            parse_number(_need(doc, "ambient_dim"), "ambient_dim", minimum=0))
     raise InputError("document needs 'measure' or 'filtration' + 'degree'")
 
 
@@ -99,36 +96,43 @@ def _measure_from_doc(doc: dict) -> DHMeasure:
 
 def _cmd_dh(doc, options):
     F = filtration_from_json(_need(doc, "filtration"))
-    n = _number(_need(doc, "ambient_dim"), "ambient_dim")
+    n = parse_number(_need(doc, "ambient_dim"), "ambient_dim", minimum=0)
     degrees = _parse_degrees(options.degrees) or _parse_degrees(doc.get("degrees")) or F.degrees()
     out = {"command": "dh", "ambient_dim": n, "measures": {}}
-    for m in degrees:
-        nu = empirical_dh(F, m, n)
-        out["measures"][str(m)] = nu.to_json()
+    csv = None
+    if "limit" in doc:
+        limit = measure_from_json(doc["limit"])
+        out["convergence"] = convergence_report(F, limit, degrees, n, out["measures"])
+        csv = _convergence_csv(out["convergence"])
+    else:
+        rows = []
+        for m in degrees:
+            nu = empirical_dh(F, m, n)
+            out["measures"][str(m)] = nu.to_json()
+            if options.format == "csv":
+                rows.extend((m, t, c) for t, c in cdf_samples(nu))
+        if options.format == "csv":
+            csv = csv_table(("degree", "t", "cdf"), rows)
     warnings = multiplicativity_warnings(F)
     if warnings:
         out["warnings"] = warnings
         print("warning: " + "; ".join(warnings), file=sys.stderr)
-    csv = None
-    if "limit" in doc:
-        limit = measure_from_json(doc["limit"])
-        out["convergence"] = convergence_report(F, limit, degrees, n)
-        csv = _convergence_csv(out["convergence"])
-    elif options.format == "csv":
-        rows = []
-        for m in degrees:
-            for t, c in cdf_samples(empirical_dh(F, m, n)):
-                rows.append((m, t, c))
-        csv = csv_table(("degree", "t", "cdf"), rows)
     return out, csv
 
 
-def convergence_report(F: GradedFiltration, limit: DHMeasure, degrees, ambient_dim: int):
-    """Per-degree W1 / Q_m / Psi_m gaps against the limiting measure."""
+def convergence_report(F: GradedFiltration, limit: DHMeasure, degrees, ambient_dim: int,
+                       measures=None):
+    """Per-degree W1 / Q_m / Psi_m gaps against the limiting measure.
+
+    Each degree's empirical measure is built once and dropped before the
+    next; with ``measures`` (a dict) its JSON is stored there under the degree.
+    """
     q_limit = limit.exp_moment(1)
     rows = []
     for m in sorted(degrees):
         nu = empirical_dh(F, m, ambient_dim)
+        if measures is not None:
+            measures[str(m)] = nu.to_json()
         rows.append({
             "degree": m,
             "wasserstein1": wasserstein1(nu, limit),
@@ -155,9 +159,10 @@ def _cmd_report(doc, options):
         rows = []
         best = None
         for cand in doc["candidates"]:
-            mu = measure_from_json(cand["measure"])
-            res = rescale_opt(float(rat(cand["A"])), mu)
-            rows.append({"label": cand.get("label", ""), "A": float(rat(cand["A"])),
+            mu = measure_from_json(_need(cand, "measure"))
+            A = float(rat(_need(cand, "A")))
+            res = rescale_opt(A, mu)
+            rows.append({"label": cand.get("label", ""), "A": A,
                          "a_star": res.argmin, "value": res.value})
             best = res.value if best is None else min(best, res.value)
         out["candidates"] = rows
@@ -186,7 +191,7 @@ def _cmd_report(doc, options):
 
 def _cmd_soliton(doc, options):
     poly = polytope_from_json(_need(doc, "polytope"))
-    rank = _number(doc.get("projection_rank", poly.dim), "projection_rank")
+    rank = parse_number(doc.get("projection_rank", poly.dim), "projection_rank")
     res = soliton_vector(poly, rank, tol=options.tol)
     return {"command": "soliton", "result": res.to_json()}, None
 
@@ -206,10 +211,11 @@ def _cmd_twist_opt(doc, options):
 
 
 def _cmd_degenerate(doc, options):
-    model = MonomialModel(_number(_need(_need(doc, "model"), "num_vars"), "num_vars"))
+    model = MonomialModel(parse_number(_need(_need(doc, "model"), "num_vars"), "num_vars",
+                                      minimum=1))
     w = rat_vector(_need(doc, "w"))
     F1 = filtration_from_json(_need(doc, "filtration"))
-    m = _number(_need(doc, "degree"), "degree")
+    m = parse_number(_need(doc, "degree"), "degree", minimum=1)
     prime = initial_term_degeneration(model, w, F1, m)
     F0 = weight_filtration(model, w, m)
     lhs = relative_minima(F0, F1, m)
@@ -230,7 +236,7 @@ def _cmd_distance(doc, options):
     degrees = _parse_degrees(options.degrees) or _parse_degrees(doc.get("degrees"))
     if not degrees:
         degrees = sorted(set(Fa.degrees()) & set(Fb.degrees()))
-    p = _number(doc.get("p", 2), "p", float)
+    p = parse_number(doc.get("p", 2), "p", float)
     rows = [{"degree": m, "d_p": d_p_level(Fa, Fb, m, p)} for m in degrees]
     out = {"command": "distance", "p": p, "rows": rows}
     if len(rows) >= 2:
@@ -253,7 +259,7 @@ def _cmd_cone(doc, options):
     mu = _measure_from_doc(doc)
     A = float(rat(_need(doc, "A")))
     s_grid = [float(rat(s)) for s in doc.get("s_grid", [])] or None
-    scan = cone_family(A, mu, s_grid, dim=_number(doc.get("dim", 1), "dim"))
+    scan = cone_family(A, mu, s_grid, dim=parse_number(doc.get("dim", 1), "dim"))
     out = {
         "command": "cone",
         "scan": scan.to_json(),
@@ -270,12 +276,12 @@ def _cmd_check(doc, options):
     if "filtration" in doc:
         F = filtration_from_json(doc["filtration"])
         limit = measure_from_json(_need(doc, "limit"))
-        n = _number(_need(doc, "ambient_dim"), "ambient_dim")
+        n = parse_number(_need(doc, "ambient_dim"), "ambient_dim", minimum=0)
         volume = rat(doc.get("volume", 1))
         results.extend(run_p1_checks(F, limit, n, volume))
     if "polytope" in doc:
         poly = polytope_from_json(doc["polytope"])
-        rank = _number(doc.get("projection_rank", poly.dim), "projection_rank")
+        rank = parse_number(doc.get("projection_rank", poly.dim), "projection_rank")
         results.extend(run_soliton_checks(poly, rank))
     if not results:
         raise InputError("check document needs 'filtration' (+'limit') or 'polytope'")

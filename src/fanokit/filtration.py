@@ -24,15 +24,15 @@ from .errors import (
     NonpositiveScale,
     NotABasis,
 )
-from .measure import DHMeasure
+from .measure import AtomicMeasure, DHMeasure
 from .rational import (
     Vector,
     coordinates,
     format_rat,
     independent_rows,
     integer_rows,
-    matmul,
     matrix_rank,
+    parse_number,
     rat,
     rat_vector,
     row_echelon,
@@ -153,41 +153,35 @@ class FiltrationLevel:
 
 def _weight_decompose(rows, ambient_weights):
     """Split a row space into weight-homogeneous pieces and return them with the
-    dimension of the space; raise if it is not decomposable."""
-    dim_total = matrix_rank(rows)
+    dimension of the space; raise if it is not decomposable.
+
+    The piece of weight alpha is spanned by the coordinate projections
+    pi_alpha of the rows.  Every space V lies in the direct sum of its
+    projections pi_alpha(V), with equality exactly when V is spanned by weight
+    vectors, and then pi_alpha(V) = V meet E_alpha.  So V decomposes iff the
+    ranks of its projections add up to dim V.
+    """
     by_weight: dict[Vector, list[int]] = {}
     for j, w in enumerate(ambient_weights):
         by_weight.setdefault(w, []).append(j)
     pieces = []
     found = 0
-    n = len(ambient_weights)
     for alpha in sorted(by_weight):
         cols = by_weight[alpha]
-        comp = [j for j in range(n) if j not in cols]
-        # v = x . rows with v|comp = 0 <=> x in the left nullspace of rows[:, comp]
-        basis_x = _left_nullspace([[r[j] for j in comp] for r in rows])
-        part = [vec for vec in matmul(basis_x, rows) if any(vec)]
+        part = []
+        for row in rows:
+            if any(row[j] for j in cols):
+                vec = [_ZERO] * len(row)
+                for j in cols:
+                    vec[j] = row[j]
+                part.append(tuple(vec))
         if part:
             pieces.append((alpha, part))
             found += matrix_rank(part)
+    dim_total = matrix_rank(rows)
     if found != dim_total:
         raise InputError("flag subspace is not spanned by torus-weight vectors")
     return pieces, dim_total
-
-
-def _left_nullspace(rows):
-    """Basis of {x : x . rows = 0} over Q, read off the reduced echelon form of
-    the transpose (one vector per free column)."""
-    k = len(rows)
-    pivots, reduced = row_echelon(list(zip(*rows)), reduced=True)
-    basis = []
-    for fc in sorted(set(range(k)) - set(pivots)):
-        x = [_ZERO] * k
-        x[fc] = _ONE
-        for row, pc in zip(reduced, pivots):
-            x[pc] = -row[fc]
-        basis.append(tuple(x))
-    return basis
 
 
 @dataclass(frozen=True)
@@ -228,12 +222,15 @@ class GradedFiltration:
 
 
 def filtration_from_json(doc: dict) -> GradedFiltration:
-    if not isinstance(doc, dict) or "levels" not in doc:
+    levels_doc = doc.get("levels") if isinstance(doc, dict) else None
+    if not isinstance(levels_doc, dict):
         raise InputError("filtration document needs a 'levels' map")
     levels = {}
-    for key, entry in doc["levels"].items():
-        m = int(key)
-        dim = int(entry["dim"])
+    for key, entry in levels_doc.items():
+        m = parse_number(key, "level degree", minimum=1)
+        if not isinstance(entry, dict) or "dim" not in entry:
+            raise InputError(f"level {m} needs an object with a 'dim' field")
+        dim = parse_number(entry["dim"], f"dim of level {m}")
         weights = entry.get("weights")
         if "values" in entry:
             values = entry["values"]
@@ -246,6 +243,9 @@ def filtration_from_json(doc: dict) -> GradedFiltration:
             else:
                 levels[m] = FiltrationLevel.from_values(m, values, weights)
         elif "flags" in entry:
+            if not all(isinstance(f, dict) and "value" in f and "rows" in f
+                       for f in entry["flags"]):
+                raise InputError(f"each flag of level {m} needs a 'value' and 'rows'")
             flags = [(f["value"], f["rows"]) for f in entry["flags"]]
             levels[m] = FiltrationLevel.from_flags(m, dim, flags, ambient_weights=weights)
         else:
@@ -294,16 +294,22 @@ def twist(F: GradedFiltration, xi) -> GradedFiltration:
 
 
 def empirical_dh(F: GradedFiltration, m: int, ambient_dim: int) -> DHMeasure:
-    """Atoms at lambda_i/m with mass n!/m^n; carries weights alpha/m when present."""
+    """Atoms at lambda_i/m with mass n!/m^n; carries weights alpha/m when present.
+
+    The atoms come straight from the level's exact values, in the stable
+    order of those values.
+    """
+    if m < 1 or ambient_dim < 0:
+        raise InputError(f"need degree >= 1 and ambient dim >= 0, got {m} and {ambient_dim}")
     lv = F.level(m)
     mass = Fraction(factorial(ambient_dim), m**ambient_dim)
-    atoms = []
-    for i in range(lv.dim):
-        weight = None
-        if lv.weights is not None:
-            weight = tuple(a / m for a in lv.weights[i])
-        atoms.append((lv.values[i] / m, mass, weight))
-    return DHMeasure.atomic(atoms)
+    order = sorted(range(lv.dim), key=lv.values.__getitem__)
+    if lv.weights is None:
+        atoms = tuple((lv.values[i] / m, mass, None) for i in order)
+    else:
+        atoms = tuple((lv.values[i] / m, mass, tuple(a / m for a in lv.weights[i]))
+                      for i in order)
+    return AtomicMeasure(atoms)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 from .errors import InputError
 
@@ -24,7 +23,21 @@ Matrix = list[list[Fraction]]
 
 
 def rat(x) -> Fraction:
-    """Parse a rational from int, Fraction, 'p/q' or decimal string, or [p, q] pair."""
+    """Parse a rational from int, Fraction, 'p/q' or decimal string, or [p, q] pair.
+
+    A string accepts exactly what ``Fraction(str)`` accepts, with the same
+    value.  An optional '-' followed by ASCII digits, the form ``format_rat``
+    writes for integers, is read by ``int`` without the ``Fraction`` regex.
+    """
+    # str first: isinstance against Fraction goes through the ABC machinery
+    if isinstance(x, str):
+        digits = x[1:] if x[:1] == "-" else x
+        if digits.isascii() and digits.isdecimal():
+            return Fraction(int(x))
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"unparsable rational string {x!r}") from exc
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -35,17 +48,25 @@ def rat(x) -> Fraction:
         # floats only arrive from literal JSON numbers or solver iterates;
         # treat them as decimals (cast first: numpy scalars repr differently)
         return Fraction(repr(float(x)))
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"unparsable rational string {x!r}") from exc
     if isinstance(x, (list, tuple)) and len(x) == 2:
         try:
             return Fraction(int(x[0]), int(x[1]))
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise InputError(f"unparsable rational pair {x!r}") from exc
     raise InputError(f"not a rational: {x!r}")
+
+
+def parse_number(value, name: str, kind=int, minimum=None):
+    """``kind(value)`` for an ``int`` or ``float`` field, at least ``minimum`` when
+    one is given; anything else is an input error."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise InputError(f"{name} {value!r} is not {noun}") from exc
+    if minimum is not None and number < minimum:
+        raise InputError(f"{name} must be at least {minimum}, got {value!r}")
+    return number
 
 
 def rat_vector(seq) -> Vector:
@@ -119,19 +140,6 @@ def _bareiss(a: list[list[int]], ncols: int, reduced: bool) -> tuple[list[int], 
         pivots.append(col)
         prev = p
     return pivots, prev, sign
-
-
-def matmul(a, b) -> list[Vector]:
-    """Exact product of two rational matrices: integer dot products, one
-    division per entry."""
-    scaled = [_integer_row(row) for row in b]
-    common = lcm(*(t for t, _ in scaled))
-    columns = list(zip(*([x * (common // t) for x in row] for t, row in scaled)))
-    out = []
-    for row in a:
-        s, ints = _integer_row(row)
-        out.append(tuple(Fraction(sum(map(mul, ints, col)), s * common) for col in columns))
-    return out
 
 
 def det(rows: Matrix) -> Fraction:

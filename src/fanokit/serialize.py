@@ -8,6 +8,7 @@ yields byte-identical artifacts regardless of dict order.
 from __future__ import annotations
 
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .errors import NonFiniteResult
 from .rational import format_rat
@@ -24,36 +25,40 @@ def _format_float(x: float) -> str:
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
-    pad = " " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    """Canonical JSON text: sorted keys, two-space indent, strings escaped as
+    ``json`` escapes them (non-ASCII kept), Fractions as "p/q" strings.
+    Strings and containers, most of any artifact, are tested first."""
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, Fraction):
-        return '"' + format_rat(obj) + '"'
+        return encode_basestring(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        pad = " " * indent
         items = []
         for key in sorted(obj, key=str):
             items.append(
-                pad + "  " + dumps_canonical(str(key)) + ": "
+                pad + "  " + encode_basestring(str(key)) + ": "
                 + dumps_canonical(obj[key], indent + 2)
             )
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        pad = " " * indent
         items = [pad + "  " + dumps_canonical(v, indent + 2) for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _format_float(obj)
+    if isinstance(obj, Fraction):
+        return '"' + format_rat(obj) + '"'
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

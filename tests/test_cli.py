@@ -367,6 +367,82 @@ def test_malformed_number_exit_2(tmp_path, capsys, command, doc, extra):
     assert not (tmp_path / "o").exists()
 
 
+def _levels(key="4", **entry):
+    return {"levels": {key: dict({"dim": 5, "values": ["1", "2", "2", "3", "4"]}, **entry)}}
+
+
+@pytest.mark.parametrize("command, doc, extra, fragment", [
+    ("dh", {"filtration": _levels("x"), "ambient_dim": 1}, [], "level degree 'x'"),
+    ("dh", {"filtration": _levels(dim="y"), "ambient_dim": 1}, [], "dim of level 4 'y'"),
+    ("dh", {"filtration": {"levels": {"4": {"values": ["1"]}}}, "ambient_dim": 1}, [],
+     "'dim' field"),
+    ("dh", {"filtration": {"levels": [1]}, "ambient_dim": 1}, [], "'levels' map"),
+    ("dh", {"filtration": {"levels": {"4": 7}}, "ambient_dim": 1}, [], "'dim' field"),
+    ("dh", {"filtration": _levels("0"), "ambient_dim": 1}, [], "at least 1"),
+    ("dh", {"filtration": _levels("-2"), "ambient_dim": 1}, [], "at least 1"),
+    ("dh", {"filtration": LEVELS, "ambient_dim": -1}, [], "at least 0"),
+    ("report", {"filtration": LEVELS, "degree": 4, "ambient_dim": -1}, [], "at least 0"),
+    ("dh", {"filtration": LEVELS, "ambient_dim": 1}, ["--degrees", "0"], "at least 1"),
+    ("distance", {"filtration_a": LEVELS, "filtration_b": LEVELS, "degrees": [-4]}, [],
+     "at least 1"),
+    ("dh", {"filtration": {"levels": {"1": {"dim": 2, "flags": [{"value": "0"}]}}},
+            "ambient_dim": 1}, [], "'value' and 'rows'"),
+    ("report", {"candidates": [{"measure": DIRAC}]}, [], "'A' field"),
+    ("report", {"candidates": [{"A": "1/2"}]}, [], "'measure' field"),
+    ("degenerate", dict(DEGENERATE, model=5), [], "got int"),
+    ("degenerate", dict(DEGENERATE, model={"num_vars": 0}, w=[]), [], "at least 1"),
+    ("report", 5, [], "not a job object"),
+], ids=["degree-word", "dim-word", "no-dim", "levels-list", "level-scalar", "degree-zero",
+        "degree-negative", "ambient-dim-negative", "report-ambient-dim-negative",
+        "degrees-flag-zero", "degrees-negative", "flag-no-rows", "candidate-no-A",
+        "candidate-no-measure", "model-scalar", "num-vars-zero", "document-scalar"])
+def test_malformed_document_exit_2(tmp_path, capsys, command, doc, extra, fragment):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli([command, "--input", str(path), "--output", str(tmp_path / "o")]
+                           + extra, capsys)
+    assert code == 2
+    assert err.startswith("input error: ") and fragment in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_control_characters_in_labels_stay_valid_json(tmp_path, capsys):
+    label = "a\nb\u0001\t\"q\"\\ \u00e9"
+    doc = dict(DEGENERATE, filtration=dict(DEGENERATE["filtration"], label=label))
+    path, out_path = tmp_path / "job.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    code, _, _ = run_cli(["degenerate", "--input", str(path), "--output", str(out_path)], capsys)
+    assert code == 0
+    text = out_path.read_text()
+    assert json.loads(text)["degenerated"]["label"] == f"in_w({label})"
+    assert "\u00e9" in text  # non-ASCII is written as is, like every earlier artifact
+    for s in ("", "plain", "\x00\x1f\x7f", "\u2028", "\\\"", "\ud7ff"):
+        assert json.loads(dumps_canonical({s: [s]})) == {s: [s]}
+
+
+def test_dh_builds_each_degree_once(tmp_path, capsys, monkeypatch):
+    import fanokit.cli as cli
+
+    built = []
+
+    def counting(F, m, n):
+        built.append(m)
+        return empirical_dh(F, m, n)
+
+    empirical_dh = cli.empirical_dh
+    monkeypatch.setattr(cli, "empirical_dh", counting)
+    F = p1_filtration([2, 3, 5])
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"filtration": F.to_json(), "ambient_dim": 1,
+                                "limit": measure_from_json(DIRAC).to_json()}))
+    code, _, _ = run_cli(["dh", "--input", str(path), "--output", str(tmp_path / "o")], capsys)
+    assert code == 0
+    assert built == [2, 3, 5]
+    out = json.loads((tmp_path / "o").read_text())
+    assert sorted(out["measures"]) == ["2", "3", "5"]
+    assert [r["degree"] for r in out["convergence"]["rows"]] == [2, 3, 5]
+
+
 def test_reruns_byte_identical(tmp_path, capsys):
     outs = []
     for name in ("a.json", "b.json", "c.json"):

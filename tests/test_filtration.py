@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fanokit.errors import (
     DimensionMismatch,
@@ -16,6 +18,7 @@ from fanokit.filtration import (
     FiltrationLevel,
     GradedFiltration,
     MonomialModel,
+    _weight_decompose,
     common_adapted_basis,
     d_p_level,
     empirical_dh,
@@ -31,10 +34,12 @@ from fanokit.filtration import (
     twist,
     weight_filtration,
 )
+from fanokit.measure import DHMeasure
 from fanokit.rational import matrix_rank
 from fanokit.serialize import dumps_canonical
 
 from conftest import p1_filtration, random_level
+from weight_reference import weight_decompose
 
 
 def trivial_filtration(dim, m=1, weights=None):
@@ -495,3 +500,101 @@ def test_initial_term_basis_pinned():
                         (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
     assert lv.values == (3, 2, 1, 1, 0, 0)
     assert lv.weights == ((1,), (0,), (2,), (2,), (3,), (4,))
+
+
+# ---------------------------------------------------------------------------
+# weight pieces by projection against the left-nullspace reference
+
+small = st.integers(min_value=-3, max_value=3).map(Fraction)
+
+
+@st.composite
+def weighted_flags(draw):
+    """(rows, ambient weights): homogeneous rows, sums of homogeneous vectors
+    (decomposable, rarely homogeneous) or free rows (rarely decomposable)."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rank = draw(st.integers(min_value=1, max_value=2))
+    weights = draw(st.lists(st.tuples(*[st.integers(0, 2).map(Fraction)] * rank),
+                            min_size=n, max_size=n))
+    blocks = {}
+    for j, w in enumerate(weights):
+        blocks.setdefault(w, []).append(j)
+    blocks = list(blocks.values())
+
+    def homogeneous():
+        cols = draw(st.sampled_from(blocks))
+        return [draw(small) if j in cols else Fraction(0) for j in range(n)]
+
+    kind = draw(st.sampled_from(("homogeneous", "sums", "free")))
+    nrows = draw(st.integers(min_value=0, max_value=n + 1))
+    if kind == "homogeneous":
+        rows = [homogeneous() for _ in range(nrows)]
+    elif kind == "sums":
+        gens = [homogeneous() for _ in range(draw(st.integers(0, n)))]
+        rows = [[sum((c * g[j] for c, g in zip(coeffs, gens)), Fraction(0)) for j in range(n)]
+                for coeffs in (draw(st.lists(small, min_size=len(gens), max_size=len(gens)))
+                               for _ in range(nrows))]
+    else:
+        rows = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(nrows)]
+    return [tuple(r) for r in rows], weights
+
+
+def _same_row_space(a, b):
+    r = matrix_rank(a) if a else 0
+    return r == (matrix_rank(b) if b else 0) == (matrix_rank(a + b) if a + b else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_flags())
+@example(([(Fraction(1), Fraction(1))], [(Fraction(0),), (Fraction(1),)]))  # not decomposable
+@example(([(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1))],
+          [(Fraction(0),), (Fraction(1),)]))  # decomposable, no row homogeneous
+@example(([(Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))],
+          [(Fraction(0),), (Fraction(1),)]))  # dependent homogeneous rows
+def test_weight_pieces_match_nullspace_reference(flag):
+    rows, weights = flag
+    try:
+        want_pieces, want_rank = weight_decompose(rows, weights)
+    except InputError:
+        with pytest.raises(InputError):
+            _weight_decompose(rows, weights)
+        return
+    got_pieces, got_rank = _weight_decompose(rows, weights)
+    assert got_rank == want_rank
+    want, got = dict(want_pieces), dict(got_pieces)
+    assert sorted(got) == sorted(want)
+    for alpha, part in got.items():
+        assert _same_row_space(part, want[alpha])
+        assert all(row[j] == 0 for row in part for j, w in enumerate(weights) if w != alpha)
+
+
+def test_weight_pieces_of_homogeneous_rows_are_the_rows():
+    # the rows `initial_term_degeneration` hands over are homogeneous; their
+    # pieces, and so the degenerated basis, are the rows themselves, as before
+    F = Fraction
+    weights = [(F(1),), (F(0),), (F(1),), (F(2),)]
+    rows = [(F(0), F(3), F(0), F(0)), (F(1), F(0), F(-2), F(0)), (F(0), F(0), F(0), F(5)),
+            (F(2), F(0), F(-4), F(0))]
+    pieces, rank = _weight_decompose(rows, weights)
+    assert rank == 3
+    assert pieces == weight_decompose(rows, weights)[0]
+    assert pieces == [((F(0),), [rows[0]]), ((F(1),), [rows[1], rows[3]]), ((F(2),), [rows[2]])]
+
+
+def test_empirical_dh_matches_atomic_constructor(rng):
+    """The direct build equals DHMeasure.atomic over the same atoms, ties and weights included."""
+    for with_weights in (False, True):
+        for m in (1, 3, 5):
+            lv = random_level(rng, 7, m=m, with_weights=with_weights, rank=2)
+            values = [Fraction(rng.randint(-2, 2), rng.choice([1, 3])) for _ in range(7)]
+            values[4] = values[1]  # a tie: the stable order decides
+            lv = FiltrationLevel(m, lv.basis, tuple(values), lv.weights)
+            F = GradedFiltration({m: lv})
+            for n in (0, 1, 3):
+                mass = Fraction(math.factorial(n), m**n)
+                want = DHMeasure.atomic(
+                    [(v / m, mass, None if lv.weights is None else tuple(a / m for a in w))
+                     for v, w in zip(lv.values, lv.weights or [None] * lv.dim)])
+                assert empirical_dh(F, m, n).atoms == want.atoms
+    with pytest.raises(InputError):
+        empirical_dh(F, m, -1)

@@ -8,18 +8,22 @@ with pivots 1), so the two must agree with ``==``.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fanokit.errors import InputError
 from fanokit.rational import (
     coordinates,
     det,
     independent_rows,
-    matmul,
     matrix_rank,
+    rat,
     row_echelon,
     solve_square,
 )
+
+from weight_reference import matmul
 
 # ---------------------------------------------------------------------------
 # Fraction Gauss-Jordan references
@@ -199,3 +203,35 @@ def test_matmul_exact(b, data):
     want = [tuple(sum((x * row[j] for x, row in zip(r, b)), Fraction(0))
                   for j in range(len(b[0]))) for r in a]
     assert matmul(a, b) == want
+
+
+# ---------------------------------------------------------------------------
+# string parsing: rat(s) agrees with Fraction(s), or raises InputError where it raises
+
+
+def _check_rat_string(s):
+    try:
+        want = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError):
+            rat(s)
+        return
+    got = rat(s)
+    assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("s", [
+    "--1", "+-1", "1-", "", " 7 ", "+3", "-0", "1_000", "_1", "\u0663", "3/0", "1e3", "0.5",
+    "-", "+", "0", "-12", "007", "-007", " -5", "1__0", "\u00b2", "\u0663/\u0664", "7\x1c",
+])
+def test_rat_string_matches_fraction(s):
+    _check_rat_string(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789+-_ ./e", max_size=8))
+@example("-")
+@example("--1")
+@example("-_1")
+def test_rat_string_property(s):
+    _check_rat_string(s)
