@@ -121,18 +121,17 @@ def _cmd_dh(doc, options):
 
 
 def convergence_report(F: GradedFiltration, limit: DHMeasure, degrees, ambient_dim: int,
-                       measures=None):
+                       measures: dict):
     """Per-degree W1 / Q_m / Psi_m gaps against the limiting measure.
 
-    Each degree's empirical measure is built once and dropped before the
-    next; with ``measures`` (a dict) its JSON is stored there under the degree.
+    Each degree's empirical measure is built once, its JSON stored in
+    ``measures`` under the degree, and dropped before the next.
     """
     q_limit = limit.exp_moment(1)
     rows = []
     for m in sorted(degrees):
         nu = empirical_dh(F, m, ambient_dim)
-        if measures is not None:
-            measures[str(m)] = nu.to_json()
+        measures[str(m)] = nu.to_json()
         rows.append({
             "degree": m,
             "wasserstein1": wasserstein1(nu, limit),

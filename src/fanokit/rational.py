@@ -32,9 +32,9 @@ def rat(x) -> Fraction:
     # str first: isinstance against Fraction goes through the ABC machinery
     if isinstance(x, str):
         digits = x[1:] if x[:1] == "-" else x
-        if digits.isascii() and digits.isdecimal():
-            return Fraction(int(x))
         try:
+            if digits.isascii() and digits.isdecimal():
+                return Fraction(int(x))
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"unparsable rational string {x!r}") from exc

@@ -26,14 +26,25 @@ def _format_float(x: float) -> str:
 
 def dumps_canonical(obj, indent: int = 0) -> str:
     """Canonical JSON text: sorted keys, two-space indent, strings escaped as
-    ``json`` escapes them (non-ASCII kept), Fractions as "p/q" strings.
-    Strings and containers, most of any artifact, are tested first."""
+    ``json`` escapes them (non-ASCII kept), Fractions as "p/q" strings."""
+    pad = " " * indent
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
     if isinstance(obj, str):
         return encode_basestring(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _format_float(obj)
+    if isinstance(obj, Fraction):
+        return '"' + format_rat(obj) + '"'
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        pad = " " * indent
         items = []
         for key in sorted(obj, key=str):
             items.append(
@@ -44,21 +55,8 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        pad = " " * indent
         items = [pad + "  " + dumps_canonical(v, indent + 2) for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, Fraction):
-        return '"' + format_rat(obj) + '"'
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

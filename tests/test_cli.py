@@ -114,7 +114,9 @@ def test_convergence_report_zero_row():
     from fanokit.filtration import empirical_dh
 
     nu = empirical_dh(F, 10, 1)
-    report = convergence_report(F, nu, [10], 1)
+    measures = {}
+    report = convergence_report(F, nu, [10], 1, measures)
+    assert measures == {"10": nu.to_json()}
     assert report["rows"][0]["wasserstein1"] == 0.0
     # |Q_m - Q| gap vanishes when the limit is the level itself
     assert report["rows"][0]["q_gap"] < 1e-15

@@ -581,6 +581,19 @@ def test_weight_pieces_of_homogeneous_rows_are_the_rows():
     assert pieces == [((F(0),), [rows[0]]), ((F(1),), [rows[1], rows[3]]), ((F(2),), [rows[2]])]
 
 
+def test_flag_basis_of_non_homogeneous_rows():
+    # decomposable but not homogeneous: the projections span the same pieces as
+    # the nullspace combinations, yet the kept basis vectors differ
+    F = Fraction
+    weights = [(0,), (1,)]
+    rows = [(F(1), F(1)), (F(1), F(-1))]
+    lv = FiltrationLevel.from_flags(1, 2, [(1, rows)], ambient_weights=weights)
+    assert lv.basis == ((F(1), F(0)), (F(0), F(1)))
+    assert lv.weights == ((F(0),), (F(1),))
+    assert [p for _, p in weight_decompose(rows, [(F(0),), (F(1),)])[0]] == [
+        [(F(2), F(0))], [(F(0), F(-2))]]
+
+
 def test_empirical_dh_matches_atomic_constructor(rng):
     """The direct build equals DHMeasure.atomic over the same atoms, ties and weights included."""
     for with_weights in (False, True):

@@ -223,6 +223,8 @@ def _check_rat_string(s):
 @pytest.mark.parametrize("s", [
     "--1", "+-1", "1-", "", " 7 ", "+3", "-0", "1_000", "_1", "\u0663", "3/0", "1e3", "0.5",
     "-", "+", "0", "-12", "007", "-007", " -5", "1__0", "\u00b2", "\u0663/\u0664", "7\x1c",
+    # beyond int's default 4300-digit string limit: Fraction raises ValueError
+    "1" * 5000, "-" + "1" * 5000,
 ])
 def test_rat_string_matches_fraction(s):
     _check_rat_string(s)
