@@ -20,7 +20,7 @@ each a polynomial of one fixed degree with no convergence test:
   ``_SERIES_DEGREE``, with the mean returned as the log offset.  Fast and
   cancellation-free for tightly clustered nodes.
 
-Moment weights (int w^k e^{-l}) come from ``dd_exp_weighted``: the k-th
+Moment weights (int w^k e^{-l}) come from ``dd_exp_batch`` with k > 0: the k-th
 derivative of the divided difference along a diagonal deformation of the node
 matrix, read off the corner block of the exponential of a block upper
 triangular matrix.  All matrices here are tiny (<= 35 x 35).

@@ -42,7 +42,7 @@ COMMANDS = ("dh", "report", "soliton", "rescale", "twist-opt", "degenerate",
 def _load_document(path: str) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read input file {path}: {exc}") from exc
     try:
         # decimals are parsed as strings so rational parsing stays exact
@@ -53,6 +53,12 @@ def _load_document(path: str) -> dict:
         ) from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path} holds a JSON {type(doc).__name__}, not a job object")
+    if "\\u" in text:
+        # only an escape can make a lone surrogate, which UTF-8 cannot write
+        try:
+            json.dumps(doc, ensure_ascii=False).encode()
+        except UnicodeEncodeError as exc:
+            raise InputError(f"{path} holds a lone surrogate escape, which is not text") from exc
     return doc
 
 

@@ -221,6 +221,19 @@ class GradedFiltration:
         return doc
 
 
+def _list_field(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{name} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _rows_field(value, name: str) -> list:
+    """A JSON list of JSON lists."""
+    for row in _list_field(value, name):
+        _list_field(row, f"each row of the {name}")
+    return value
+
+
 def filtration_from_json(doc: dict) -> GradedFiltration:
     levels_doc = doc.get("levels") if isinstance(doc, dict) else None
     if not isinstance(levels_doc, dict):
@@ -232,21 +245,25 @@ def filtration_from_json(doc: dict) -> GradedFiltration:
             raise InputError(f"level {m} needs an object with a 'dim' field")
         dim = parse_number(entry["dim"], f"dim of level {m}")
         weights = entry.get("weights")
+        if weights is not None:
+            _rows_field(weights, f"weights of level {m}")
         if "values" in entry:
-            values = entry["values"]
+            values = _list_field(entry["values"], f"values of level {m}")
             if len(values) != dim:
                 raise InputError(f"level {m}: {len(values)} values for dim {dim}")
             if "basis" in entry:
-                basis = tuple(rat_vector(r) for r in entry["basis"])
+                basis = tuple(rat_vector(r)
+                              for r in _rows_field(entry["basis"], f"basis of level {m}"))
                 wts = tuple(rat_vector(w) for w in weights) if weights else None
                 levels[m] = FiltrationLevel(m, basis, tuple(rat(v) for v in values), wts)
             else:
                 levels[m] = FiltrationLevel.from_values(m, values, weights)
         elif "flags" in entry:
-            if not all(isinstance(f, dict) and "value" in f and "rows" in f
-                       for f in entry["flags"]):
+            flags = _list_field(entry["flags"], f"flags of level {m}")
+            if not all(isinstance(f, dict) and "value" in f and "rows" in f for f in flags):
                 raise InputError(f"each flag of level {m} needs a 'value' and 'rows'")
-            flags = [(f["value"], f["rows"]) for f in entry["flags"]]
+            flags = [(f["value"], _rows_field(f["rows"], f"flag rows of level {m}"))
+                     for f in flags]
             levels[m] = FiltrationLevel.from_flags(m, dim, flags, ambient_weights=weights)
         else:
             raise InputError(f"level {m} needs 'values' or 'flags'")

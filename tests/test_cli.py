@@ -373,6 +373,10 @@ def _levels(key="4", **entry):
     return {"levels": {key: dict({"dim": 5, "values": ["1", "2", "2", "3", "4"]}, **entry)}}
 
 
+def _level_doc(**entry):
+    return {"filtration": {"levels": {"4": dict({"dim": 2}, **entry)}}, "ambient_dim": 1}
+
+
 @pytest.mark.parametrize("command, doc, extra, fragment", [
     ("dh", {"filtration": _levels("x"), "ambient_dim": 1}, [], "level degree 'x'"),
     ("dh", {"filtration": _levels(dim="y"), "ambient_dim": 1}, [], "dim of level 4 'y'"),
@@ -394,10 +398,19 @@ def _levels(key="4", **entry):
     ("degenerate", dict(DEGENERATE, model=5), [], "got int"),
     ("degenerate", dict(DEGENERATE, model={"num_vars": 0}, w=[]), [], "at least 1"),
     ("report", 5, [], "not a job object"),
+    ("dh", _level_doc(values=5), [], "values of level 4"),
+    ("dh", _level_doc(flags=5), [], "flags of level 4"),
+    ("dh", _level_doc(values=["0", "1"], weights=5), [], "weights of level 4"),
+    ("dh", _level_doc(values=["0", "1"], basis=5), [], "basis of level 4"),
+    ("dh", _level_doc(values=["0", "1"], weights=[1, -1]), [], "each row of the weights"),
+    ("dh", _level_doc(values=["0", "1"], basis=["10", "01"]), [], "each row of the basis"),
+    ("dh", _level_doc(flags=[{"value": "0", "rows": 5}]), [], "flag rows of level 4"),
 ], ids=["degree-word", "dim-word", "no-dim", "levels-list", "level-scalar", "degree-zero",
         "degree-negative", "ambient-dim-negative", "report-ambient-dim-negative",
         "degrees-flag-zero", "degrees-negative", "flag-no-rows", "candidate-no-A",
-        "candidate-no-measure", "model-scalar", "num-vars-zero", "document-scalar"])
+        "candidate-no-measure", "model-scalar", "num-vars-zero", "document-scalar",
+        "values-scalar", "flags-scalar", "weights-scalar", "basis-scalar",
+        "weight-row-scalar", "basis-row-string", "flag-rows-scalar"])
 def test_malformed_document_exit_2(tmp_path, capsys, command, doc, extra, fragment):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc))
@@ -406,6 +419,41 @@ def test_malformed_document_exit_2(tmp_path, capsys, command, doc, extra, fragme
     assert code == 2
     assert err.startswith("input error: ") and fragment in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["output-file", "stdout"])
+@pytest.mark.parametrize("raw", [
+    json.dumps(dict(DEGENERATE, filtration=dict(DEGENERATE["filtration"], label="\ud800"))
+               ).encode(),
+    json.dumps(DEGENERATE).encode().replace(b'"w"', b'"\xff"'),
+], ids=["lone-surrogate", "invalid-utf8"])
+def test_input_that_is_not_text_exit_2(tmp_path, capsys, raw, to_file):
+    path, out_path = tmp_path / "job.json", tmp_path / "out.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(["degenerate", "--input", str(path)]
+                             + (["--output", str(out_path)] if to_file else []), capsys)
+    assert code == 2 and err.startswith("input error: ")
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("soliton", {"polytope": {"vertices": [["-1"], ["2"]]}}),
+    ("rescale", {"measure": {"atoms": [{"pos": "0", "mass": 1}, {"pos": "4", "mass": 1}]},
+                 "A": "1"}),
+    ("rescale", {"measure": {"atoms": [{"pos": "0", "mass": 1}, {"pos": "4", "mass": 1}]},
+                 "A": "3"}),
+    ("rescale", {"measure": {"atoms": [{"pos": "2", "mass": 1}]}, "A": "3"}),
+    ("twist-opt", {"filtration": {"levels": {"2": {"dim": 3, "values": [0, 1, 0],
+                                                   "weights": [[-1], [0], [1]]}}}}),
+], ids=["soliton", "rescale-interior", "rescale-boundary", "rescale-dirac", "twist-opt"])
+def test_certificate_tolerance_is_the_solve_tolerance(tmp_path, capsys, command, doc):
+    path, out_path = tmp_path / "job.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    code, _, _ = run_cli([command, "--input", str(path), "--output", str(out_path),
+                          "--tol", "1e-6"], capsys)
+    assert code == 0
+    out = json.loads(out_path.read_text())
+    assert out["tolerance"] == out["result"]["certificates"]["tolerance"] == 1e-6
 
 
 def test_control_characters_in_labels_stay_valid_json(tmp_path, capsys):

@@ -1,8 +1,12 @@
+import inspect
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanokit.errors import (
     DenominatorVanishes,
@@ -26,6 +30,7 @@ from fanokit.optimize import (
     vol_g_tau,
 )
 
+import soliton_reference
 from conftest import p1_filtration, random_level
 from fanokit.filtration import FiltrationLevel, GradedFiltration
 from oracles import bisect_root, central_diff
@@ -48,6 +53,12 @@ def test_newton_quadratic_one_step():
     assert res.hessian_min_eig >= 0
     # f at x0 and at the accepted full step; the accepted value is not recomputed
     assert len(calls) == 2
+
+
+def test_newton_minimize_takes_the_three_callbacks_first():
+    # fanobench/tracing.py counts f, grad and hess evaluations by wrapping the
+    # first three positional arguments of newton_minimize: keep them there.
+    assert list(inspect.signature(newton_minimize).parameters)[:3] == ["f", "grad", "hess"]
 
 
 def test_newton_starting_at_minimum():
@@ -162,6 +173,46 @@ def test_soliton_far_tilted_interval_converges(lo, hi, bracket):
     xi = res.argmin[0]
     closed = math.log(_interval_exp_mass(a, b, xi) / (b - a))
     assert abs(res.value - closed) <= 1e-12 * abs(closed)
+
+
+def test_soliton_solve_one_kernel_batch_per_point(monkeypatch):
+    import fanokit.optimize as optimize
+
+    batches, points = [], set()
+    real_batch, real_newton = optimize.dd_exp_batch, optimize.newton_minimize
+
+    def counted_batch(*args, **kwargs):
+        batches.append(1)
+        return real_batch(*args, **kwargs)
+
+    def recorded(fn):
+        def inner(x):
+            points.add(tuple(float(v) for v in x))
+            return fn(x)
+        return inner
+
+    def recording_newton(f, grad, hess, *rest, **kwargs):
+        return real_newton(recorded(f), recorded(grad), recorded(hess), *rest, **kwargs)
+
+    monkeypatch.setattr(optimize, "dd_exp_batch", counted_batch)
+    monkeypatch.setattr(optimize, "newton_minimize", recording_newton)
+    res = soliton_vector(RationalPolytope.from_vertices([[-1, -1], [3, 0], [0, 2], [1, -1]]))
+    assert res.converged and res.iterations >= 2
+    assert len(batches) == len(points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 10**6),
+       st.lists(st.floats(-4, 4), min_size=3, max_size=3))
+def test_soliton_evaluate_matches_separate_batches(n, seed, xi):
+    """One moments batch gives the value of the plain batch and the same g and H."""
+    from fanokit.optimize import _SolitonObjective
+
+    objective = _SolitonObjective(_lattice_polytope(random.Random(seed), n), n)
+    value, g, H = objective.evaluate(xi[:n])
+    want_g, want_H = soliton_reference.grad_hess(objective, xi[:n])
+    assert value == soliton_reference.value(objective, xi[:n])
+    assert np.array_equal(g, want_g) and np.array_equal(H, want_H)
 
 
 def _lattice_polytope(rng, n):
@@ -338,7 +389,10 @@ def test_objectives_midpoint_convex_on_100_segments(rng):
 
     checked = 0
     poly = RationalPolytope.from_vertices([[-1, -1], [2, 0], [0, 2], [1, -1]])
-    soliton_obj = _SolitonObjective(poly, 2).value
+    soliton = _SolitonObjective(poly, 2)
+
+    def soliton_obj(xi):
+        return soliton.evaluate(xi)[0]
 
     mu = DHMeasure.uniform(0, 4)
 
