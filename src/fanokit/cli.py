@@ -32,7 +32,7 @@ from .functionals import LPolicy, na_report
 from .geometry import polytope_from_json
 from .measure import DHMeasure, cdf_samples, measure_from_json, wasserstein1
 from .optimize import cone_family, rescale_opt, soliton_vector, twist_opt
-from .rational import format_rat, parse_number, rat, rat_vector
+from .rational import format_rat, list_field, parse_number, rat, rat_vector
 from .serialize import csv_table, dumps_canonical
 
 COMMANDS = ("dh", "report", "soliton", "rescale", "twist-opt", "degenerate",
@@ -157,13 +157,13 @@ def _convergence_csv(report) -> str:
 
 def _cmd_report(doc, options):
     L = LPolicy.from_json(doc.get("L"))
-    a_list = [float(rat(a)) for a in (options.a or doc.get("a") or [])]
+    a_list = [float(rat(a)) for a in options.a or list_field(doc.get("a", []), "'a'")]
     out = {"command": "report"}
     csv = None
     if "candidates" in doc:
         rows = []
         best = None
-        for cand in doc["candidates"]:
+        for cand in list_field(doc["candidates"], "candidates"):
             mu = measure_from_json(_need(cand, "measure"))
             A = float(rat(_need(cand, "A")))
             res = rescale_opt(A, mu)
@@ -178,7 +178,7 @@ def _cmd_report(doc, options):
     if "xi_list" in doc:
         rows = []
         csv_rows = []
-        for xi in doc["xi_list"]:
+        for xi in list_field(doc["xi_list"], "xi_list"):
             vec = rat_vector(xi)
             nu = mu.twisted(vec)
             rep = na_report(nu, L.twisted(), a_list)
@@ -263,7 +263,7 @@ def _cmd_distance(doc, options):
 def _cmd_cone(doc, options):
     mu = _measure_from_doc(doc)
     A = float(rat(_need(doc, "A")))
-    s_grid = [float(rat(s)) for s in doc.get("s_grid", [])] or None
+    s_grid = [float(rat(s)) for s in list_field(doc.get("s_grid", []), "s_grid")] or None
     scan = cone_family(A, mu, s_grid, dim=parse_number(doc.get("dim", 1), "dim"))
     out = {
         "command": "cone",

@@ -4,12 +4,15 @@ This is the computational layer behind every entropy/energy functional in the
 package: values of int w(y)^k e^{-l(y)} dy over exact rational simplices, and
 their sums over the cells of a piecewise-linear concave transform.
 
-Geometry stays rational until the last moment: vertex values of the affine
-forms are evaluated in Q and rounded once to double before entering the
-divided-difference kernel.  Cell sums use a deterministic double-double tree
-reduction over the canonical cell order, so results do not depend on the order
-in which cells were given, and ``pl_cell_integrals`` returns them relative to
-one log offset, so they stay in double range for any tilt.
+Geometry stays rational until the last moment.  A transform keeps its vertex
+values, and each tilt's pairings, as integers over one common denominator, so
+a kernel node is one correctly rounded int/int division: the exact value
+rounded once.  ``pl_cell_integrals`` stacks the rows of several tilts a in one
+kernel batch and reads the moments j = 0..k off the corners of one derivative
+batch.  Cell sums use a deterministic double-double tree reduction over the
+canonical cell order, so results do not depend on the order in which cells
+were given, and are returned relative to one log offset per a, so they stay
+in double range for any tilt.
 
 Superlevel volumes come two ways.  Unweighted (xi = 0), t -> n! vol{G >= t}
 is an exact spline of degree n whose knots are the cell vertex values
@@ -71,24 +74,24 @@ def _vertex_values(s: Simplex, form: AffineForm) -> list[float]:
     return [float(form(v)) for v in s.vertices]
 
 
-def _exp_integrals(z, volumes, b, k: int, top: float) -> list[ExpIntegralResult]:
-    """int_s w^k e^{-l} / e^{top} = k! * n!vol(s) * D_k / e^{top} for each simplex s.
+def _exp_integrals(z, volumes, b, k: int, tops) -> list:
+    """([int_s w^j e^{-l} / e^{tops[i]} = j! n!vol(s) D_j / e^{tops[i]}, j = 0..k], error of
+    j = k, method) for each simplex s = i.
 
     ``z[i]`` holds the negated vertex values of l on simplex i (all rows of
     one length), ``volumes[i]`` its n! vol and, for k > 0, ``b[i]`` the
     vertex values of w.  For k = 0 a row whose spread is below
     ``CLUSTER_SPREAD`` takes the series; the other rows share one
     ``dd_exp_batch`` call.  Each row's kernel value comes with its own log
-    offset and is scaled by e^{offset - top} before it is multiplied by its
-    volume, so with ``top`` at least every offset no row leaves double range.
+    offset and is scaled by e^{offset - tops[i]}, at most 1 when ``tops[i]``
+    is at least that offset, before it is multiplied by its volume.
     """
     out: list = [None] * len(z)
     batch = []
     for i, zi in enumerate(z):
         if k == 0 and max(zi) - min(zi) < CLUSTER_SPREAD:
             dd, offset, err = dd_exp_series(zi)
-            out[i] = ExpIntegralResult(volumes[i] * (dd * math.exp(offset - top)), err,
-                                       "series_fallback")
+            out[i] = [volumes[i] * (dd * math.exp(offset - tops[i]))], err, "series_fallback"
             continue
         batch.append(i)
     if not batch:
@@ -96,26 +99,25 @@ def _exp_integrals(z, volumes, b, k: int, top: float) -> list[ExpIntegralResult]
     n1 = len(z[batch[0]])
     rows, offset, errs = dd_exp_batch([z[i] for i in batch],
                                       [b[i] for i in batch] if k else None, k)
-    for r, i in enumerate(batch):
-        scale = math.exp(offset[r] - top)
-        corner_k = float(rows[r, k * n1 + n1 - 1]) * scale
-        if k == 0:
-            out[i] = ExpIntegralResult(volumes[i] * corner_k, float(errs[r]), "divided_difference")
-            continue
-        value = volumes[i] * math.factorial(k) * corner_k
-        # error relative to the cancellation-free magnitude bound |w|_max^k * I_0
-        corner_0 = float(rows[r, n1 - 1]) * scale
-        bound = (max(abs(x) for x in b[i]) ** k) * abs(corner_0) * volumes[i]
-        abs_err = float(errs[r]) * max(bound, abs(value))
-        rel = abs_err / abs(value) if value != 0.0 else abs_err
-        out[i] = ExpIntegralResult(value, rel, "divided_difference")
+    factorials = [math.factorial(j) for j in range(k + 1)]
+    for i, corners, off, err in zip(batch, rows[:, n1 - 1::n1].tolist(), offset.tolist(),
+                                    errs.tolist()):
+        scale = math.exp(off - tops[i])
+        values = [volumes[i] * f * (c * scale) for f, c in zip(factorials, corners)]
+        if k:
+            # error relative to the cancellation-free magnitude bound |w|_max^k * I_0
+            bound = (max(abs(x) for x in b[i]) ** k) * abs(corners[0] * scale) * volumes[i]
+            abs_err = err * max(bound, abs(values[k]))
+            err = abs_err / abs(values[k]) if values[k] != 0.0 else abs_err
+        out[i] = values, err, "divided_difference"
     return out
 
 
 def simplex_exp_integral(s: Simplex, l: AffineForm) -> ExpIntegralResult:
     """int_s e^{-l(y)} dy = n! vol(s) * (divided difference of exp at -l(vertices))."""
     z = [-v for v in _vertex_values(s, l)]
-    return _exp_integrals([z], [_factorial_volume(s)], None, 0, 0.0)[0]
+    (value,), err, method = _exp_integrals([z], [_factorial_volume(s)], None, 0, [0.0])[0]
+    return ExpIntegralResult(value, err, method)
 
 
 def simplex_weighted_exp_integral(s: Simplex, l: AffineForm, w: AffineForm, k: int) -> ExpIntegralResult:
@@ -129,7 +131,8 @@ def simplex_weighted_exp_integral(s: Simplex, l: AffineForm, w: AffineForm, k: i
         raise UnsupportedOrder(f"moment order {k} not in 0..{MAX_MOMENT_ORDER}")
     z = [-v for v in _vertex_values(s, l)]
     b = [_vertex_values(s, w)] if k else None
-    return _exp_integrals([z], [_factorial_volume(s)], b, k, 0.0)[0]
+    values, err, method = _exp_integrals([z], [_factorial_volume(s)], b, k, [0.0])[0]
+    return ExpIntegralResult(values[k], err, method)
 
 
 def _superlevel_share(values, level: Fraction) -> Fraction:
@@ -278,29 +281,22 @@ class PLConcaveFunction:
         return cls.make(domain, [(s, form) for s in domain.triangulate()])
 
     def _validate(self):
+        """Each distinct vertex is tested for containment once, each cell vertex evaluated once."""
         if not self.cells:
             raise InputError("piecewise function needs at least one cell")
-        total = sum((s.volume() for s, _ in self.cells), Fraction(0))
-        if total != self.domain.volume():
+        table = self._cell_table
+        if sum(det for _, det in table) != math.factorial(self.dim) * self.domain.volume():
             raise InputError("cells do not triangulate the domain (volume mismatch)")
-        for s, _ in self.cells:
-            for v in s.vertices:
-                if not self.domain.contains(v):
-                    raise InputError("cell vertex outside the domain")
         values = {}
-        for s, f in self.cells:
-            for v in s.vertices:
-                val = f(v)
+        for (s, _), (vals, _) in zip(self.cells, table):
+            for v, val in zip(s.vertices, vals):
                 if values.setdefault(v, val) != val:
                     raise InputError(f"adjacent pieces disagree at shared vertex {v}")
-        if self.concavity_certified:
-            for s, f in self.cells:
-                for v in s.vertices:
-                    for _, g in self.cells:
-                        if g(v) < f(v):
-                            raise InputError(
-                                "concavity certificate fails: piece exceeds the minimum"
-                            )
+        if not all(self.domain.contains(v) for v in values):
+            raise InputError("cell vertex outside the domain")
+        if self.concavity_certified and any(g(v) < val for v, val in values.items()
+                                            for _, g in self.cells):
+            raise InputError("concavity certificate fails: piece exceeds the minimum")
 
     @property
     def dim(self) -> int:
@@ -318,32 +314,39 @@ class PLConcaveFunction:
         return _survival_spline(self._cell_table, self.dim)
 
     @cached_property
+    def _node_table(self) -> tuple:
+        """(D, values, floats, volumes): per cell, the vertex values times their common
+        denominator D as integers and as floats, and n! vol as a float."""
+        d = math.lcm(*(v.denominator for vals, _ in self._cell_table for v in vals))
+        return (d, tuple(tuple(v.numerator * (d // v.denominator) for v in vals)
+                         for vals, _ in self._cell_table),
+                tuple(tuple(map(float, vals)) for vals, _ in self._cell_table),
+                tuple(float(det) for _, det in self._cell_table))
+
+    @cached_property
     def _pairing_table(self) -> dict:
-        """Per xi tuple, filled on first query: the exact <y', xi> at every
-        cell vertex, in canonical cell order."""
+        """Per xi tuple, filled on first query: (E, per cell the integers E <y', xi> at its
+        vertices), from the vertex coordinates times their common denominator."""
         return {}
 
     def _pairings(self, xi) -> tuple:
         key = rat_vector(xi)
-        table = self._pairing_table.get(key)
-        if table is None:
-            ell = pairing_form(key, self.dim)
-            table = tuple(tuple(ell(p) for p in s.vertices) for s, _ in self.cells)
-            self._pairing_table[key] = table
-        return table
-
-    def vertex_values(self) -> dict:
-        out = {}
-        for s, f in self.cells:
-            for v in s.vertices:
-                out[v] = f(v)
-        return out
+        if key not in self._pairing_table:
+            pairing_form(key, self.dim)  # InputError for a vector longer than the dimension
+            points = [p for s, _ in self.cells for p in s.vertices]
+            c = math.lcm(*(x.denominator for p in points for x in p))
+            e = math.lcm(*(x.denominator for x in key))
+            xs = [x.numerator * (e // x.denominator) for x in key]
+            self._pairing_table[key] = c * e, tuple(
+                tuple(sum(x * (y.numerator * (c // y.denominator)) for x, y in zip(xs, p))
+                      for p in s.vertices) for s, _ in self.cells)
+        return self._pairing_table[key]
 
     def min_value(self) -> Fraction:
-        return min(self.vertex_values().values())
+        return min(min(vals) for vals, _ in self._cell_table)
 
     def max_value(self) -> Fraction:
-        return max(self.vertex_values().values())
+        return max(max(vals) for vals, _ in self._cell_table)
 
     def rescaled(self, a, b) -> "PLConcaveFunction":
         """a*G + b for a > 0 (cells unchanged)."""
@@ -401,26 +404,31 @@ def pl_exp_integral(G: PLConcaveFunction, shift: AffineForm | None = None) -> Ex
     return ExpIntegralResult(total, err, method)
 
 
-def pl_cell_integrals(G: PLConcaveFunction, a, xi, k: int) -> tuple[float, list[float]]:
-    """int_s G^k e^{-(a G + <y', xi>)} dy for each cell s of G, in canonical order.
+def pl_cell_integrals(G: PLConcaveFunction, a_list, xi, k: int) -> list:
+    """int_s G^j e^{-(a G + <y', xi>)} dy for each a, each cell s of G and j = 0..k.
 
-    The nodes come from the exact vertex values and pairings cached on G,
-    rounded once; all cells share one kernel call.  Returns ``(top, leaves)``
-    with each cell's integral equal to leaf * e^{top}, top the largest node,
+    A node is -(p E v + q D e) / (q D E) for a = p/q, with v D and e E the
+    integer vertex value and pairing cached on G: one correctly rounded
+    int/int division, so it equals the exact value rounded once.  Every a
+    shares one kernel call.  Returns per a ``(top, leaves)``, leaves[j][s]
+    the integral over cell s relative to e^{top}, top that a's largest node,
     so sums of the leaves and their logarithms stay finite for any tilt.
     """
     if k < 0 or k > MAX_MOMENT_ORDER:
         raise UnsupportedOrder(f"moment order {k} not in 0..{MAX_MOMENT_ORDER}")
-    a = rat(a)
-    if any(xi):
-        z = [[-float(a * v + e) for v, e in zip(vals, pairs)]
-             for (vals, _), pairs in zip(G._cell_table, G._pairings(xi))]
-    else:
-        z = [[-float(a * v) for v in vals] for vals, _ in G._cell_table]
-    volumes = [float(det) for _, det in G._cell_table]
-    b = [[float(v) for v in vals] for vals, _ in G._cell_table] if k else None
-    top = max(max(zi) for zi in z)
-    return top, [r.value for r in _exp_integrals(z, volumes, b, k, top)]
+    d, values, floats, volumes = G._node_table
+    e, pairings = G._pairings(xi)
+    z, tops = [], []
+    for a in map(rat, a_list):
+        gv, ge, den = a.numerator * e, a.denominator * d, a.denominator * d * e
+        nodes = [[-((gv * v + ge * p) / den) for v, p in zip(vals, pairs)]
+                 for vals, pairs in zip(values, pairings)]
+        z += nodes
+        tops += [max(map(max, nodes))] * len(nodes)
+    rows = _exp_integrals(z, volumes * len(a_list), floats * len(a_list) if k else None, k, tops)
+    c = len(volumes)
+    return [(tops[i], [[row[0][j] for row in rows[i:i + c]] for j in range(k + 1)])
+            for i in range(0, len(rows), c)]
 
 
 def superlevel_log_gvolume(G: PLConcaveFunction, x, xi) -> tuple[float, float]:
@@ -438,8 +446,8 @@ def superlevel_log_gvolume(G: PLConcaveFunction, x, xi) -> tuple[float, float]:
         return 0.0, 0.0
     z = [[-float(ell(v)) for v in piece.vertices] for piece in pieces]
     top = max(max(zi) for zi in z)
-    leaves = _exp_integrals(z, [_factorial_volume(piece) for piece in pieces], None, 0, top)
-    return top, math.factorial(n) * compensated_tree_sum([r.value for r in leaves])
+    rows = _exp_integrals(z, [_factorial_volume(p) for p in pieces], None, 0, [top] * len(z))
+    return top, math.factorial(n) * compensated_tree_sum([values[0] for values, _, _ in rows])
 
 
 def superlevel_gvolume(G: PLConcaveFunction, x, xi=None) -> float:

@@ -31,6 +31,7 @@ from .rational import (
     format_rat,
     independent_rows,
     integer_rows,
+    list_field,
     matrix_rank,
     parse_number,
     rat,
@@ -221,16 +222,10 @@ class GradedFiltration:
         return doc
 
 
-def _list_field(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise InputError(f"{name} must be a JSON list, got {type(value).__name__}")
-    return value
-
-
 def _rows_field(value, name: str) -> list:
     """A JSON list of JSON lists."""
-    for row in _list_field(value, name):
-        _list_field(row, f"each row of the {name}")
+    for row in list_field(value, name):
+        list_field(row, f"each row of the {name}")
     return value
 
 
@@ -248,7 +243,7 @@ def filtration_from_json(doc: dict) -> GradedFiltration:
         if weights is not None:
             _rows_field(weights, f"weights of level {m}")
         if "values" in entry:
-            values = _list_field(entry["values"], f"values of level {m}")
+            values = list_field(entry["values"], f"values of level {m}")
             if len(values) != dim:
                 raise InputError(f"level {m}: {len(values)} values for dim {dim}")
             if "basis" in entry:
@@ -259,7 +254,7 @@ def filtration_from_json(doc: dict) -> GradedFiltration:
             else:
                 levels[m] = FiltrationLevel.from_values(m, values, weights)
         elif "flags" in entry:
-            flags = _list_field(entry["flags"], f"flags of level {m}")
+            flags = list_field(entry["flags"], f"flags of level {m}")
             if not all(isinstance(f, dict) and "value" in f and "rows" in f for f in flags):
                 raise InputError(f"each flag of level {m} needs a 'value' and 'rows'")
             flags = [(f["value"], _rows_field(f["rows"], f"flag rows of level {m}"))

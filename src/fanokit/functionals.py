@@ -22,7 +22,7 @@ from .errors import (
     InsufficientDegrees,
     NegativeSupport,
 )
-from .expint import PLConcaveFunction
+from .expint import PLConcaveFunction, exp_scaled
 from .filtration import GradedFiltration, successive_minima
 from .geometry import RationalPolytope, pairing_form
 from .measure import DHMeasure
@@ -107,13 +107,16 @@ class NAReport:
 
 def na_report(mu: DHMeasure, L: LPolicy, a_list=()) -> NAReport:
     """All functionals of one measure: E_k, S_tilde, H, D and requested Q^(a)."""
+    # before mass: a pushforward sums its mass in the same kernel batch
+    log_q = mu.log_exp_moments([1, *a_list])
     V = mu.mass()
-    E = mu.moment(1)
-    E_k = {k: mu.moment(k) for k in (1, 2, 3, 4)}
-    S = -mu.log_exp_moment(1)
+    moments = mu.tilted_moments(0, 4)
+    E_k = {k: moments[k] for k in (1, 2, 3, 4)}
+    E = E_k[1]
+    S = -log_q[0]
     if S > E + CONSISTENCY_TOL:
         raise FanokitError(f"S_tilde = {S} exceeds E = {E}: integrator inconsistency")
-    Q = {float(a): mu.exp_moment(a) for a in a_list}
+    Q = {float(a): exp_scaled(q) for a, q in zip(a_list, log_q[1:])}
     return NAReport(
         V=V, E=E, E_k=E_k, S_tilde=S, L=L.value, H=L.value - S, D=L.value - E,
         Q=Q, normalized=abs(L.value) <= CONSISTENCY_TOL,

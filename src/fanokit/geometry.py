@@ -94,12 +94,15 @@ class Simplex:
     """n+1 affinely independent points in Q^n."""
 
     vertices: tuple[Vector, ...]
+    _det: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.vertices) - 1
         if n < 1 or any(len(v) != n for v in self.vertices):
             raise DegenerateSimplex(f"need n+1 vertices in Q^n, got {len(self.vertices)}")
-        if self.edge_determinant() == 0:
+        base = self.vertices[0]
+        object.__setattr__(self, "_det", det([list(vsub(v, base)) for v in self.vertices[1:]]))
+        if self._det == 0:
             raise DegenerateSimplex("vertices are affinely dependent")
 
     @classmethod
@@ -111,8 +114,8 @@ class Simplex:
         return len(self.vertices) - 1
 
     def edge_determinant(self) -> Fraction:
-        base = self.vertices[0]
-        return det([list(vsub(v, base)) for v in self.vertices[1:]])
+        """det(v_1 - v_0, ..., v_n - v_0), computed once on construction."""
+        return self._det
 
     def volume(self) -> Fraction:
         vol = abs(self.edge_determinant())

@@ -4,9 +4,12 @@
 (a weighted Lebesgue measure on a polytope pushed forward under a
 piecewise-linear transform) answer one query protocol, the methods of
 ``DHMeasure``.  Pushforward densities are never materialized; every query is
-an integral over the polytope.  Exponential moments are summed in the log
-domain, relative to the largest exponent or kernel log offset, so log Q and
-S_tilde stay finite however far the support sits from 0.
+an integral over the polytope, and the queries take lists:
+``log_exp_moments`` stacks every a, and a = 0 for the mass, in one kernel
+batch, and ``tilted_moments`` reads all moments up to k from one derivative
+batch.  Exponential moments are summed in the log domain, relative to the
+largest exponent or kernel log offset, so log Q and S_tilde stay finite
+however far the support sits from 0.
 
 Distribution functions are exact where they can be.  An unweighted
 pushforward (xi = 0) reads the transform's survival spline: ``mass_above`` is
@@ -57,10 +60,10 @@ class SupportInfo:
 
 
 class DHMeasure:
-    """A finite measure on the line; subclasses supply ``mass``, ``moment``, ``log_exp_moment``,
-    ``tilted_moment``, ``_mass_above``, ``_share_above`` (mu{lambda >= t} / mass), ``support``,
+    """A finite measure on the line; subclasses supply ``mass``, ``log_exp_moments``,
+    ``tilted_moments``, ``_mass_above``, ``_share_above`` (mu{lambda >= t} / mass), ``support``,
     ``_affine``, ``twisted``, ``inverse_power_mean``, ``to_json`` and ``_cdf`` (the
-    normalized CDF that ``wasserstein1`` reads)."""
+    normalized CDF that ``wasserstein1`` reads); the scalar queries read the list ones."""
 
     @staticmethod
     def atomic(atoms) -> "AtomicMeasure":
@@ -92,9 +95,21 @@ class DHMeasure:
         dom = RationalPolytope.interval(lo, hi)
         return DHMeasure.pushforward(PLConcaveFunction.linear(dom, [1], 0))
 
+    def moment(self, k: int) -> float:
+        """(1/mass) int lambda^k dmu for 0 <= k <= 4; moment(0) = 1."""
+        return self.tilted_moments(0, k)[k]
+
+    def log_exp_moment(self, a) -> float:
+        """log (1/mass) int e^{-a lambda} dmu."""
+        return self.log_exp_moments([a])[0]
+
     def exp_moment(self, a) -> float:
         """(1/mass) int e^{-a lambda} dmu for a > 0."""
         return exp_scaled(self.log_exp_moment(a))
+
+    def tilted_moment(self, a, k: int) -> float:
+        """int lambda^k e^{-a lambda} dmu / int e^{-a lambda} dmu."""
+        return self.tilted_moments(a, k)[k]
 
     def mass_above(self, t) -> float:
         """mu({lambda >= t}); for pushforwards this is the weighted superlevel volume."""
@@ -141,16 +156,20 @@ class AtomicMeasure(DHMeasure):
             raise UnsupportedOrder(f"moment order {k} not in 0..{MAX_MOMENT_ORDER}")
         return float(sum((m * pos**k for pos, m, _ in self.atoms), Fraction(0)) / self._total)
 
-    def log_exp_moment(self, a) -> float:
-        """log (1/mass) int e^{-a lambda} dmu; exactly -a x for a Dirac at x."""
-        top, terms = self._tilt(a)
-        return top + math.log(compensated_tree_sum(terms))
+    def log_exp_moments(self, a_list) -> list[float]:
+        """log (1/mass) int e^{-a lambda} dmu per a; exactly -a x for a Dirac at x."""
+        return [top + math.log(compensated_tree_sum(terms))
+                for top, terms in map(self._tilt, a_list)]
 
-    def tilted_moment(self, a, k: int) -> float:
-        """int lambda^k e^{-a lambda} dmu / int e^{-a lambda} dmu."""
+    def tilted_moments(self, a, k: int) -> list[float]:
+        """int lambda^j e^{-a lambda} dmu / int e^{-a lambda} dmu for j = 0..k; at a = 0
+        the exact moments, exactly rounded."""
+        if a == 0:
+            return [self.moment(j) for j in range(k + 1)]
         _, terms = self._tilt(a)
-        return (compensated_tree_sum([float(x)**k * t for (x, _), t in zip(self._merged, terms)])
-                / compensated_tree_sum(terms))
+        total = compensated_tree_sum(terms)
+        return [compensated_tree_sum([float(x)**j * t for (x, _), t in zip(self._merged, terms)])
+                / total for j in range(k + 1)]
 
     def _mass_above(self, t: Fraction) -> float:
         return float(sum((m for pos, m, _ in self.atoms if pos >= t), Fraction(0)))
@@ -212,35 +231,34 @@ class PushforwardMeasure(DHMeasure):
 
     @cached_property
     def _sums(self) -> dict:
-        """Cell sums per (a, k) queried: reports and rescaling ask for some twice."""
+        """(top, s) per a queried, s e^{top} = n! * sum over the cells of
+        int e^{-(a G + <y', xi>)} dy; a = 0 gives the mass."""
         return {}
 
-    def _cell_sum(self, a, k: int) -> tuple[float, float]:
-        """(top, s) with s e^{top} = n! * sum over the cells of int G^k e^{-(a G + <y', xi>)} dy."""
-        key = (rat(a), k)
-        if key not in self._sums:
-            top, leaves = pl_cell_integrals(self.transform, key[0], self.weight_xi, k)
-            self._sums[key] = top, math.factorial(self.transform.dim) * compensated_tree_sum(leaves)
-        return self._sums[key]
+    def _exp_sums(self, a_list) -> list[tuple[float, float]]:
+        """The cell sums of a = 0 and of each a; those not cached share one kernel batch."""
+        keys = [Fraction(0), *map(rat, a_list)]
+        todo = [a for a in dict.fromkeys(keys) if a not in self._sums]
+        scale = math.factorial(self.transform.dim)
+        for a, (top, (leaves,)) in zip(todo, pl_cell_integrals(self.transform, todo,
+                                                                 self.weight_xi, 0)):
+            self._sums[a] = top, scale * compensated_tree_sum(leaves)
+        return [self._sums[a] for a in keys]
 
     def mass(self) -> float:
-        return exp_scaled(*self._cell_sum(0, 0))
+        return exp_scaled(*self._exp_sums(())[0])
 
-    def moment(self, k: int) -> float:
-        """(1/mass) int lambda^k dmu for 0 <= k <= 4; moment(0) = 1."""
-        return self.tilted_moment(0, k)
+    def log_exp_moments(self, a_list) -> list[float]:
+        """log (1/mass) int e^{-a lambda} dmu per a, from the kernel's log offsets."""
+        (top0, s0), *sums = self._exp_sums(a_list)
+        return [(top - top0) + math.log(s / s0) for top, s in sums]
 
-    def log_exp_moment(self, a) -> float:
-        """log (1/mass) int e^{-a lambda} dmu, from the kernel's log offsets."""
-        top, s = self._cell_sum(a, 0)
-        top0, s0 = self._cell_sum(0, 0)
-        return (top - top0) + math.log(s / s0)
-
-    def tilted_moment(self, a, k: int) -> float:
-        """int lambda^k e^{-a lambda} dmu / int e^{-a lambda} dmu."""
-        top, s = self._cell_sum(a, k)
-        top0, s0 = self._cell_sum(a, 0)
-        return s / s0 * math.exp(top - top0)
+    def tilted_moments(self, a, k: int) -> list[float]:
+        """int lambda^j e^{-a lambda} dmu / int e^{-a lambda} dmu for j = 0..k <= 4, from one
+        kernel batch, each sum divided by that batch's own j = 0 sum."""
+        ((_, leaves),) = pl_cell_integrals(self.transform, [a], self.weight_xi, k)
+        sums = [compensated_tree_sum(cells) for cells in leaves]
+        return [s / sums[0] for s in sums]
 
     def _mass_above(self, t: Fraction) -> float:
         return superlevel_gvolume(self.transform, t, self.weight_xi or None)
@@ -251,7 +269,7 @@ class PushforwardMeasure(DHMeasure):
             spline = self.transform._survival_spline
             return float(spline(t) / spline.total)
         top, v = superlevel_log_gvolume(self.transform, t, self.weight_xi)
-        top0, v0 = self._cell_sum(0, 0)
+        top0, v0 = self._exp_sums(())[0]
         return v / v0 * math.exp(top - top0) if v else 0.0
 
     def support(self) -> SupportInfo:

@@ -249,8 +249,8 @@ def rescale_opt(A, mu: DHMeasure, tol: float = NEWTON_TOL) -> OptResult:
 
     def tilted_stats(a):
         # mean and variance of x under the tilted law e^{-a x} dmu / normalization
-        m1 = mu_w.tilted_moment(a, 1)
-        return m1, max(mu_w.tilted_moment(a, 2) - m1 * m1, 0.0)
+        _, m1, m2 = mu_w.tilted_moments(a, 2)
+        return m1, max(m2 - m1 * m1, 0.0)
 
     def f(a):
         return a * A_w + mu_w.log_exp_moment(a)
@@ -380,7 +380,7 @@ def interpolation_derivative(transform_or_filtration, xi, L_hat,
         def h_hat(s):
             # log int e^{-(s G + (1 - s) <y, xi>)}, from log-offset cell integrals
             s_r = rat(s).limit_denominator(10**15)
-            top, leaves = pl_cell_integrals(G, s_r, [(1 - s_r) * x for x in xi_r], 0)
+            ((top, (leaves,)),) = pl_cell_integrals(G, [s_r], [(1 - s_r) * x for x in xi_r], 0)
             return float(s) * L_hat + top + math.log(compensated_tree_sum(leaves))
 
         # analytic: L_hat - (int (G - <y, xi>) e^{-<y, xi>}) / (int e^{-<y, xi>})

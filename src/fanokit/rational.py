@@ -58,7 +58,9 @@ def rat(x) -> Fraction:
 
 def parse_number(value, name: str, kind=int, minimum=None):
     """``kind(value)`` for an ``int`` or ``float`` field, at least ``minimum`` when
-    one is given; anything else is an input error."""
+    one is given; anything else, a boolean included, is an input error."""
+    if isinstance(value, bool):
+        raise InputError(f"{name} {value!r} is not a number")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -69,7 +71,17 @@ def parse_number(value, name: str, kind=int, minimum=None):
     return number
 
 
+def list_field(value, name: str) -> list:
+    """A document field that must be a JSON list; anything else is an input error."""
+    if not isinstance(value, list):
+        raise InputError(f"{name} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def rat_vector(seq) -> Vector:
+    """Rationals from an iterable; a string, bytes, an object or a scalar is an InputError."""
+    if isinstance(seq, (str, bytes, dict)) or not hasattr(seq, "__iter__"):
+        raise InputError(f"not a vector: {seq!r}")
     return tuple(rat(x) for x in seq)
 
 

@@ -585,3 +585,54 @@ def test_csv_table_format():
     lines = table.strip().splitlines()
     assert lines[0] == "a,b"
     assert lines[2].startswith("2,0.33333333333333331")
+
+
+LEVEL_PAIR = {"filtration_a": {"levels": {"2": {"dim": 2, "values": ["0", "1"]}}},
+              "filtration_b": {"levels": {"2": {"dim": 2, "values": ["1", "1"]}}}}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("report", {"measure": DIRAC, "a": "10"}),
+    ("report", {"measure": dict(_square_transform_doc(), weight_xi="10")}),
+    ("report", {"measure": _square_transform_doc(), "xi_list": ["10"]}),
+    ("distance", dict(LEVEL_PAIR, p=True)),
+    ("report", {"measure": DIRAC, "a": 5}),
+    ("report", {"measure": _square_transform_doc(), "xi_list": [5]}),
+    ("degenerate", dict(DEGENERATE, w=5)),
+    ("cone", {"measure": _square_transform_doc(), "A": "3", "s_grid": "10"}),
+    ("report", {"measure": _square_transform_doc(), "xi_list": 5}),
+    ("report", {"candidates": 5}),
+    ("cone", {"measure": _square_transform_doc(), "A": "3", "s_grid": 5}),
+], ids=["a-string", "weight-xi-string", "xi-string", "p-boolean", "a-scalar", "xi-scalar",
+        "w-scalar", "s-grid-string", "xi-list-scalar", "candidates-scalar", "s-grid-scalar"])
+def test_string_scalar_or_boolean_for_a_list_exit_2(tmp_path, capsys, command, doc):
+    """A string is not read as its digits, nor a boolean as 1, nor a scalar iterated."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli([command, "--input", str(path), "--output", str(tmp_path / "o")],
+                           capsys)
+    assert code == 2 and err.startswith("input error: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_report_two_kernel_batches_per_tilt(tmp_path, capsys, monkeypatch):
+    """Per tilt, one batch stacks the mass and every exponential moment, and one
+    derivative batch gives E_1 ... E_4."""
+    import fanokit.expint as expint
+
+    calls = []
+    real_batch = expint.dd_exp_batch
+
+    def counted_batch(*args, **kwargs):
+        calls.append(1)
+        return real_batch(*args, **kwargs)
+
+    monkeypatch.setattr(expint, "dd_exp_batch", counted_batch)
+    doc = {"measure": _square_transform_doc(), "xi_list": [["0", "0"], ["-1/2", "1/4"]],
+           "a": ["1/2", "3"]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    code, _, _ = run_cli(["report", "--input", str(path), "--output", str(tmp_path / "o")],
+                         capsys)
+    assert code == 0
+    assert len(calls) == 4

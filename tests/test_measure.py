@@ -1,11 +1,20 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import fanokit.expint as expint
 from fanokit._kernel import compensated_tree_sum
 from fanokit.errors import InputError, NonFiniteResult, NonpositiveScale, UnsupportedOrder
-from fanokit.expint import PLConcaveFunction, _exp_integrals, simplex_exp_integral
+from fanokit.expint import (
+    PLConcaveFunction,
+    _exp_integrals,
+    pl_cell_integrals,
+    simplex_exp_integral,
+)
 from fanokit.geometry import AffineForm, RationalPolytope, Simplex, pairing_form
 from fanokit.measure import DHMeasure, cdf_samples, measure_from_json, wasserstein1
 from fanokit.rational import rat
@@ -247,38 +256,85 @@ def _clustered_transform():
 
 @pytest.mark.parametrize("weight_xi", [(), (Fraction(1, 3), 0)])
 def test_batched_cell_sums_bit_identical(weight_xi):
-    """Every pushforward query equals its per-cell log-domain sum, bit for bit."""
+    """Every pushforward query equals its per-cell log-domain sum, bit for bit; a moment
+    is normalized by the j = 0 corner of its own derivative batch."""
     G = _clustered_transform()
     mu = DHMeasure.pushforward(G, weight_xi)
     ell = pairing_form(weight_xi, 2)
     a = Fraction(3, 2)
 
     def per_cell(form_of, k=0):
-        """(top, s): 2! * sum over the cells of int f^k e^{-form} = s e^top, one cell per call."""
+        """(top, [s_0, ..., s_k]): 2! * sum over the cells of int f^j e^{-form} = s_j e^top,
+        one cell per call."""
         nodes = [[-float(form_of(f)(v)) for v in s.vertices] for s, f in G.cells]
         top = max(max(z) for z in nodes)
         leaves = [_exp_integrals([z], [float(abs(s.edge_determinant()))],
-                                 [[float(f(v)) for v in s.vertices]] if k else None, k, top)[0].value
+                                 [[float(f(v)) for v in s.vertices]] if k else None, k, [top])[0][0]
                   for z, (s, f) in zip(nodes, G.cells)]
-        return top, 2 * compensated_tree_sum(leaves)
+        return top, [2 * compensated_tree_sum(list(corner)) for corner in zip(*leaves)]
 
     if not weight_xi:  # one query mixes the series fallback with the matrix path
         methods = {simplex_exp_integral(s, f.scaled(a)).method for s, f in G.cells}
         assert methods == {"series_fallback", "divided_difference"}
-    top0, mass = per_cell(lambda f: ell)
+    top0, (mass,) = per_cell(lambda f: ell)
     assert mu.mass() == mass * math.exp(top0)
     for k in (1, 2, 3, 4):
-        top, s = per_cell(lambda f: ell, k)
-        assert mu.moment(k) == s / mass * math.exp(top - top0)
-    top, s = per_cell(lambda f: f.scaled(a).plus(ell))
+        _, s = per_cell(lambda f: ell, k)
+        assert mu.moment(k) == s[k] / s[0]
+    top, (s,) = per_cell(lambda f: f.scaled(a).plus(ell))
     assert mu.log_exp_moment(a) == (top - top0) + math.log(s / mass)
     assert mu.exp_moment(a) == math.exp(mu.log_exp_moment(a))
     for tilt in (a, 0.7):
         at = rat(tilt)
-        tilted0 = per_cell(lambda f: f.scaled(at).plus(ell))
         for k in (1, 2):
-            top, s = per_cell(lambda f: f.scaled(at).plus(ell), k)
-            assert mu.tilted_moment(tilt, k) == s / tilted0[1] * math.exp(top - tilted0[0])
+            _, s = per_cell(lambda f: f.scaled(at).plus(ell), k)
+            assert mu.tilted_moment(tilt, k) == s[k] / s[0]
+
+
+def test_stacked_log_exp_moments_match_single_queries():
+    """One stacked batch gives each log_exp_moment bit for bit, series and matrix rows mixed."""
+    tilts = [Fraction(3, 2), 0.7, Fraction(-1, 3)]
+    for weight_xi in [(), (Fraction(1, 3), 0)]:
+        stacked = DHMeasure.pushforward(_clustered_transform(), weight_xi).log_exp_moments(tilts)
+        assert stacked == [DHMeasure.pushforward(_clustered_transform(), weight_xi)
+                           .log_exp_moment(a) for a in tilts]
+
+
+HUGE = st.fractions(min_value=-100, max_value=100, max_denominator=10**30)
+
+
+@st.composite
+def parallelogram_transforms(draw):
+    """Two cells of a parallelogram whose coordinates and values have denominators up to 1e30."""
+    p0, u, w = ([draw(HUGE), draw(HUGE)] for _ in range(3))
+    assume(u[0] * w[1] - u[1] * w[0] != 0)
+    corners = [tuple(p0), tuple(p + x for p, x in zip(p0, u)),
+               tuple(p + x + y for p, x, y in zip(p0, u, w)), tuple(p + y for p, y in zip(p0, w))]
+    value = {c: draw(HUGE) for c in corners}
+    cells = [(Simplex.make(t), _affine_through(t, [value[v] for v in t]))
+             for t in ((corners[0], corners[1], corners[2]), (corners[0], corners[3], corners[2]))]
+    return PLConcaveFunction.make(RationalPolytope.from_vertices(corners), cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parallelogram_transforms(),
+       st.one_of(st.floats(min_value=-1e6, max_value=1e6), HUGE.map(str)),
+       st.one_of(st.just(()), st.lists(HUGE, min_size=1, max_size=2)))
+def test_integer_nodes_are_the_exact_values_rounded_once(G, a, xi):
+    """A node from the integer tables equals -float(a v + e) of the exact value, sign included."""
+    nodes = []
+    real = expint._exp_integrals
+
+    def recording(z, *args):
+        nodes.extend(z)
+        return real(z, *args)
+
+    with mock.patch.object(expint, "_exp_integrals", recording):
+        pl_cell_integrals(G, [a], xi, 0)
+    ell = pairing_form(xi, 2)
+    want = [[-float(rat(a) * f(v) + ell(v)) for v in s.vertices] for s, f in G.cells]
+    assert nodes == want
+    assert [list(map(float.hex, z)) for z in nodes] == [list(map(float.hex, z)) for z in want]
 
 
 def test_tilts_sharing_a_transform():

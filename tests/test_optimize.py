@@ -201,6 +201,25 @@ def test_soliton_solve_one_kernel_batch_per_point(monkeypatch):
     assert len(batches) == len(points)
 
 
+def test_rescale_one_kernel_batch_per_iterate(monkeypatch):
+    """rescale_opt pays one derivative batch per Newton iterate, plus a fixed few."""
+    import fanokit.expint as expint
+
+    calls = []
+    real_batch = expint.dd_exp_batch
+
+    def counted_batch(*args, **kwargs):
+        calls.append(1)
+        return real_batch(*args, **kwargs)
+
+    monkeypatch.setattr(expint, "dd_exp_batch", counted_batch)
+    res = rescale_opt(1.3, DHMeasure.uniform(Fraction(1, 2), Fraction(5, 2)))
+    assert res.converged and res.iterations >= 3
+    # the variance at a = 1, the mean at 0, one bracket step, the iterate that
+    # stops the loop and the final value
+    assert len(calls) == res.iterations + 5
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3]), st.integers(0, 10**6),
        st.lists(st.floats(-4, 4), min_size=3, max_size=3))
