@@ -77,7 +77,8 @@ def run_p1_checks(F: GradedFiltration, limit: DHMeasure, ambient_dim: int,
     gaps = [abs(q - target) for _, q in qs]
     ok = all(a >= b_ - 1e-12 for a, b_ in zip(gaps, gaps[1:]))
     results.append(("qm-convergence", ok,
-                    f"|Q_m - Q| decreasing over {len(qs)} degrees, last = {gaps[-1]:.3e}"))
+                    f"|Q_m - Q| decreasing over {len(qs)} degrees"
+                    + (f", last = {gaps[-1]:.3e}" if gaps else "")))
 
     warnings = multiplicativity_warnings(F)
     results.append(("superadditivity", not warnings,

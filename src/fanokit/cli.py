@@ -32,11 +32,12 @@ from .functionals import LPolicy, na_report
 from .geometry import polytope_from_json
 from .measure import DHMeasure, cdf_samples, measure_from_json, wasserstein1
 from .optimize import cone_family, rescale_opt, soliton_vector, twist_opt
-from .rational import format_rat, list_field, parse_number, rat, rat_vector
+from .rational import format_rat, need, parse_number, rat, rat_rows, rat_vector
 from .serialize import csv_table, dumps_canonical
 
 COMMANDS = ("dh", "report", "soliton", "rescale", "twist-opt", "degenerate",
             "distance", "cone", "check")
+_DOC = "input document"
 
 
 def _load_document(path: str) -> dict:
@@ -77,22 +78,13 @@ def _parse_degrees(arg) -> list[int]:
     return list(range(lo, (parse_number(hi, "degree", minimum=1) if dots else lo) + 1))
 
 
-def _need(doc: dict, key: str):
-    if not isinstance(doc, dict):
-        raise InputError(f"expected a JSON object with a '{key}' field, "
-                         f"got {type(doc).__name__}")
-    if key not in doc:
-        raise InputError(f"input document is missing the '{key}' field")
-    return doc[key]
-
-
 def _measure_from_doc(doc: dict) -> DHMeasure:
     if "measure" in doc:
         return measure_from_json(doc["measure"])
     if "filtration" in doc and "degree" in doc:
         F = filtration_from_json(doc["filtration"])
         return empirical_dh(F, parse_number(doc["degree"], "degree", minimum=1),
-                            parse_number(_need(doc, "ambient_dim"), "ambient_dim", minimum=0))
+                            parse_number(need(doc, _DOC, "ambient_dim"), "ambient_dim", minimum=0))
     raise InputError("document needs 'measure' or 'filtration' + 'degree'")
 
 
@@ -101,8 +93,8 @@ def _measure_from_doc(doc: dict) -> DHMeasure:
 
 
 def _cmd_dh(doc, options):
-    F = filtration_from_json(_need(doc, "filtration"))
-    n = parse_number(_need(doc, "ambient_dim"), "ambient_dim", minimum=0)
+    F = filtration_from_json(need(doc, _DOC, "filtration"))
+    n = parse_number(need(doc, _DOC, "ambient_dim"), "ambient_dim", minimum=0)
     degrees = _parse_degrees(options.degrees) or _parse_degrees(doc.get("degrees")) or F.degrees()
     out = {"command": "dh", "ambient_dim": n, "measures": {}}
     csv = None
@@ -157,15 +149,15 @@ def _convergence_csv(report) -> str:
 
 def _cmd_report(doc, options):
     L = LPolicy.from_json(doc.get("L"))
-    a_list = [float(rat(a)) for a in options.a or list_field(doc.get("a", []), "'a'")]
+    a_list = [float(a) for a in rat_vector(options.a or doc.get("a", ()), "'a'")]
     out = {"command": "report"}
     csv = None
     if "candidates" in doc:
         rows = []
         best = None
-        for cand in list_field(doc["candidates"], "candidates"):
-            mu = measure_from_json(_need(cand, "measure"))
-            A = float(rat(_need(cand, "A")))
+        for cand in need(doc, _DOC, "candidates", kind=list):
+            mu = measure_from_json(need(cand, "candidate", "measure"))
+            A = float(rat(need(cand, "candidate", "A")))
             res = rescale_opt(A, mu)
             rows.append({"label": cand.get("label", ""), "A": A,
                          "a_star": res.argmin, "value": res.value})
@@ -178,8 +170,7 @@ def _cmd_report(doc, options):
     if "xi_list" in doc:
         rows = []
         csv_rows = []
-        for xi in list_field(doc["xi_list"], "xi_list"):
-            vec = rat_vector(xi)
+        for vec in rat_rows(doc["xi_list"], "xi_list"):
             nu = mu.twisted(vec)
             rep = na_report(nu, L.twisted(), a_list)
             rows.append({"xi": [format_rat(x) for x in vec], "report": rep.to_json()})
@@ -195,7 +186,7 @@ def _cmd_report(doc, options):
 
 
 def _cmd_soliton(doc, options):
-    poly = polytope_from_json(_need(doc, "polytope"))
+    poly = polytope_from_json(need(doc, _DOC, "polytope"))
     rank = parse_number(doc.get("projection_rank", poly.dim), "projection_rank")
     res = soliton_vector(poly, rank, tol=options.tol)
     return {"command": "soliton", "result": res.to_json()}, None
@@ -203,12 +194,12 @@ def _cmd_soliton(doc, options):
 
 def _cmd_rescale(doc, options):
     mu = _measure_from_doc(doc)
-    res = rescale_opt(float(rat(_need(doc, "A"))), mu, tol=options.tol)
+    res = rescale_opt(float(rat(need(doc, _DOC, "A"))), mu, tol=options.tol)
     return {"command": "rescale", "result": res.to_json()}, None
 
 
 def _cmd_twist_opt(doc, options):
-    F = filtration_from_json(_need(doc, "filtration"))
+    F = filtration_from_json(need(doc, _DOC, "filtration"))
     degrees = _parse_degrees(options.degrees) or _parse_degrees(doc.get("degrees")) or F.degrees()
     L = LPolicy.from_json(doc.get("L"))
     res = twist_opt(F, degrees, L, tol=options.tol)
@@ -216,11 +207,11 @@ def _cmd_twist_opt(doc, options):
 
 
 def _cmd_degenerate(doc, options):
-    model = MonomialModel(parse_number(_need(_need(doc, "model"), "num_vars"), "num_vars",
-                                      minimum=1))
-    w = rat_vector(_need(doc, "w"))
-    F1 = filtration_from_json(_need(doc, "filtration"))
-    m = parse_number(_need(doc, "degree"), "degree", minimum=1)
+    model = MonomialModel(parse_number(need(need(doc, _DOC, "model"), "model", "num_vars"),
+                                       "num_vars", minimum=1))
+    w = rat_vector(need(doc, _DOC, "w"), "w", model.num_vars)
+    F1 = filtration_from_json(need(doc, _DOC, "filtration"))
+    m = parse_number(need(doc, _DOC, "degree"), "degree", minimum=1)
     prime = initial_term_degeneration(model, w, F1, m)
     F0 = weight_filtration(model, w, m)
     lhs = relative_minima(F0, F1, m)
@@ -236,8 +227,8 @@ def _cmd_degenerate(doc, options):
 
 
 def _cmd_distance(doc, options):
-    Fa = filtration_from_json(_need(doc, "filtration_a"))
-    Fb = filtration_from_json(_need(doc, "filtration_b"))
+    Fa = filtration_from_json(need(doc, _DOC, "filtration_a"))
+    Fb = filtration_from_json(need(doc, _DOC, "filtration_b"))
     degrees = _parse_degrees(options.degrees) or _parse_degrees(doc.get("degrees"))
     if not degrees:
         degrees = sorted(set(Fa.degrees()) & set(Fb.degrees()))
@@ -262,9 +253,9 @@ def _cmd_distance(doc, options):
 
 def _cmd_cone(doc, options):
     mu = _measure_from_doc(doc)
-    A = float(rat(_need(doc, "A")))
-    s_grid = [float(rat(s)) for s in list_field(doc.get("s_grid", []), "s_grid")] or None
-    scan = cone_family(A, mu, s_grid, dim=parse_number(doc.get("dim", 1), "dim"))
+    A = float(rat(need(doc, _DOC, "A")))
+    s_grid = [float(s) for s in rat_vector(doc.get("s_grid", ()), "s_grid")] or None
+    scan = cone_family(A, mu, s_grid, dim=parse_number(doc.get("dim", 1), "dim", minimum=1))
     out = {
         "command": "cone",
         "scan": scan.to_json(),
@@ -280,8 +271,8 @@ def _cmd_check(doc, options):
     results = []
     if "filtration" in doc:
         F = filtration_from_json(doc["filtration"])
-        limit = measure_from_json(_need(doc, "limit"))
-        n = parse_number(_need(doc, "ambient_dim"), "ambient_dim", minimum=0)
+        limit = measure_from_json(need(doc, _DOC, "limit"))
+        n = parse_number(need(doc, _DOC, "ambient_dim"), "ambient_dim", minimum=0)
         volume = rat(doc.get("volume", 1))
         results.extend(run_p1_checks(F, limit, n, volume))
     if "polytope" in doc:

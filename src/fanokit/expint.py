@@ -39,7 +39,7 @@ from .geometry import (
     halfspace_slice,
     pairing_form,
 )
-from .rational import format_rat, rat, rat_vector
+from .rational import format_rat, need, rat, rat_rows, rat_vector
 
 #: node spread below which the series is used; absolute, since DD[exp](z + c) = e^c DD[exp](z)
 CLUSTER_SPREAD = 1e-4
@@ -370,16 +370,16 @@ class PLConcaveFunction:
 
     @classmethod
     def from_json(cls, doc: dict, domain: RationalPolytope | None = None) -> "PLConcaveFunction":
-        if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
-            raise InputError("piecewise-function document needs a 'cells' list")
+        # the dimension is the domain's, else the first cell's
+        n = None if domain is None else domain.dim
         cells = []
-        for cell in doc["cells"]:
-            aff = cell.get("affine") if isinstance(cell, dict) else None
-            if (not isinstance(aff, dict) or "simplex" not in cell
-                    or not {"gradient", "constant"} <= aff.keys()):
-                raise InputError(f"cell {cell!r} needs 'simplex' and 'affine' fields")
-            simplex = Simplex.make(cell["simplex"])
-            cells.append((simplex, AffineForm(rat_vector(aff["gradient"]), rat(aff["constant"]))))
+        for cell in need(doc, "piecewise-function document", "cells", kind=list):
+            vertices, affine = need(cell, "cell", "simplex", "affine")
+            gradient, constant = need(affine, "cell affine form", "gradient", "constant")
+            simplex = Simplex(rat_rows(vertices, "cell simplex", n))
+            n = simplex.dim
+            cells.append((simplex, AffineForm(rat_vector(gradient, "cell gradient", n),
+                                              rat(constant))))
         if domain is None:
             domain = RationalPolytope.from_vertices(
                 [v for s, _ in cells for v in s.vertices]

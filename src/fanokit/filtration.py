@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, fsum, gcd
 
 from .errors import (
     DimensionMismatch,
@@ -31,10 +31,11 @@ from .rational import (
     format_rat,
     independent_rows,
     integer_rows,
-    list_field,
     matrix_rank,
+    need,
     parse_number,
     rat,
+    rat_rows,
     rat_vector,
     row_echelon,
 )
@@ -222,43 +223,28 @@ class GradedFiltration:
         return doc
 
 
-def _rows_field(value, name: str) -> list:
-    """A JSON list of JSON lists."""
-    for row in list_field(value, name):
-        list_field(row, f"each row of the {name}")
-    return value
-
-
 def filtration_from_json(doc: dict) -> GradedFiltration:
-    levels_doc = doc.get("levels") if isinstance(doc, dict) else None
-    if not isinstance(levels_doc, dict):
-        raise InputError("filtration document needs a 'levels' map")
+    levels_doc = need(doc, "filtration document", "levels")
+    need(levels_doc, "the 'levels' map")
+    if not levels_doc:
+        raise InputError("the 'levels' map needs at least one level")
     levels = {}
     for key, entry in levels_doc.items():
         m = parse_number(key, "level degree", minimum=1)
-        if not isinstance(entry, dict) or "dim" not in entry:
-            raise InputError(f"level {m} needs an object with a 'dim' field")
-        dim = parse_number(entry["dim"], f"dim of level {m}")
+        dim = parse_number(need(entry, f"level {m}", "dim"), f"dim of level {m}")
         weights = entry.get("weights")
         if weights is not None:
-            _rows_field(weights, f"weights of level {m}")
+            weights = rat_rows(weights, f"weights of level {m}")
         if "values" in entry:
-            values = list_field(entry["values"], f"values of level {m}")
-            if len(values) != dim:
-                raise InputError(f"level {m}: {len(values)} values for dim {dim}")
-            if "basis" in entry:
-                basis = tuple(rat_vector(r)
-                              for r in _rows_field(entry["basis"], f"basis of level {m}"))
-                wts = tuple(rat_vector(w) for w in weights) if weights else None
-                levels[m] = FiltrationLevel(m, basis, tuple(rat(v) for v in values), wts)
-            else:
-                levels[m] = FiltrationLevel.from_values(m, values, weights)
+            values = rat_vector(entry["values"], f"values of level {m}", dim)
+            basis = entry.get("basis")
+            if basis is not None:
+                basis = rat_rows(basis, f"basis of level {m}", dim)
+            levels[m] = FiltrationLevel(m, basis, values, weights)
         elif "flags" in entry:
-            flags = list_field(entry["flags"], f"flags of level {m}")
-            if not all(isinstance(f, dict) and "value" in f and "rows" in f for f in flags):
-                raise InputError(f"each flag of level {m} needs a 'value' and 'rows'")
-            flags = [(f["value"], _rows_field(f["rows"], f"flag rows of level {m}"))
-                     for f in flags]
+            flags = [need(f, f"each flag of level {m}", "value", "rows")
+                     for f in need(entry, f"level {m}", "flags", kind=list)]
+            flags = [(v, rat_rows(rows, f"flag rows of level {m}", dim)) for v, rows in flags]
             levels[m] = FiltrationLevel.from_flags(m, dim, flags, ambient_weights=weights)
         else:
             raise InputError(f"level {m} needs 'values' or 'flags'")
@@ -399,16 +385,18 @@ def relative_minima(F0: GradedFiltration, F1: GradedFiltration, m: int) -> list[
 
 
 def d_p_level(F0: GradedFiltration, F1: GradedFiltration, m: int, p=2) -> float:
-    """((1/N_m) sum |delta mu / m|^p)^(1/p) at the fixed degree m."""
+    """((1/N_m) sum |delta mu / m|^p)^(1/p) at the fixed degree m.
+
+    Taken as M ((1/N_m) sum (x_i / M)^p)^(1/p) with x_i = |delta mu_i / m| and
+    M = max x_i, so no power underflows or overflows however large p is.
+    """
     if p < 1:
         raise InputError(f"p must be >= 1, got {p}")
-    diffs = relative_minima(F0, F1, m)
-    n = len(diffs)
-    if p == int(p):
-        total = sum((abs(d) / m) ** int(p) for d in diffs) / n
-        return float(total) ** (1.0 / p)
-    total = sum(abs(float(d) / m) ** p for d in diffs) / n
-    return total ** (1.0 / p)
+    xs = [float(abs(d) / m) for d in relative_minima(F0, F1, m)]
+    top = max(xs)
+    if top == 0:
+        return 0.0
+    return top * (fsum((x / top) ** p for x in xs) / len(xs)) ** (1.0 / p)
 
 
 def q_m(F: GradedFiltration, m: int) -> float:

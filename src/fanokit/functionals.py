@@ -26,7 +26,7 @@ from .expint import PLConcaveFunction, exp_scaled
 from .filtration import GradedFiltration, successive_minima
 from .geometry import RationalPolytope, pairing_form
 from .measure import DHMeasure
-from .rational import rat, solve_square
+from .rational import need, rat, solve_square
 
 CONSISTENCY_TOL = 1e-10
 
@@ -66,15 +66,15 @@ class LPolicy:
     def from_json(cls, doc) -> "LPolicy":
         if doc is None:
             return cls.weight_twist()
-        if isinstance(doc, (int, float, str)):
+        if not isinstance(doc, dict):
             return cls.supplied(float(rat(doc)))
         kind = doc.get("kind")
         if kind == "weight_twist":
             return cls.weight_twist()
         if kind == "special_valuation":
-            return cls.special_valuation(float(rat(doc["value"])))
+            return cls.special_valuation(float(rat(need(doc, "L policy", "value"))))
         if kind == "supplied":
-            return cls.supplied(float(rat(doc["value"])))
+            return cls.supplied(float(rat(need(doc, "L policy", "value"))))
         raise InputError(f"unknown L policy {doc!r}")
 
 

@@ -43,8 +43,11 @@ from .rational import (
     independent_rows,
     integer_rows,
     matrix_rank,
+    need,
+    parse_number,
     primitive,
     rat,
+    rat_rows,
     rat_vector,
     row_echelon,
     smul,
@@ -395,54 +398,30 @@ def _in_hull(p, points) -> bool:
     return all(dot(f.normal, q) <= f.offset for f in _facets_from_points(flat))
 
 
-def _coordinate_list(value, what: str):
-    if not isinstance(value, (list, tuple)):
-        raise InputError(f"{what} must be a list of coordinates, got {value!r}")
-    return value
-
-
-def _halfspace(h) -> tuple:
-    if not isinstance(h, dict) or "normal" not in h or "offset" not in h:
-        raise InputError(f"a halfspace must be an object with 'normal' and 'offset', got {h!r}")
-    return _coordinate_list(h["normal"], "a halfspace normal"), h["offset"]
-
-
-def _dim_field(dim) -> int:
-    try:
-        n = int(dim)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"polytope dim field {dim!r} is not an integer") from exc
-    if n < 1:
-        raise InputError(f"polytope dim field {dim!r} is not positive")
-    return n
-
-
 def polytope_from_json(doc: dict) -> RationalPolytope:
-    if not isinstance(doc, dict):
-        raise InputError("polytope document must be an object")
+    need(doc, "polytope document")
     dim = doc.get("dim")
-    verts = doc.get("vertices")
-    spaces = doc.get("halfspaces")
-    if spaces and not isinstance(spaces, list):
-        raise InputError("polytope halfspaces must be a list")
-    if verts:
-        poly = RationalPolytope.from_vertices(
-            _coordinate_list(v, "a vertex") for v in _coordinate_list(verts, "vertices")
-        )
-        if dim is not None and poly.dim != _dim_field(dim):
-            raise InputError(f"polytope dim field {dim} != vertex dimension {poly.dim}")
-        if spaces:
-            given = {primitive(rat_vector(a) + (rat(b),)) for a, b in map(_halfspace, spaces)}
-            for key in given:
-                a, b = key[:-1], key[-1]
-                if any(dot(a, v) > b for v in poly.vertices):
-                    raise InputError("halfspace in document cuts off a listed vertex")
-        return poly
-    if spaces:
+    dim = None if dim is None else parse_number(dim, "polytope dim", minimum=1)
+    poly = None
+    if doc.get("vertices"):
+        poly = RationalPolytope.from_vertices(rat_rows(doc["vertices"], "polytope vertices", dim))
+        dim = poly.dim
+    spaces = []
+    if doc.get("halfspaces"):
         if dim is None:
             raise InputError("halfspace-only polytope document needs a dim field")
-        return RationalPolytope.from_halfspaces(map(_halfspace, spaces), _dim_field(dim))
-    raise InputError("polytope document needs vertices or halfspaces")
+        for h in need(doc, "polytope document", "halfspaces", kind=list):
+            normal, offset = need(h, "halfspace", "normal", "offset")
+            spaces.append((rat_vector(normal, "halfspace normal", dim), rat(offset)))
+    if poly is None:
+        if not spaces:
+            raise InputError("polytope document needs vertices or halfspaces")
+        return RationalPolytope.from_halfspaces(spaces, dim)
+    for key in {primitive(a + (b,)) for a, b in spaces}:
+        a, b = key[:-1], key[-1]
+        if any(dot(a, v) > b for v in poly.vertices):
+            raise InputError("halfspace in document cuts off a listed vertex")
+    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .expint import (
     superlevel_log_gvolume,
 )
 from .geometry import RationalPolytope, polytope_from_json
-from .rational import format_rat, rat, rat_vector
+from .rational import format_rat, need, rat, rat_vector
 
 #: equal steps on which a weighted pushforward's CDF is sampled for ``wasserstein1``
 SUPERLEVEL_GRID = 2048
@@ -84,7 +84,7 @@ class DHMeasure:
 
     @staticmethod
     def pushforward(transform: PLConcaveFunction, weight_xi=None) -> "PushforwardMeasure":
-        xi = rat_vector(weight_xi) if weight_xi is not None else ()
+        xi = rat_vector(weight_xi, "weight_xi") if weight_xi is not None else ()
         if len(xi) > transform.dim:
             raise InputError("weight vector longer than the ambient dimension")
         return PushforwardMeasure(transform, xi)
@@ -360,17 +360,13 @@ class PushforwardMeasure(DHMeasure):
 
 
 def measure_from_json(doc: dict) -> DHMeasure:
-    if not isinstance(doc, dict):
-        raise InputError("measure document must be an object")
+    need(doc, "measure document")
     if "atoms" in doc:
-        if not isinstance(doc["atoms"], list):
-            raise InputError("measure 'atoms' must be a list")
         atoms = []
-        for entry in doc["atoms"]:
-            if not isinstance(entry, dict) or "pos" not in entry or "mass" not in entry:
-                raise InputError(f"atom {entry!r} needs 'pos' and 'mass'")
-            atoms.append((rat(entry["pos"]), rat(entry["mass"]),
-                          rat_vector(entry["weight"]) if "weight" in entry else None))
+        for entry in need(doc, "measure document", "atoms", kind=list):
+            pos, mass = need(entry, "atom", "pos", "mass")
+            weight = rat_vector(entry["weight"], "atom weight") if "weight" in entry else None
+            atoms.append((rat(pos), rat(mass), weight))
         return DHMeasure.atomic(atoms)
     if "transform" in doc:
         domain = polytope_from_json(doc["domain"]) if "domain" in doc else None

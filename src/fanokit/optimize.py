@@ -88,15 +88,17 @@ class ConvexScan:
 # the benchmark's tracer wraps exactly those to count their calls.
 def newton_minimize(f, grad, hess, x0, tol: float = NEWTON_TOL,
                     max_iter: int = MAX_ITER) -> OptResult:
-    """Damped Newton with backtracking; gradient fallback for bad conditioning."""
+    """Damped Newton with backtracking; gradient fallback for bad conditioning.
+
+    Stops when ||g|| <= tol and the Newton step is at most tol * max(1, ||x||):
+    with a small Hessian a small gradient alone does not bound the argmin error.
+    """
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     fx = f(x)
     iters = 0
     g = np.atleast_1d(grad(x))
-    while iters < max_iter:
+    while True:
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            break
         H = np.atleast_2d(hess(x))
         try:
             if np.linalg.cond(H) > COND_LIMIT:
@@ -105,6 +107,9 @@ def newton_minimize(f, grad, hess, x0, tol: float = NEWTON_TOL,
                 step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
             step = -g
+        if iters >= max_iter or (gnorm <= tol and float(np.linalg.norm(step))
+                                 <= tol * max(1.0, float(np.linalg.norm(x)))):
+            break
         slope = float(g @ step)
         if slope >= 0:  # not a descent direction; fall back to steepest descent
             step = -g
@@ -126,8 +131,6 @@ def newton_minimize(f, grad, hess, x0, tol: float = NEWTON_TOL,
             x, fx = candidate, fc
         g = np.atleast_1d(grad(x))
         iters += 1
-    gnorm = float(np.linalg.norm(g))
-    H = np.atleast_2d(hess(x))
     min_eig = float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
     if min_eig < 0 and min_eig > -1e-12 * max(1.0, float(np.linalg.norm(H))):
         min_eig = 0.0

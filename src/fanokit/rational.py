@@ -71,18 +71,47 @@ def parse_number(value, name: str, kind=int, minimum=None):
     return number
 
 
-def list_field(value, name: str) -> list:
-    """A document field that must be a JSON list; anything else is an input error."""
-    if not isinstance(value, list):
-        raise InputError(f"{name} must be a JSON list, got {type(value).__name__}")
+def need(doc, name: str, *keys, kind=None):
+    """The values of ``keys`` in ``doc``, which must be a JSON object holding them all.
+
+    One key gives its value and several give a tuple, as ``operator.itemgetter``
+    does; no key only checks that ``doc`` is an object.  With ``kind`` (``list``)
+    each value must be of that type.  ``name`` names ``doc`` in the error.
+    """
+    fields = " and ".join(f"'{k}'" for k in keys) + (" fields" if len(keys) > 1 else " field")
+    if not isinstance(doc, dict):
+        wanted = f" with the {fields}" if keys else ""
+        raise InputError(f"{name} must be a JSON object{wanted}, got {type(doc).__name__}")
+    if not all(k in doc for k in keys):
+        raise InputError(f"{name} needs the {fields}")
+    values = tuple(doc[k] for k in keys)
+    for key, value in zip(keys, values):
+        if kind is not None and not isinstance(value, kind):
+            raise InputError(f"{key} of {name} must be a JSON {kind.__name__}, "
+                             f"got {type(value).__name__}")
+    return values[0] if len(keys) == 1 else values
+
+
+def _sequence(value, name: str, what: str):
+    """``value`` if it iterates as a sequence; a string, bytes, an object or a scalar does not."""
+    if isinstance(value, (str, bytes, dict)) or not hasattr(value, "__iter__"):
+        raise InputError(f"{name} must be a JSON list of {what}, got {type(value).__name__}")
     return value
 
 
-def rat_vector(seq) -> Vector:
-    """Rationals from an iterable; a string, bytes, an object or a scalar is an InputError."""
-    if isinstance(seq, (str, bytes, dict)) or not hasattr(seq, "__iter__"):
-        raise InputError(f"not a vector: {seq!r}")
-    return tuple(rat(x) for x in seq)
+def rat_vector(value, name: str = "vector", length: int | None = None) -> Vector:
+    """Rationals from a list, tuple, generator or array, ``length`` of them when one is
+    given; anything else is an InputError naming ``name``."""
+    vec = tuple(rat(x) for x in _sequence(value, name, "rationals"))
+    if length is not None and len(vec) != length:
+        raise InputError(f"{name} has {len(vec)} entries, not {length}")
+    return vec
+
+
+def rat_rows(value, name: str, width: int | None = None) -> tuple[Vector, ...]:
+    """A list of ``rat_vector`` rows, each ``width`` long when one is given."""
+    return tuple(rat_vector(row, f"each row of the {name}", width)
+                 for row in _sequence(value, name, "vectors"))
 
 
 def format_rat(q: Fraction) -> str:

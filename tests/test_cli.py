@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -377,6 +378,11 @@ def _level_doc(**entry):
     return {"filtration": {"levels": {"4": dict({"dim": 2}, **entry)}}, "ambient_dim": 1}
 
 
+def _cell_doc(simplex=(["0", "0"], ["1", "0"], ["0", "1"]), gradient=("1", "0")):
+    cell = {"simplex": simplex, "affine": {"gradient": gradient, "constant": "0"}}
+    return {"measure": {"transform": {"cells": [cell]}}}
+
+
 @pytest.mark.parametrize("command, doc, extra, fragment", [
     ("dh", {"filtration": _levels("x"), "ambient_dim": 1}, [], "level degree 'x'"),
     ("dh", {"filtration": _levels(dim="y"), "ambient_dim": 1}, [], "dim of level 4 'y'"),
@@ -405,12 +411,27 @@ def _level_doc(**entry):
     ("dh", _level_doc(values=["0", "1"], weights=[1, -1]), [], "each row of the weights"),
     ("dh", _level_doc(values=["0", "1"], basis=["10", "01"]), [], "each row of the basis"),
     ("dh", _level_doc(flags=[{"value": "0", "rows": 5}]), [], "flag rows of level 4"),
+    ("report", _cell_doc(simplex=5), [], "cell simplex"),
+    ("report", _cell_doc(simplex=True), [], "cell simplex"),
+    ("report", _cell_doc(simplex=None), [], "cell simplex"),
+    ("report", _cell_doc(simplex={}), [], "cell simplex"),
+    ("report", _cell_doc(gradient=["1"]), [], "cell gradient has 1 entries, not 2"),
+    ("soliton", {"polytope": dict(TRIANGLE, halfspaces=[{"normal": ["1"], "offset": "1"}])},
+     [], "halfspace normal has 1 entries, not 2"),
+    ("report", {"measure": DIRAC, "L": []}, [], "not a rational"),
+    ("report", {"measure": DIRAC, "L": {"kind": "supplied"}}, [], "'value' field"),
+    ("check", {"filtration": {"levels": {}}, "limit": DIRAC, "ambient_dim": 1}, [],
+     "at least one level"),
+    ("twist-opt", {"filtration": {"levels": {}}}, [], "at least one level"),
+    ("cone", {"measure": DIRAC, "A": "1/2", "dim": -1}, [], "at least 1"),
 ], ids=["degree-word", "dim-word", "no-dim", "levels-list", "level-scalar", "degree-zero",
         "degree-negative", "ambient-dim-negative", "report-ambient-dim-negative",
         "degrees-flag-zero", "degrees-negative", "flag-no-rows", "candidate-no-A",
         "candidate-no-measure", "model-scalar", "num-vars-zero", "document-scalar",
         "values-scalar", "flags-scalar", "weights-scalar", "basis-scalar",
-        "weight-row-scalar", "basis-row-string", "flag-rows-scalar"])
+        "weight-row-scalar", "basis-row-string", "flag-rows-scalar", "simplex-number",
+        "simplex-true", "simplex-null", "simplex-object", "gradient-length", "normal-length",
+        "L-list", "L-no-value", "check-no-levels", "twist-opt-no-levels", "cone-dim-negative"])
 def test_malformed_document_exit_2(tmp_path, capsys, command, doc, extra, fragment):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc))
@@ -636,3 +657,79 @@ def test_report_two_kernel_batches_per_tilt(tmp_path, capsys, monkeypatch):
                          capsys)
     assert code == 0
     assert len(calls) == 4
+
+
+# One small document per command, covering every reader of the JSON boundary:
+# flags, values with a basis and weights, cells with a domain, vertices with
+# halfspaces, atoms with weights, candidates and each optional list.
+_SQUARE = [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]
+_MIXED_LEVELS = {"label": "mixed", "levels": {
+    "1": {"dim": 2, "weights": [["1"], ["-1"]],
+          "flags": [{"value": "1", "rows": [["1", "0"]]},
+                    {"value": "0", "rows": [["1", "0"], ["0", "1"]]}]},
+    "2": {"dim": 3, "values": ["0", "1", "2"], "weights": [["-1"], ["0"], ["1"]],
+          "basis": [["1", "0", "0"], ["0", "1", "0"], ["1", "1", "1"]]},
+}}
+_TWO_ATOMS = {"atoms": [{"pos": "0", "mass": 1, "weight": ["1"]}, {"pos": "1", "mass": "1/2"}]}
+_MUTATED = {
+    "dh": {"filtration": _MIXED_LEVELS, "ambient_dim": 1, "limit": DIRAC, "degrees": [1, 2]},
+    "report": {"measure": dict(_square_transform_doc(), domain={"vertices": _SQUARE},
+                               weight_xi=["1/4", "0"]),
+               "a": ["1/2"], "L": {"kind": "supplied", "value": "1/4"},
+               "xi_list": [["0", "0"], ["1/2", "0"]]},
+    "report-candidates": {"candidates": [{"measure": _TWO_ATOMS, "A": "1", "label": "c"}],
+                          "L": "0"},
+    "soliton": {"polytope": dict(TRIANGLE, dim=2, halfspaces=[
+        {"normal": ["1", "-2"], "offset": "1"}, {"normal": ["1", "1"], "offset": "1"}]),
+        "projection_rank": 2},
+    "rescale": {"measure": _TWO_ATOMS, "A": "1"},
+    "twist-opt": {"filtration": {"levels": {"2": {"dim": 3, "values": [0, 1, 0],
+                                                  "weights": [[-1], [0], [1]]}}},
+                  "degrees": [2], "L": "0"},
+    "degenerate": DEGENERATE,
+    "distance": {"filtration_a": _MIXED_LEVELS,
+                 "filtration_b": {"levels": {"2": {"dim": 3, "values": ["1", "1", "0"]}}},
+                 "p": 2, "degrees": [2]},
+    "cone": {"measure": _TWO_ATOMS, "A": "1/2", "s_grid": ["0", "1/2"], "dim": 1},
+    "check": {"filtration": _MIXED_LEVELS, "limit": DIRAC, "ambient_dim": 1, "volume": "1",
+              "polytope": {"vertices": [["-1"], ["1"]]}},
+}
+_MUTATIONS = [5, "x", [], {}, None, True, "10", -1, "1/0"]
+
+
+def _field_paths(value, path=()):
+    """Each field path: every key of an object, the first two elements of a list."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value[:2])
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("job", sorted(_MUTATED))
+def test_mutated_documents_exit_0_1_or_2(tmp_path, capsys, job):
+    """Every field, at every depth, replaced by each of nine values: each run
+    exits 0, 1 or 2 and none raises."""
+    doc, command = _MUTATED[job], job.partition("-candidates")[0]
+    path, out_path = tmp_path / "job.json", tmp_path / "out.json"
+    bad = []
+    for fields in _field_paths(doc):
+        for value in _MUTATIONS:
+            mutated = copy.deepcopy(doc)
+            parent = mutated
+            for key in fields[:-1]:
+                parent = parent[key]
+            parent[fields[-1]] = value
+            path.write_text(json.dumps(mutated))
+            try:
+                code = main([command, "--input", str(path), "--output", str(out_path)])
+            except Exception as exc:  # a raw exception is the failure this test looks for
+                code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 1, 2):
+                bad.append((fields, value, code))
+    capsys.readouterr()
+    assert bad == []

@@ -177,6 +177,10 @@ def test_d_p_level(rng):
     F1 = GradedFiltration({1: FiltrationLevel.from_values(1, [0, 3])})
     assert d_p_level(F0, F0, 1) == 0.0
     assert abs(d_p_level(F0, F1, 1, p=2) - math.sqrt(2)) < 1e-15
+    # (x^p / 2)^(1/p) = x * 2^(-1/p): 2^20000 and 2^-20000 leave double range
+    F2 = GradedFiltration({1: FiltrationLevel.from_values(1, [0, "1/2"])})
+    assert abs(d_p_level(F0, F1, 1, p=20000) - 2 * 2 ** (-1 / 20000)) < 1e-15
+    assert abs(d_p_level(F0, F2, 1, p=20000) - 2 ** (-1 / 20000) / 2) < 1e-15
     with pytest.raises(DimensionMismatch):
         common_adapted_basis(F0.level(1), FiltrationLevel.from_values(1, [0, 0, 0]))
 

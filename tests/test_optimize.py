@@ -162,6 +162,11 @@ def _interval_exp_mass(a, b, xi):
 @pytest.mark.parametrize("lo, hi, bracket", [
     (Fraction(-1, 1000), 900, (1.0, 2000.0)),
     (Fraction(-1, 100000), 50, (1.0, 2e5)),
+    # the Hessian at the argmin is about lo^2: a small gradient alone stops
+    # these up to 3e-5 relative off
+    (Fraction(-1, 100000), 80, (1.0, 2e5)),
+    (Fraction(-1, 1000000), 20, (1.0, 2e6)),
+    (Fraction(-1, 10000000), 30, (1.0, 2e7)),
 ])
 def test_soliton_far_tilted_interval_converges(lo, hi, bracket):
     # 0 is interior, but the minimizer sits at xi ~ 1/|lo|, where the vertex

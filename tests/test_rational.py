@@ -18,7 +18,10 @@ from fanokit.rational import (
     det,
     independent_rows,
     matrix_rank,
+    need,
     rat,
+    rat_rows,
+    rat_vector,
     row_echelon,
     solve_square,
 )
@@ -237,3 +240,32 @@ def test_rat_string_matches_fraction(s):
 @example("-_1")
 def test_rat_string_property(s):
     _check_rat_string(s)
+
+
+# ---------------------------------------------------------------------------
+# the typed readers of document fields
+
+
+def test_readers_take_any_iterable_and_check_shape():
+    import numpy as np
+
+    want = (Fraction(1), Fraction(-1, 2))
+    for value in ([1, "-1/2"], (1, Fraction(-1, 2)), (x for x in [1, "-1/2"]),
+                  np.array([1.0, -0.5])):
+        assert rat_vector(value, "v", 2) == want
+    assert rat_rows([[1, "-1/2"]], "rows", 2) == (want,)
+    for bad in ("10", b"10", {"a": 1}, 5, True, None):
+        with pytest.raises(InputError, match="^v "):
+            rat_vector(bad, "v")
+    with pytest.raises(InputError, match="v has 2 entries, not 3"):
+        rat_vector(want, "v", 3)
+    with pytest.raises(InputError, match="each row of the rows has 1 entries, not 2"):
+        rat_rows([[1, 0], [1]], "rows", 2)
+    doc = {"a": 1, "b": [2], "extra": None}
+    assert need(doc, "doc", "a") == 1 and need(doc, "doc", "a", "b") == (1, [2])
+    with pytest.raises(InputError, match="doc needs the 'a' and 'c' fields"):
+        need(doc, "doc", "a", "c")
+    with pytest.raises(InputError, match="a of doc must be a JSON list, got int"):
+        need(doc, "doc", "a", kind=list)
+    with pytest.raises(InputError, match="doc must be a JSON object, got list"):
+        need([doc], "doc")
