@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, fsum, gcd
+from math import exp, factorial, fsum, gcd
 
 from .errors import (
     DimensionMismatch,
@@ -21,6 +21,7 @@ from .errors import (
     InvalidWeightFiltration,
     MissingLevel,
     MissingTorusWeights,
+    NonFiniteResult,
     NonpositiveScale,
     NotABasis,
 )
@@ -402,9 +403,7 @@ def d_p_level(F0: GradedFiltration, F1: GradedFiltration, m: int, p=2) -> float:
 def q_m(F: GradedFiltration, m: int) -> float:
     """(1/N_m) sum_i e^{-lambda_i/m}."""
     lv = F.level(m)
-    import math
-
-    return math.fsum(math.exp(-float(v) / m) for v in lv.values) / lv.dim
+    return _mean_exp(lv.values, m, lv.dim)
 
 
 def psi_m(F: GradedFiltration, m: int) -> float:
@@ -418,9 +417,15 @@ def q_of_basis(F: GradedFiltration, m: int, basis_rows) -> float:
     if (len(rows) != lv.dim or any(len(r) != lv.dim for r in rows)
             or matrix_rank(rows) != lv.dim):
         raise NotABasis("supplied vectors do not form a basis of the level")
-    import math
+    return _mean_exp(lv.values_of(rows), m, lv.dim)
 
-    return math.fsum(math.exp(-float(v) / m) for v in lv.values_of(rows)) / lv.dim
+
+def _mean_exp(values, m: int, dim: int) -> float:
+    """(1/dim) sum e^{-v/m}; NonFiniteResult when a term or the sum leaves double range."""
+    try:
+        return fsum(exp(-float(v) / m) for v in values) / dim
+    except OverflowError as exc:
+        raise NonFiniteResult(f"Q_{m} = (1/{dim}) sum e^(-v/{m}) is outside double range") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ piecewise-linear transform) answer one query protocol, the methods of
 ``DHMeasure``.  Pushforward densities are never materialized; every query is
 an integral over the polytope, and the queries take lists:
 ``log_exp_moments`` stacks every a, and a = 0 for the mass, in one kernel
-batch, and ``tilted_moments`` reads all moments up to k from one derivative
-batch.  Exponential moments are summed in the log domain, relative to the
-largest exponent or kernel log offset, so log Q and S_tilde stay finite
-however far the support sits from 0.
+batch, and ``_tilted`` reads log_exp_moment(a) and all moments up to k from
+one derivative batch.  Exponential moments are summed in the log domain,
+relative to the largest exponent or kernel log offset, so log Q and S_tilde
+stay finite however far the support sits from 0.
 
 Distribution functions are exact where they can be.  An unweighted
 pushforward (xi = 0) reads the transform's survival spline: ``mass_above`` is
@@ -61,7 +61,7 @@ class SupportInfo:
 
 class DHMeasure:
     """A finite measure on the line; subclasses supply ``mass``, ``log_exp_moments``,
-    ``tilted_moments``, ``_mass_above``, ``_share_above`` (mu{lambda >= t} / mass), ``support``,
+    ``_tilted``, ``_mass_above``, ``_share_above`` (mu{lambda >= t} / mass), ``support``,
     ``_affine``, ``twisted``, ``inverse_power_mean``, ``to_json`` and ``_cdf`` (the
     normalized CDF that ``wasserstein1`` reads); the scalar queries read the list ones."""
 
@@ -106,6 +106,10 @@ class DHMeasure:
     def exp_moment(self, a) -> float:
         """(1/mass) int e^{-a lambda} dmu for a > 0."""
         return exp_scaled(self.log_exp_moment(a))
+
+    def tilted_moments(self, a, k: int) -> list[float]:
+        """int lambda^j e^{-a lambda} dmu / int e^{-a lambda} dmu for j = 0..k <= 4."""
+        return self._tilted(a, k)[1]
 
     def tilted_moment(self, a, k: int) -> float:
         """int lambda^k e^{-a lambda} dmu / int e^{-a lambda} dmu."""
@@ -161,15 +165,16 @@ class AtomicMeasure(DHMeasure):
         return [top + math.log(compensated_tree_sum(terms))
                 for top, terms in map(self._tilt, a_list)]
 
-    def tilted_moments(self, a, k: int) -> list[float]:
-        """int lambda^j e^{-a lambda} dmu / int e^{-a lambda} dmu for j = 0..k; at a = 0
-        the exact moments, exactly rounded."""
+    def _tilted(self, a, k: int) -> tuple[float, list[float]]:
+        """``log_exp_moment(a)`` and the tilted moments j = 0..k from one ``_tilt`` sum;
+        at a = 0, 0 and the exact moments, exactly rounded."""
         if a == 0:
-            return [self.moment(j) for j in range(k + 1)]
-        _, terms = self._tilt(a)
+            return 0.0, [self.moment(j) for j in range(k + 1)]
+        top, terms = self._tilt(a)
         total = compensated_tree_sum(terms)
-        return [compensated_tree_sum([float(x)**j * t for (x, _), t in zip(self._merged, terms)])
-                / total for j in range(k + 1)]
+        return top + math.log(total), [
+            compensated_tree_sum([float(x)**j * t for (x, _), t in zip(self._merged, terms)])
+            / total for j in range(k + 1)]
 
     def _mass_above(self, t: Fraction) -> float:
         return float(sum((m for pos, m, _ in self.atoms if pos >= t), Fraction(0)))
@@ -253,12 +258,18 @@ class PushforwardMeasure(DHMeasure):
         (top0, s0), *sums = self._exp_sums(a_list)
         return [(top - top0) + math.log(s / s0) for top, s in sums]
 
-    def tilted_moments(self, a, k: int) -> list[float]:
-        """int lambda^j e^{-a lambda} dmu / int e^{-a lambda} dmu for j = 0..k <= 4, from one
-        kernel batch, each sum divided by that batch's own j = 0 sum."""
-        ((_, leaves),) = pl_cell_integrals(self.transform, [a], self.weight_xi, k)
+    def _tilted(self, a, k: int) -> tuple[float, list[float]]:
+        """``log_exp_moment(a)`` and the tilted moments j = 0..k from one kernel batch, each
+        sum divided by that batch's own j = 0 sum.  A nonzero a stacks a = 0, the mass,
+        into the same batch; at a = 0 the log is 0 and the batch holds a alone."""
+        a = rat(a)
+        (top, leaves), *zero = pl_cell_integrals(self.transform, [a, Fraction(0)] if a else [a],
+                                                 self.weight_xi, k)
         sums = [compensated_tree_sum(cells) for cells in leaves]
-        return [s / sums[0] for s in sums]
+        log_q = 0.0
+        for top0, (cells0, *_) in zero:
+            log_q = (top - top0) + math.log(sums[0] / compensated_tree_sum(cells0))
+        return log_q, [s / sums[0] for s in sums]
 
     def _mass_above(self, t: Fraction) -> float:
         return superlevel_gvolume(self.transform, t, self.weight_xi or None)
@@ -297,8 +308,6 @@ class PushforwardMeasure(DHMeasure):
         """
         b, c = rat(b), rat(c)
         if any(self.weight_xi):
-            from .optimize import adaptive_simpson  # optimize imports this module
-
             bf, cf = float(b), float(c)
             info = self.support()
             lo, hi = info.lambda_min, info.lambda_max
@@ -458,3 +467,24 @@ def cdf_samples(measure: DHMeasure, count: int = 200):
     """(t, CDF(t)) pairs across the support, for CSV export and plotting."""
     info = measure.support()
     return _cdf_grid(measure, info.lambda_min - 1e-9, info.lambda_max + 1e-9, count)
+
+
+def adaptive_simpson(g, a, b, tol, depth: int = 24):
+    """int_a^b g by adaptive Simpson with Richardson correction, to about ``tol``."""
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    def recurse(x0, x2, f0, f1, f2, whole, d):
+        xm = 0.5 * (x0 + x2)
+        lm, rm = 0.5 * (x0 + xm), 0.5 * (xm + x2)
+        flm, frm = g(lm), g(rm)
+        left = simpson(x0, xm, f0, flm, f1)
+        right = simpson(xm, x2, f1, frm, f2)
+        if d <= 0 or abs(left + right - whole) < 15 * tol:
+            return left + right + (left + right - whole) / 15.0
+        return (recurse(x0, xm, f0, flm, f1, left, d - 1)
+                + recurse(xm, x2, f1, frm, f2, right, d - 1))
+
+    fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
+    whole = simpson(a, b, fa, fm, fb)
+    return recurse(a, b, fa, fm, fb, whole, depth)

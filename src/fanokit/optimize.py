@@ -2,9 +2,11 @@
 
 All objectives here are smooth log-exponential integrals whose gradients are
 tilted means and whose Hessians are tilted covariances, hence positive
-semidefinite; a damped Newton iteration with backtracking is enough.  Each
-result carries a convexity certificate (smallest Hessian eigenvalue at the
-reported argmin) alongside the gradient norm.
+semidefinite; a damped Newton iteration with backtracking is enough.  The
+soliton, rescaling and twist optima all run ``newton_minimize`` on one
+``evaluate(x) -> (f, g, H)`` each, one kernel batch per Newton point where a
+kernel is involved.  Each result carries a convexity certificate (smallest
+Hessian eigenvalue at the reported argmin) alongside the gradient norm.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
 from .expint import PLConcaveFunction, pl_cell_integrals
 from .functionals import LPolicy
 from .geometry import RationalPolytope, origin_in_interior, pairing_form
-from .measure import DHMeasure
+from .measure import DHMeasure, adaptive_simpson
 from .rational import rat, rat_vector
 
 NEWTON_TOL = 1e-10
@@ -35,7 +37,6 @@ MAX_ITER = 100
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 COND_LIMIT = 1e12
-DIRAC_VARIANCE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -235,7 +236,8 @@ def rescale_opt(A, mu: DHMeasure, tol: float = NEWTON_TOL) -> OptResult:
     """Minimize f(a) = a*A + log((1/V) int e^{-a x} dmu) over a >= 0.
 
     Returns a_* = 0 with value 0 when the slope at zero beta = A - E is
-    nonnegative; otherwise the unique interior optimum with f(a_*) < 0.
+    nonnegative; otherwise the unique interior optimum with f(a_*) < 0, by
+    ``newton_minimize`` with f' = A - (tilted mean) and f'' = (tilted variance).
     """
     A = float(A)
     if A <= 0:
@@ -243,26 +245,9 @@ def rescale_opt(A, mu: DHMeasure, tol: float = NEWTON_TOL) -> OptResult:
     support = mu.support()
     if support.lambda_min < -1e-12:
         raise NegativeSupport(f"support starts at {support.lambda_min} < 0")
-
-    # shift the spectrum to start at 0: f is unchanged up to replacing A by
-    # A - lambda_min, and the tilted variance m2 - m1^2 does not cancel
-    lam0 = rat(support.lambda_min).limit_denominator(10**12)
-    mu_w = mu.affine_transform(1, -lam0) if lam0 != 0 else mu
-    A_w = A - float(lam0)
-
-    def tilted_stats(a):
-        # mean and variance of x under the tilted law e^{-a x} dmu / normalization
-        _, m1, m2 = mu_w.tilted_moments(a, 2)
-        return m1, max(m2 - m1 * m1, 0.0)
-
-    def f(a):
-        return a * A_w + mu_w.log_exp_moment(a)
-
-    _, var1 = tilted_stats(1.0)
-    if var1 < DIRAC_VARIANCE_TOL:
-        # Dirac spectrum: the objective is affine a*(A - T)
-        T = mu.moment(1)
-        if A >= T:
+    if support.lambda_min == support.lambda_max:
+        # Dirac spectrum at T: the objective is affine a*(A - T)
+        if A >= support.lambda_min:
             # affine increasing objective: boundary minimum, projected gradient 0
             return OptResult(0.0, 0.0, 0.0, 0.0, 0, True, tol)
         raise NonConvergence(
@@ -274,6 +259,12 @@ def rescale_opt(A, mu: DHMeasure, tol: float = NEWTON_TOL) -> OptResult:
     if beta >= 0:
         # f'(0) = beta >= 0 and f is convex: the boundary a = 0 is the minimum
         return OptResult(0.0, 0.0, 0.0, 0.0, 0, True, tol)
+
+    # shift the spectrum to start at 0: f is unchanged up to replacing A by
+    # A - lambda_min, and the tilted variance m2 - m1^2 does not cancel
+    lam0 = rat(support.lambda_min).limit_denominator(10**12)
+    mu_w = mu.affine_transform(1, -lam0) if lam0 != 0 else mu
+    A_w = A - float(lam0)
     if A_w <= 0:
         # the tilted mean stays above lambda_min >= A: f decreases forever
         raise NonConvergence(
@@ -281,37 +272,14 @@ def rescale_opt(A, mu: DHMeasure, tol: float = NEWTON_TOL) -> OptResult:
             "the rescaling objective has no interior minimum"
         )
 
-    # bracket the root of f'(a) = A_w - tilted_mean(a), increasing in a
-    lo = 0.0
-    hi = 1.0
-    for _ in range(200):
-        mean_hi, _ = tilted_stats(hi)
-        if A_w - mean_hi > 0:
-            break
-        hi *= 2.0
-    else:
-        raise NonConvergence("rescaling objective has no interior minimum")
+    def evaluate(x):
+        # f, f' and f'' from the shifted measure's one tilted query
+        a = float(x[0])
+        log_q, (_, m1, m2) = mu_w._tilted(a, 2)
+        return a * A_w + log_q, np.array([A_w - m1]), np.array([[max(m2 - m1 * m1, 0.0)]])
 
-    a = min(max(-beta, 1e-3), 0.5 * hi)
-    iters = 0
-    while iters < MAX_ITER:
-        mean_a, var_a = tilted_stats(a)
-        fp = A_w - mean_a
-        if abs(fp) <= tol:
-            break
-        if fp > 0:
-            hi = a
-        else:
-            lo = a
-        step = -fp / var_a if var_a > 0 else None
-        candidate = a + step if step is not None else None
-        if candidate is None or not (lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)
-        a = candidate
-        iters += 1
-    else:
-        raise NonConvergence(f"rescaling optimum not found in {MAX_ITER} iterations")
-    return OptResult(a, f(a), abs(fp), var_a, iters, True, tol)
+    res = newton_minimize(*_shared_callbacks(evaluate), np.zeros(1), tol=tol)
+    return replace(res, argmin=res.argmin[0])
 
 
 def _tilted_moment(mu: DHMeasure, a, k: int) -> float:
@@ -485,23 +453,3 @@ def vol_g_tau(V_g, volg_fn, tau, n: int, tol: float = 1e-11) -> float:
     )
     return V_g / tau ** (n + 1) - (n + 1) * integral
 
-
-def adaptive_simpson(g, a, b, tol, depth: int = 24):
-    """int_a^b g by adaptive Simpson with Richardson correction, to about ``tol``."""
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, d):
-        xm = 0.5 * (x0 + x2)
-        lm, rm = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        flm, frm = g(lm), g(rm)
-        left = simpson(x0, xm, f0, flm, f1)
-        right = simpson(xm, x2, f1, frm, f2)
-        if d <= 0 or abs(left + right - whole) < 15 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(x0, xm, f0, flm, f1, left, d - 1)
-                + recurse(xm, x2, f1, frm, f2, right, d - 1))
-
-    fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, depth)

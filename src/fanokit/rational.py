@@ -26,45 +26,57 @@ def rat(x) -> Fraction:
     """Parse a rational from int, Fraction, 'p/q' or decimal string, or [p, q] pair.
 
     A string accepts exactly what ``Fraction(str)`` accepts, with the same
-    value.  An optional '-' followed by ASCII digits, the form ``format_rat``
-    writes for integers, is read by ``int`` without the ``Fraction`` regex.
+    value.  An optional '-' followed by at most 308 ASCII digits, the form
+    ``format_rat`` writes for integers, is read by ``int`` without the
+    ``Fraction`` regex.
+    A value outside double range is an input error: every rational a
+    document holds is rounded to a double somewhere downstream.
     """
     # str first: isinstance against Fraction goes through the ABC machinery
     if isinstance(x, str):
         digits = x[1:] if x[:1] == "-" else x
+        if digits.isascii() and digits.isdecimal() and len(digits) <= 308:
+            return Fraction(int(x))  # below 10^308: inside double range
         try:
-            if digits.isascii() and digits.isdecimal():
-                return Fraction(int(x))
-            return Fraction(x)
+            q = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"unparsable rational string {x!r}") from exc
-    if isinstance(x, Fraction):
+    elif isinstance(x, Fraction):
         return x
-    if isinstance(x, bool):
+    elif isinstance(x, bool):
         raise InputError(f"not a rational: {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        # floats only arrive from literal JSON numbers or solver iterates;
-        # treat them as decimals (cast first: numpy scalars repr differently)
-        return Fraction(repr(float(x)))
-    if isinstance(x, (list, tuple)) and len(x) == 2:
+    elif isinstance(x, int):
+        q = Fraction(x)
+    elif isinstance(x, float):
+        # floats only arrive from JSON constants (NaN, Infinity) or solver iterates;
+        # read as decimals (cast first: numpy scalars repr differently)
+        return rat(repr(float(x)))
+    elif isinstance(x, (list, tuple)) and len(x) == 2:
         try:
-            return Fraction(int(x[0]), int(x[1]))
+            q = Fraction(int(x[0]), int(x[1]))
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise InputError(f"unparsable rational pair {x!r}") from exc
-    raise InputError(f"not a rational: {x!r}")
+    else:
+        raise InputError(f"not a rational: {x!r}")
+    # |q| < 2^(bits of numerator - bits of denominator + 1): only a long
+    # numerator can reach 2^1024, and only that one pays for the exact test
+    if q.numerator.bit_length() - q.denominator.bit_length() >= 1023:
+        try:
+            float(q)
+        except OverflowError as exc:
+            raise InputError(f"{x!r} is outside double range") from exc
+    return q
 
 
 def parse_number(value, name: str, kind=int, minimum=None):
-    """``kind(value)`` for an ``int`` or ``float`` field, at least ``minimum`` when
-    one is given; anything else, a boolean included, is an input error."""
+    """``int(value)``, or ``float(rat(value))`` for ``kind=float``, at least ``minimum``
+    when one is given; anything else, a boolean included, is an input error."""
     if isinstance(value, bool):
         raise InputError(f"{name} {value!r} is not a number")
     try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        noun = "an integer" if kind is int else "a number"
+        number = float(rat(value)) if kind is float else kind(value)
+    except (InputError, TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a rational number in double range"
         raise InputError(f"{name} {value!r} is not {noun}") from exc
     if minimum is not None and number < minimum:
         raise InputError(f"{name} must be at least {minimum}, got {value!r}")

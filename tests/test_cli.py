@@ -636,6 +636,41 @@ def test_string_scalar_or_boolean_for_a_list_exit_2(tmp_path, capsys, command, d
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("dh", {"filtration": {"levels": {"1": {"dim": 2, "values": ["-800", "-799"]}}},
+            "ambient_dim": 1, "limit": {"atoms": [{"pos": "0", "mass": 1}]}}),
+    ("check", {"filtration": {"levels": {"10": {"dim": 2, "values": ["-8000", "-7990"]}}},
+               "ambient_dim": 1, "limit": {"atoms": [{"pos": "0", "mass": 1}]}}),
+], ids=["dh-limit", "check"])
+def test_q_m_past_double_range_exit_1(tmp_path, capsys, command, doc):
+    # e^{-v/m} = e^800 at the lowest value: Q_m is past the largest double
+    path, out_path = tmp_path / "job.json", tmp_path / "res.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli([command, "--input", str(path), "--output", str(out_path)], capsys)
+    assert code == 1
+    assert "error [NonFiniteResult]" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("cone", {"measure": DIRAC, "A": "1e400"}),
+    ("report", {"measure": DIRAC, "a": ["1e400"]}),
+    ("rescale", {"measure": DIRAC, "A": "1e400"}),
+    ("cone", {"measure": {"atoms": [{"pos": "1e400", "mass": 1}]}, "A": "1/2"}),
+    ("distance", dict(LEVEL_PAIR, p="nan")),
+    ("distance", dict(LEVEL_PAIR, p="inf")),
+], ids=["cone-A", "report-a", "rescale-A", "cone-atom-pos", "distance-p-nan",
+        "distance-p-inf"])
+def test_number_outside_double_range_exit_2(tmp_path, capsys, command, doc):
+    """A number that does not round to a finite double is an input error."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli([command, "--input", str(path), "--output", str(tmp_path / "o")],
+                           capsys)
+    assert code == 2 and err.startswith("input error: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_report_two_kernel_batches_per_tilt(tmp_path, capsys, monkeypatch):
     """Per tilt, one batch stacks the mass and every exponential moment, and one
     derivative batch gives E_1 ... E_4."""
@@ -694,7 +729,7 @@ _MUTATED = {
     "check": {"filtration": _MIXED_LEVELS, "limit": DIRAC, "ambient_dim": 1, "volume": "1",
               "polytope": {"vertices": [["-1"], ["1"]]}},
 }
-_MUTATIONS = [5, "x", [], {}, None, True, "10", -1, "1/0"]
+_MUTATIONS = [5, "x", [], {}, None, True, "10", -1, "1/0", "1e400", "nan"]
 
 
 def _field_paths(value, path=()):

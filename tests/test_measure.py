@@ -46,6 +46,15 @@ def test_moments_dirac():
         assert mu.moment(k) == float(Fraction(-3, 2) ** k)
 
 
+def test_atomic_tilted_query_log_is_log_exp_moment():
+    """The rescaling objective's log normalizer is log_exp_moment, bit for bit; 0 at a = 0."""
+    mu = DHMeasure.atomic([(Fraction(-3, 2), 2, None), (0, Fraction(1, 3), None),
+                           (Fraction(7, 4), 5, None), (Fraction(7, 4), 1, None)])
+    assert mu._tilted(0, 2) == (0.0, [mu.moment(j) for j in range(3)])
+    for a in (Fraction(1, 3), -2, 7.5, 900):
+        assert mu._tilted(a, 2)[0] == mu.log_exp_moment(a)
+
+
 def test_exp_moment():
     assert DHMeasure.dirac(0).exp_moment(1) == 1.0
     mu = p1_limit_measure()
@@ -289,6 +298,15 @@ def test_batched_cell_sums_bit_identical(weight_xi):
         for k in (1, 2):
             _, s = per_cell(lambda f: f.scaled(at).plus(ell), k)
             assert mu.tilted_moment(tilt, k) == s[k] / s[0]
+    # the rescaling objective's query: its log normalizer divides the j = 0 corner
+    # at a by the j = 0 corner at 0 of the same k = 2 batch
+    top0, s0 = per_cell(lambda f: ell, 2)
+    assert mu._tilted(0, 2) == (0.0, [x / s0[0] for x in s0])
+    for tilt in (a, 0.7):
+        at = rat(tilt)
+        top, s = per_cell(lambda f: f.scaled(at).plus(ell), 2)
+        assert mu._tilted(tilt, 2) == ((top - top0) + math.log(s[0] / s0[0]),
+                                       [x / s[0] for x in s])
 
 
 def test_stacked_log_exp_moments_match_single_queries():

@@ -207,22 +207,34 @@ def test_soliton_solve_one_kernel_batch_per_point(monkeypatch):
 
 
 def test_rescale_one_kernel_batch_per_iterate(monkeypatch):
-    """rescale_opt pays one derivative batch per Newton iterate, plus a fixed few."""
+    """rescale_opt pays one kernel batch per Newton point, plus the mean at 0."""
     import fanokit.expint as expint
+    from fanokit import optimize
 
     calls = []
+    points = set()
     real_batch = expint.dd_exp_batch
+    real_newton = optimize.newton_minimize
 
     def counted_batch(*args, **kwargs):
         calls.append(1)
         return real_batch(*args, **kwargs)
 
+    def recording_newton(f, grad, hess, *rest, **kwargs):
+        def recorded(fn):
+            def inner(x):
+                points.add(tuple(float(v) for v in x))
+                return fn(x)
+            return inner
+        return real_newton(recorded(f), recorded(grad), recorded(hess), *rest, **kwargs)
+
     monkeypatch.setattr(expint, "dd_exp_batch", counted_batch)
+    monkeypatch.setattr(optimize, "newton_minimize", recording_newton)
     res = rescale_opt(1.3, DHMeasure.uniform(Fraction(1, 2), Fraction(5, 2)))
     assert res.converged and res.iterations >= 3
-    # the variance at a = 1, the mean at 0, one bracket step, the iterate that
-    # stops the loop and the final value
-    assert len(calls) == res.iterations + 5
+    assert len(calls) == len(points) + 1
+    # no backtracking here: the start and one point per iteration
+    assert len(calls) == res.iterations + 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,6 +339,54 @@ def test_rescale_opt_dirac_guard():
         rescale_opt(1, DHMeasure.dirac(2))
     with pytest.raises(NegativeSupport):
         rescale_opt(1, DHMeasure.uniform(-1, 2))
+
+
+@pytest.mark.parametrize("mu", [
+    DHMeasure.pushforward(PLConcaveFunction.linear(RationalPolytope.interval(0, 3), [0], 2)),
+    DHMeasure.pushforward(PLConcaveFunction.linear(
+        RationalPolytope.from_vertices([[0, 0], [2, 0], [0, 1]]), [0, 0], 2), [1, -1]),
+    DHMeasure.atomic([(2, 1, None), (2, Fraction(1, 3), None), (Fraction(4, 2), 5, None)]),
+], ids=["constant-transform", "weighted-constant-transform", "atoms-at-one-position"])
+def test_rescale_dirac_branch_is_exact(mu):
+    """A measure whose support is one point T: argmin 0 for A >= T, no minimizer below T."""
+    assert mu.support().lambda_min == mu.support().lambda_max == 2.0
+    for A in (2, 2.5, 7):
+        res = rescale_opt(A, mu)
+        assert res.argmin == 0.0 and res.value == 0.0 and res.converged
+    for A in (1, 1.999999999):
+        with pytest.raises(NonConvergence):
+            rescale_opt(A, mu)
+
+
+def _narrow_uniform_root():
+    """u_* with 1/u - 1/(e^u - 1) = 1/4, by float bisection to adjacent doubles."""
+    def excess(u):
+        return 1 / u - 1 / math.expm1(u) - 0.25  # decreasing in u
+
+    lo, hi = 1.0, 10.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo if abs(excess(lo)) <= abs(excess(hi)) else hi
+        if excess(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(1), Fraction(3, 2)], ids=str)
+@pytest.mark.parametrize("exponent", [3, 10, 20, 24])
+def test_rescale_narrow_support_matches_closed_form(c, exponent):
+    """On uniform [c, c + w] with A = c + w/4 the optimum is a_* = u_* / w.
+
+    The tilted mean of uniform [0, w] at a is w (1/u - 1/(e^u - 1)) with u = a w,
+    so f'(a) = 0 reads 1/u - 1/(e^u - 1) = 1/4 for every width; A is exact in binary.
+    """
+    w = Fraction(1, 2**exponent)
+    res = rescale_opt(float(c + w / 4), DHMeasure.uniform(c, c + w))
+    want = _narrow_uniform_root() / float(w)
+    assert res.converged
+    assert abs(res.argmin - want) <= 1e-12 * want
 
 
 def test_rescale_second_derivative_nonnegative(rng):

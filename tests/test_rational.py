@@ -6,6 +6,7 @@ core is exact and unique (a rank, a determinant, a solution, an echelon form
 with pivots 1), so the two must agree with ``==``.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from fanokit.rational import (
     independent_rows,
     matrix_rank,
     need,
+    parse_number,
     rat,
     rat_rows,
     rat_vector,
@@ -209,13 +211,15 @@ def test_matmul_exact(b, data):
 
 
 # ---------------------------------------------------------------------------
-# string parsing: rat(s) agrees with Fraction(s), or raises InputError where it raises
+# string parsing: rat(s) agrees with Fraction(s) where that rounds to a finite
+# double, and raises InputError where Fraction(s) raises or lies past double range
 
 
 def _check_rat_string(s):
     try:
         want = Fraction(s)
-    except (ValueError, ZeroDivisionError):
+        float(want)
+    except (ValueError, ZeroDivisionError, OverflowError):
         with pytest.raises(InputError):
             rat(s)
         return
@@ -228,6 +232,8 @@ def _check_rat_string(s):
     "-", "+", "0", "-12", "007", "-007", " -5", "1__0", "\u00b2", "\u0663/\u0664", "7\x1c",
     # beyond int's default 4300-digit string limit: Fraction raises ValueError
     "1" * 5000, "-" + "1" * 5000,
+    # past double range, or tiny and rounding to 0
+    "1e400", "-1e309", "9" * 309, "1e308", "1e-400", "9e999", "1/3e2",
 ])
 def test_rat_string_matches_fraction(s):
     _check_rat_string(s)
@@ -240,6 +246,23 @@ def test_rat_string_matches_fraction(s):
 @example("-_1")
 def test_rat_string_property(s):
     _check_rat_string(s)
+
+
+def test_rat_rejects_values_outside_double_range():
+    """An int, pair or float that no finite double rounds to is an input error."""
+    top = int(sys.float_info.max)
+    half_ulp = 2**970  # half the spacing of the doubles just below 2^1024
+    assert rat(top) == top and rat(-top) == -top
+    assert rat(top + half_ulp - 1) == top + half_ulp - 1  # still rounds down to the top
+    assert rat([2**1100, 2**77]) == Fraction(2**1023)
+    for bad in (top + half_ulp, -(top + half_ulp), 2**1024, 10**400, [10**400, 3],
+                float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InputError):
+            rat(bad)
+    assert parse_number("1/4", "p", float) == 0.25
+    for bad in ("nan", "inf", "1e400", float("nan"), [1, 0]):
+        with pytest.raises(InputError, match="^p .* is not a rational number in double range"):
+            parse_number(bad, "p", float)
 
 
 # ---------------------------------------------------------------------------
