@@ -13,8 +13,8 @@ each a polynomial of one fixed degree with no convergence test:
   exponent, and every matrix takes the same degree-``_TAYLOR_DEGREE`` Taylor
   polynomial, so a list's result never depends on the other lists in its
   batch.  Uniformly accurate for any node spread, including exactly repeated
-  nodes (the matrix route is the confluent table).  ``dd_exp`` and
-  ``dd_exp_weighted`` are its batch-of-one forms.
+  nodes (the matrix route is the confluent table).  ``dd_exp`` is its
+  batch-of-one form.
 * ``dd_exp_series`` - Taylor expansion of the divided difference around the
   mean node, in complete homogeneous symmetric polynomials up to degree
   ``_SERIES_DEGREE``, with the mean returned as the log offset.  Fast and
@@ -101,22 +101,11 @@ def _expm_taylor(a):
     return e
 
 
-def dd_exp_weighted(z, b, k):
-    """Corner entries [D_0, ..., D_k], D_j = (1/j!) d^j/dt^j DD[exp](z + t*b) at t=0.
-
-    D_0 is the plain divided difference of exp at the nodes z.
-    """
-    n1 = len(z)
-    rows, offset, err = dd_exp_batch([z], [b] if k else None, k)
-    scale = math.exp(offset[0])
-    corner = [float(rows[0, j * n1 + n1 - 1]) * scale for j in range(k + 1)]
-    return corner, float(err[0])
-
-
 def dd_exp(z):
     """Divided difference of exp at nodes z (ties allowed); returns (value, rel_err)."""
-    corner, err = dd_exp_weighted(z, None, 0)
-    return corner[0], err
+    n1 = len(z)
+    rows, offset, err = dd_exp_batch([z])
+    return float(rows[0, n1 - 1]) * math.exp(offset[0]), float(err[0])
 
 
 def dd_exp_series(z):
@@ -150,31 +139,3 @@ def dd_exp_series(z):
     err = (_SERIES_DEGREE + 1) * (n1 + 1) * _EPS
     return total, mu, err
 
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def compensated_tree_sum(values):
-    """Deterministic pairwise reduction in double-double arithmetic.
-
-    The reduction tree depends only on the index order, so equal leaf lists
-    always reduce to bit-identical results.
-    """
-    def reduce(lo, hi):
-        if hi - lo == 1:
-            return values[lo], 0.0
-        mid = (lo + hi) // 2
-        h1, l1 = reduce(lo, mid)
-        h2, l2 = reduce(mid, hi)
-        s, e = _two_sum(h1, h2)
-        lo_part = l1 + l2 + e
-        hi_out, lo_out = _two_sum(s, lo_part)
-        return hi_out, lo_out
-
-    if not values:
-        return 0.0
-    hi, lo = reduce(0, len(values))
-    return hi + lo

@@ -9,10 +9,11 @@ values, and each tilt's pairings, as integers over one common denominator, so
 a kernel node is one correctly rounded int/int division: the exact value
 rounded once.  ``pl_cell_integrals`` stacks the rows of several tilts a in one
 kernel batch and reads the moments j = 0..k off the corners of one derivative
-batch.  Cell sums use a deterministic double-double tree reduction over the
-canonical cell order, so results do not depend on the order in which cells
-were given, and are returned relative to one log offset per a, so they stay
-in double range for any tilt.
+batch, and returns each moment summed over the cells, so no caller sees a
+cell.  Every cell sum here is a ``math.fsum``: correctly rounded and
+order-free, so results do not depend on the order in which cells were given.
+The sums are returned relative to one log offset per a, so they stay in
+double range for any tilt.
 
 Superlevel volumes come two ways.  Unweighted (xi = 0), t -> n! vol{G >= t}
 is an exact spline of degree n whose knots are the cell vertex values
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from ._kernel import compensated_tree_sum, dd_exp_batch, dd_exp_series
+from ._kernel import dd_exp_batch, dd_exp_series
 from .errors import InputError, NonFiniteResult, UnsupportedOrder
 from .geometry import (
     AffineForm,
@@ -390,12 +391,18 @@ class PLConcaveFunction:
 def pl_exp_integral(G: PLConcaveFunction, shift: AffineForm | None = None) -> ExpIntegralResult:
     """int_domain e^{-(G(y) + shift(y))} dy, summed cell-wise.
 
-    The reduction is a fixed-order double-double tree over the canonical cell
-    ordering, so the output is bit-identical however the cells were listed.
+    ``math.fsum`` rounds the sum of the cell integrals once, whatever their
+    order, so the output is bit-identical however the cells were listed.  The
+    sum is not scaled: NonFiniteResult when it leaves double range.
     """
-    results = [simplex_exp_integral(s, f if shift is None else f.plus(shift))
-               for s, f in G.cells]
-    total = compensated_tree_sum([r.value for r in results])
+    try:
+        results = [simplex_exp_integral(s, f if shift is None else f.plus(shift))
+                   for s, f in G.cells]
+        total = math.fsum(r.value for r in results)
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise NonFiniteResult("the exponential integral is outside double range")
     if total != 0.0:
         err = sum(r.est_rel_error * abs(r.value) for r in results) / abs(total)
     else:
@@ -405,14 +412,15 @@ def pl_exp_integral(G: PLConcaveFunction, shift: AffineForm | None = None) -> Ex
 
 
 def pl_cell_integrals(G: PLConcaveFunction, a_list, xi, k: int) -> list:
-    """int_s G^j e^{-(a G + <y', xi>)} dy for each a, each cell s of G and j = 0..k.
+    """int G^j e^{-(a G + <y', xi>)} dy, summed over the cells of G, for each a and j = 0..k.
 
     A node is -(p E v + q D e) / (q D E) for a = p/q, with v D and e E the
     integer vertex value and pairing cached on G: one correctly rounded
     int/int division, so it equals the exact value rounded once.  Every a
-    shares one kernel call.  Returns per a ``(top, leaves)``, leaves[j][s]
-    the integral over cell s relative to e^{top}, top that a's largest node,
-    so sums of the leaves and their logarithms stay finite for any tilt.
+    shares one kernel call.  Returns per a ``(top, [s_0, ..., s_k])``, s_j the
+    ``math.fsum`` over the cells of their integrals relative to e^{top}, top
+    that a's largest node, so the sums and their logarithms stay finite for
+    any tilt.
     """
     if k < 0 or k > MAX_MOMENT_ORDER:
         raise UnsupportedOrder(f"moment order {k} not in 0..{MAX_MOMENT_ORDER}")
@@ -427,7 +435,7 @@ def pl_cell_integrals(G: PLConcaveFunction, a_list, xi, k: int) -> list:
         tops += [max(map(max, nodes))] * len(nodes)
     rows = _exp_integrals(z, volumes * len(a_list), floats * len(a_list) if k else None, k, tops)
     c = len(volumes)
-    return [(tops[i], [[row[0][j] for row in rows[i:i + c]] for j in range(k + 1)])
+    return [(tops[i], [math.fsum(row[0][j] for row in rows[i:i + c]) for j in range(k + 1)])
             for i in range(0, len(rows), c)]
 
 
@@ -447,7 +455,7 @@ def superlevel_log_gvolume(G: PLConcaveFunction, x, xi) -> tuple[float, float]:
     z = [[-float(ell(v)) for v in piece.vertices] for piece in pieces]
     top = max(max(zi) for zi in z)
     rows = _exp_integrals(z, [_factorial_volume(p) for p in pieces], None, 0, [top] * len(z))
-    return top, math.factorial(n) * compensated_tree_sum([values[0] for values, _, _ in rows])
+    return top, math.factorial(n) * math.fsum(values[0] for values, _, _ in rows)
 
 
 def superlevel_gvolume(G: PLConcaveFunction, x, xi=None) -> float:

@@ -219,8 +219,9 @@ def _facets_from_points(points) -> list[Facet]:
         return []
     facets = []
     for ray, zero in zip(*cone):
-        key = primitive(tuple(-x for x in ray[1:]) + (ray[0],))
-        facets.append(Facet(key[:-1], key[-1], tuple(sorted(zero))))
+        # the ray is primitive, and so is its key
+        facets.append(Facet(tuple(Fraction(-x) for x in ray[1:]), Fraction(ray[0]),
+                            tuple(sorted(zero))))
     return sorted(facets, key=lambda f: (f.normal, f.offset))
 
 

@@ -33,7 +33,6 @@ from functools import cached_property, reduce
 from itertools import accumulate, groupby, zip_longest
 from operator import add
 
-from ._kernel import compensated_tree_sum
 from .errors import DenominatorVanishes, InputError, NonpositiveScale, UnsupportedOrder
 from .expint import (
     MAX_MOMENT_ORDER,
@@ -162,7 +161,7 @@ class AtomicMeasure(DHMeasure):
 
     def log_exp_moments(self, a_list) -> list[float]:
         """log (1/mass) int e^{-a lambda} dmu per a; exactly -a x for a Dirac at x."""
-        return [top + math.log(compensated_tree_sum(terms))
+        return [top + math.log(math.fsum(terms))
                 for top, terms in map(self._tilt, a_list)]
 
     def _tilted(self, a, k: int) -> tuple[float, list[float]]:
@@ -171,10 +170,10 @@ class AtomicMeasure(DHMeasure):
         if a == 0:
             return 0.0, [self.moment(j) for j in range(k + 1)]
         top, terms = self._tilt(a)
-        total = compensated_tree_sum(terms)
+        total = math.fsum(terms)
         return top + math.log(total), [
-            compensated_tree_sum([float(x)**j * t for (x, _), t in zip(self._merged, terms)])
-            / total for j in range(k + 1)]
+            math.fsum(float(x)**j * t for (x, _), t in zip(self._merged, terms)) / total
+            for j in range(k + 1)]
 
     def _mass_above(self, t: Fraction) -> float:
         return float(sum((m for pos, m, _ in self.atoms if pos >= t), Fraction(0)))
@@ -245,9 +244,9 @@ class PushforwardMeasure(DHMeasure):
         keys = [Fraction(0), *map(rat, a_list)]
         todo = [a for a in dict.fromkeys(keys) if a not in self._sums]
         scale = math.factorial(self.transform.dim)
-        for a, (top, (leaves,)) in zip(todo, pl_cell_integrals(self.transform, todo,
-                                                                 self.weight_xi, 0)):
-            self._sums[a] = top, scale * compensated_tree_sum(leaves)
+        for a, (top, (s,)) in zip(todo, pl_cell_integrals(self.transform, todo,
+                                                            self.weight_xi, 0)):
+            self._sums[a] = top, scale * s
         return [self._sums[a] for a in keys]
 
     def mass(self) -> float:
@@ -263,12 +262,11 @@ class PushforwardMeasure(DHMeasure):
         sum divided by that batch's own j = 0 sum.  A nonzero a stacks a = 0, the mass,
         into the same batch; at a = 0 the log is 0 and the batch holds a alone."""
         a = rat(a)
-        (top, leaves), *zero = pl_cell_integrals(self.transform, [a, Fraction(0)] if a else [a],
-                                                 self.weight_xi, k)
-        sums = [compensated_tree_sum(cells) for cells in leaves]
+        (top, sums), *zero = pl_cell_integrals(self.transform, [a, Fraction(0)] if a else [a],
+                                               self.weight_xi, k)
         log_q = 0.0
-        for top0, (cells0, *_) in zero:
-            log_q = (top - top0) + math.log(sums[0] / compensated_tree_sum(cells0))
+        for top0, (s0, *_) in zero:
+            log_q = (top - top0) + math.log(sums[0] / s0)
         return log_q, [s / sums[0] for s in sums]
 
     def _mass_above(self, t: Fraction) -> float:

@@ -266,17 +266,9 @@ def primitive(vec_and_offset) -> tuple:
 
     Used to canonicalize facet data (normal, offset) so duplicates compare equal.
     """
-    denoms = [q.denominator for q in vec_and_offset]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(q * lcm) for q in vec_and_offset]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints)
+    ints = _integer_row(vec_and_offset)[1]
+    g = gcd(*ints) or 1  # the zero vector stays zero
+    return tuple(Fraction(x // g) for x in ints)
 
 
 def affine_rank(points) -> int:

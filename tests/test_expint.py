@@ -12,7 +12,7 @@ import numpy as np
 
 from fanokit import _kernel
 from fanokit._kernel import dd_exp, dd_exp_batch, dd_exp_series
-from fanokit.errors import InputError, UnsupportedOrder
+from fanokit.errors import InputError, NonFiniteResult, UnsupportedOrder
 from fanokit.expint import (
     MAX_MOMENT_ORDER,
     PLConcaveFunction,
@@ -282,6 +282,17 @@ def test_pl_exp_integral_constant():
     G = PLConcaveFunction.constant(dom, 0)
     r = pl_exp_integral(G)
     assert abs(r.value - 2.0) < 1e-14
+
+
+@pytest.mark.parametrize("domain", [
+    RationalPolytope.interval(0, 4),
+    RationalPolytope.from_vertices([[0, 0], [2, 0], [0, 2], [2, 2]]),
+], ids=["cell-overflows", "cell-sum-overflows"])
+def test_pl_exp_integral_outside_double_range(domain):
+    """int e^{709} over the domain exceeds the doubles: NonFiniteResult, whether one cell's
+    integral overflows or only the sum of two finite ones does."""
+    with pytest.raises(NonFiniteResult):
+        pl_exp_integral(PLConcaveFunction.constant(domain, -709))
 
 
 def test_pl_exp_integral_linear_shift():

@@ -85,6 +85,22 @@ def test_newton_log_sum_exp_matches_bisection():
     assert abs(res.argmin[0] - root) < 1e-10
 
 
+@pytest.mark.parametrize("A, atoms", [
+    (1e-300, [(0, 1), (1, 1)]),
+    (1e-301, [(0, 1), (Fraction(1, 10**300), 1)]),
+], ids=["root-beyond-the-iteration-limit", "gradient-norm-underflows"])
+def test_newton_ends_only_on_a_newton_step_that_passes_the_stop(A, atoms):
+    """A solve that never passes the stop test raises instead of reporting convergence.
+
+    The first root, a ~ 690.8, lies beyond the iteration limit of damped steps; the
+    solve once ended at a = 101.2 marked converged.  In the second, ||g|| of the
+    gradient -4e-301 underflows to 0 and so does the Hessian: the gradient fallback's
+    step once stopped the solve at a = 0.
+    """
+    with pytest.raises(NonConvergence):
+        rescale_opt(A, DHMeasure.atomic(atoms))
+
+
 # -- soliton direction -------------------------------------------------------
 
 
