@@ -26,13 +26,8 @@ def run_p1_checks(F: GradedFiltration, limit: DHMeasure, ambient_dim: int,
     results = []
     degrees = F.degrees()
 
-    ok = True
-    for m in degrees:
-        minima = successive_minima(F.level(m))
-        expect = [Fraction(-i) for i in range(m + 1)]
-        if minima != expect or sum(minima) != Fraction(-(m * m + m), 2):
-            ok = False
-            break
+    # the values 0, -1, ..., -m sum to -(m^2 + m)/2
+    ok = all(successive_minima(F.level(m)) == [-i for i in range(m + 1)] for m in degrees)
     results.append(("successive-minima", ok,
                     f"values -m..0 and sum -(m^2+m)/2 on degrees {degrees[0]}..{degrees[-1]}"))
 

@@ -21,7 +21,6 @@ from .filtration import (
     filtration_from_json,
     initial_term_degeneration,
     multiplicativity_warnings,
-    psi_m,
     q_m,
     relative_minima,
     successive_minima,
@@ -130,11 +129,12 @@ def convergence_report(F: GradedFiltration, limit: DHMeasure, degrees, ambient_d
     for m in sorted(degrees):
         nu = empirical_dh(F, m, ambient_dim)
         measures[str(m)] = nu.to_json()
+        q = q_m(F, m)
         rows.append({
             "degree": m,
             "wasserstein1": wasserstein1(nu, limit),
-            "q_gap": abs(q_m(F, m) - q_limit),
-            "psi_gap": abs(psi_m(F, m) - (1.0 - q_limit)),
+            "q_gap": abs(q - q_limit),
+            "psi_gap": abs((1.0 - q) - (1.0 - q_limit)),  # psi_m = 1 - q_m
         })
     gaps = [r["q_gap"] for r in rows]
     monotone = all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))

@@ -116,9 +116,7 @@ def _exp_integrals(z, volumes, b, k: int, tops) -> list:
 
 def simplex_exp_integral(s: Simplex, l: AffineForm) -> ExpIntegralResult:
     """int_s e^{-l(y)} dy = n! vol(s) * (divided difference of exp at -l(vertices))."""
-    z = [-v for v in _vertex_values(s, l)]
-    (value,), err, method = _exp_integrals([z], [_factorial_volume(s)], None, 0, [0.0])[0]
-    return ExpIntegralResult(value, err, method)
+    return _simplex_integral(s, l, None, 0)
 
 
 def simplex_weighted_exp_integral(s: Simplex, l: AffineForm, w: AffineForm, k: int) -> ExpIntegralResult:
@@ -130,10 +128,20 @@ def simplex_weighted_exp_integral(s: Simplex, l: AffineForm, w: AffineForm, k: i
     """
     if k < 0 or k > MAX_MOMENT_ORDER:
         raise UnsupportedOrder(f"moment order {k} not in 0..{MAX_MOMENT_ORDER}")
+    return _simplex_integral(s, l, w, k)
+
+
+def _simplex_integral(s: Simplex, l: AffineForm, w, k: int) -> ExpIntegralResult:
+    """The unscaled integral of one simplex; NonFiniteResult outside double range."""
     z = [-v for v in _vertex_values(s, l)]
     b = [_vertex_values(s, w)] if k else None
-    values, err, method = _exp_integrals([z], [_factorial_volume(s)], b, k, [0.0])[0]
-    return ExpIntegralResult(values[k], err, method)
+    try:
+        values, err, method = _exp_integrals([z], [_factorial_volume(s)], b, k, [0.0])[0]
+        if math.isfinite(values[k]):
+            return ExpIntegralResult(values[k], err, method)
+    except OverflowError:  # the kernel's offset e^{-l} itself
+        pass
+    raise NonFiniteResult("the exponential integral is outside double range")
 
 
 def _superlevel_share(values, level: Fraction) -> Fraction:

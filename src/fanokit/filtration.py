@@ -6,6 +6,12 @@ torus weights.  Flag-matrix input is converted to this diagonal form by exact
 elimination.  Successive minima, rescale/shift, twists, common adapted bases
 for two flags, level distances, the Q_m/Psi_m approximants and initial-term
 degeneration all operate on this representation, exactly over Q.
+
+Each level is parsed once into an integer table: value and weight
+numerators over common denominators, and basis rows scaled to integers, the
+rows every elimination reads.  The queries read the table (``empirical_dh``
+sorts integers into an ``AtomicMeasure`` table); ``Fraction``s are built only
+for a level's public view and for exact results.
 """
 
 from __future__ import annotations
@@ -28,10 +34,13 @@ from .errors import (
 from .measure import AtomicMeasure, DHMeasure
 from .rational import (
     Vector,
+    _format_over,
+    _fractions,
+    _integer_row,
     coordinates,
-    format_rat,
+    exact_rows,
+    exact_vector,
     independent_rows,
-    integer_rows,
     matrix_rank,
     need,
     parse_number,
@@ -41,48 +50,68 @@ from .rational import (
     row_echelon,
 )
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
-def _unit(n: int, i: int) -> Vector:
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiltrationLevel:
     """Degree-m piece: adapted basis rows, per-vector values, optional weights.
 
-    ``basis`` is ``None`` for a level that is diagonal in the standard basis:
-    the i-th value belongs to the i-th coordinate vector, and no matrix is
-    stored or rank-checked.
+    Takes rationals (ints or Fractions) and stores integer tables: values
+    ``_nums / _den``, weights ``_wnums / _wden`` and each basis row as (d, the
+    row times d); ``values``, ``basis`` and ``weights`` are the ``Fraction``
+    view.  ``basis`` is ``None`` for a level diagonal in the standard basis:
+    no matrix is stored or rank-checked.
     """
 
     degree: int
-    basis: tuple[Vector, ...] | None
-    values: tuple[Fraction, ...]
-    weights: tuple[Vector, ...] | None = None
+    _den: int
+    _nums: tuple[int, ...]
+    _rows: tuple[tuple[int, tuple[int, ...]], ...] | None
+    _wden: int
+    _wnums: tuple[tuple[int, ...], ...] | None
 
-    def __post_init__(self):
-        n = len(self.values)
-        if n == 0 or (self.basis is not None and len(self.basis) != n):
+    def __init__(self, degree: int, basis, values, weights=None):
+        n = len(values)
+        if n == 0 or (basis is not None and len(basis) != n):
             raise InputError("level needs one value per basis vector")
-        if self.basis is not None:
-            if any(len(row) != n for row in self.basis):
+        rows = None
+        if basis is not None:
+            if any(len(row) != n for row in basis):
                 raise InputError("adapted basis must be square over the level")
-            if matrix_rank(self.basis) != n:
-                raise NotABasis(f"adapted basis of level {self.degree} is singular")
-        if self.weights is not None:
-            if len(self.weights) != n:
+            rows = tuple((d, tuple(r)) for d, r in map(_integer_row, basis))
+            if matrix_rank([r for _, r in rows]) != n:
+                raise NotABasis(f"adapted basis of level {degree} is singular")
+        wden, wnums = 1, None
+        if weights is not None:
+            if len(weights) != n:
                 raise InputError("need one torus weight per basis vector")
-            ranks = {len(w) for w in self.weights}
-            if len(ranks) != 1:
+            rank = len(weights[0])
+            if any(len(w) != rank for w in weights):
                 raise InputError("torus weights of mixed rank")
+            wden, flat = _integer_row([x for w in weights for x in w])
+            wnums = tuple(tuple(flat[i * rank:(i + 1) * rank]) for i in range(n))
+        den, nums = _integer_row(values)
+        for key, value in (("degree", degree), ("_den", den), ("_nums", tuple(nums)),
+                           ("_rows", rows), ("_wden", wden), ("_wnums", wnums)):
+            object.__setattr__(self, key, value)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return _fractions(self._nums, self._den)
+
+    @property
+    def basis(self) -> tuple[Vector, ...] | None:
+        return None if self._rows is None else tuple(_fractions(r, d) for d, r in self._rows)
+
+    @property
+    def weights(self) -> tuple[Vector, ...] | None:
+        return None if self._wnums is None else tuple(_fractions(w, self._wden) for w in self._wnums)
 
     @classmethod
     def from_values(cls, degree: int, values, weights=None) -> "FiltrationLevel":
-        vals = tuple(rat(v) for v in values)
-        wts = tuple(rat_vector(w) for w in weights) if weights is not None else None
-        return cls(degree, None, vals, wts)
+        wts = exact_rows(weights, "weights") if weights is not None else None
+        return cls(degree, None, exact_vector(values, "values"), wts)
 
     @classmethod
     def from_flags(cls, degree: int, dim: int, flags, ambient_weights=None) -> "FiltrationLevel":
@@ -126,7 +155,7 @@ class FiltrationLevel:
 
     @property
     def dim(self) -> int:
-        return len(self.values)
+        return len(self._nums)
 
     def value_of(self, vector) -> Fraction:
         """max{lambda : vector in F^lambda} = min basis value with nonzero coefficient."""
@@ -137,21 +166,24 @@ class FiltrationLevel:
         rows = [rat_vector(v) for v in vectors]
         if any(len(r) != self.dim for r in rows):
             raise DimensionMismatch(f"vectors of level {self.degree} need {self.dim} coordinates")
-        coords = rows if self.basis is None else coordinates(self.basis, rows)[1]
+        coords = rows if self._rows is None else coordinates([r for _, r in self._rows], rows)[1]
         out = []
         for c in coords:
-            present = [v for v, x in zip(self.values, c) if x != 0]
+            present = [v for v, x in zip(self._nums, c) if x != 0]
             if not present:
                 raise InputError("cannot evaluate the zero vector")
-            out.append(min(present))
+            out.append(Fraction(min(present), self._den))
         return out
 
-    def subspace_rows(self, value) -> list[Vector]:
+    def subspace_rows(self, value) -> list[tuple[int, ...]]:
+        """Integer rows spanning F^value: the basis rows of value at least ``value``,
+        each scaled to integers as stored."""
         value = rat(value)
-        keep = [i for i, v in enumerate(self.values) if v >= value]
-        if self.basis is None:
-            return [_unit(self.dim, i) for i in keep]
-        return [self.basis[i] for i in keep]
+        keep = [i for i, v in enumerate(self._nums)
+                if v * value.denominator >= value.numerator * self._den]
+        if self._rows is None:
+            return [tuple(int(j == i) for j in range(self.dim)) for i in keep]
+        return [self._rows[i][1] for i in keep]
 
 
 def _weight_decompose(rows, ambient_weights):
@@ -208,18 +240,13 @@ class GradedFiltration:
         doc = {"label": self.label, "levels": {}}
         for m in self.degrees():
             lv = self.levels[m]
-            entry = {
-                "dim": lv.dim,
-                "values": [format_rat(v) for v in lv.values],
-            }
-            identity = lv.basis is None or all(
-                lv.basis[i][j] == (1 if i == j else 0)
-                for i in range(lv.dim) for j in range(lv.dim)
-            )
+            entry = {"dim": lv.dim, "values": [_format_over(v, lv._den) for v in lv._nums]}
+            identity = lv._rows is None or lv._rows == tuple(
+                (1, tuple(int(i == j) for j in range(lv.dim))) for i in range(lv.dim))
             if not identity:
-                entry["basis"] = [[format_rat(x) for x in row] for row in lv.basis]
-            if lv.weights is not None:
-                entry["weights"] = [[format_rat(x) for x in w] for w in lv.weights]
+                entry["basis"] = [[_format_over(x, d) for x in row] for d, row in lv._rows]
+            if lv._wnums is not None:
+                entry["weights"] = [[_format_over(x, lv._wden) for x in w] for w in lv._wnums]
             doc["levels"][str(m)] = entry
         return doc
 
@@ -235,12 +262,12 @@ def filtration_from_json(doc: dict) -> GradedFiltration:
         dim = parse_number(need(entry, f"level {m}", "dim"), f"dim of level {m}")
         weights = entry.get("weights")
         if weights is not None:
-            weights = rat_rows(weights, f"weights of level {m}")
+            weights = exact_rows(weights, f"weights of level {m}")
         if "values" in entry:
-            values = rat_vector(entry["values"], f"values of level {m}", dim)
+            values = exact_vector(entry["values"], f"values of level {m}", dim)
             basis = entry.get("basis")
             if basis is not None:
-                basis = rat_rows(basis, f"basis of level {m}", dim)
+                basis = exact_rows(basis, f"basis of level {m}", dim)
             levels[m] = FiltrationLevel(m, basis, values, weights)
         elif "flags" in entry:
             flags = [need(f, f"each flag of level {m}", "value", "rows")
@@ -258,7 +285,7 @@ def filtration_from_json(doc: dict) -> GradedFiltration:
 
 def successive_minima(lv: FiltrationLevel) -> list[Fraction]:
     """Jump values with multiplicity, in decreasing order."""
-    return sorted(lv.values, reverse=True)
+    return list(_fractions(sorted(lv._nums, reverse=True), lv._den))
 
 
 def rescale_shift(F: GradedFiltration, a, b) -> GradedFiltration:
@@ -295,20 +322,17 @@ def twist(F: GradedFiltration, xi) -> GradedFiltration:
 def empirical_dh(F: GradedFiltration, m: int, ambient_dim: int) -> DHMeasure:
     """Atoms at lambda_i/m with mass n!/m^n; carries weights alpha/m when present.
 
-    The atoms come straight from the level's exact values, in the stable
-    order of those values.
+    The atoms are the level's table read over the denominators times m, in
+    the stable order of the value numerators.
     """
     if m < 1 or ambient_dim < 0:
         raise InputError(f"need degree >= 1 and ambient dim >= 0, got {m} and {ambient_dim}")
     lv = F.level(m)
-    mass = Fraction(factorial(ambient_dim), m**ambient_dim)
-    order = sorted(range(lv.dim), key=lv.values.__getitem__)
-    if lv.weights is None:
-        atoms = tuple((lv.values[i] / m, mass, None) for i in order)
-    else:
-        atoms = tuple((lv.values[i] / m, mass, tuple(a / m for a in lv.weights[i]))
-                      for i in order)
-    return AtomicMeasure(atoms)
+    nums = lv._nums
+    order = sorted(range(lv.dim), key=nums.__getitem__)
+    weights = (None,) * lv.dim if lv._wnums is None else tuple(lv._wnums[i] for i in order)
+    return AtomicMeasure(lv._den * m, tuple(nums[i] for i in order),
+                         m**ambient_dim, (factorial(ambient_dim),) * lv.dim, lv._wden * m, weights)
 
 
 @dataclass(frozen=True)
@@ -333,18 +357,18 @@ def common_adapted_basis(lv0: FiltrationLevel, lv1: FiltrationLevel) -> CommonBa
     if lv0.dim != lv1.dim:
         raise DimensionMismatch(f"levels of dim {lv0.dim} and {lv1.dim}")
     n = lv0.dim
-    order0 = sorted(range(n), key=lambda i: (-lv0.values[i], i))
-    mu0_sorted = [lv0.values[i] for i in order0]
-    order1 = sorted(range(n), key=lambda i: (-lv1.values[i], i))
-    if lv1.basis is None:
+    # a stable sort by decreasing value: ties keep their index order
+    order0 = sorted(range(n), key=lv0._nums.__getitem__, reverse=True)
+    order1 = sorted(range(n), key=lv1._nums.__getitem__, reverse=True)
+    if lv1._rows is None:
         f_rows = [[int(j == i) for j in range(n)] for i in order1]
     else:
-        f_rows = integer_rows(lv1.basis[i] for i in order1)
-    if lv0.basis is None:
+        f_rows = [lv1._rows[i][1] for i in order1]
+    if lv0._rows is None:
         e_rows = None
         coords = [[f[i] for i in order0] for f in f_rows]
     else:
-        e_rows = integer_rows(lv0.basis[i] for i in order0)
+        e_rows = [lv0._rows[i][1] for i in order0]
         solved = coordinates(e_rows, f_rows)
         if solved is None:
             raise NotABasis("first level basis is singular")
@@ -375,7 +399,8 @@ def common_adapted_basis(lv0: FiltrationLevel, lv1: FiltrationLevel) -> CommonBa
                 if x:
                     ambient = [s + x * y for s, y in zip(ambient, e)]
         rows.append(tuple(ambient))
-        pairs.append((mu0_sorted[piv], lv1.values[idx]))
+        pairs.append((Fraction(lv0._nums[order0[piv]], lv0._den),
+                      Fraction(lv1._nums[idx], lv1._den)))
     return CommonBasis(tuple(rows), tuple(pairs))
 
 
@@ -403,7 +428,7 @@ def d_p_level(F0: GradedFiltration, F1: GradedFiltration, m: int, p=2) -> float:
 def q_m(F: GradedFiltration, m: int) -> float:
     """(1/N_m) sum_i e^{-lambda_i/m}."""
     lv = F.level(m)
-    return _mean_exp(lv.values, m, lv.dim)
+    return _mean_exp(lv._den, lv._nums, m)
 
 
 def psi_m(F: GradedFiltration, m: int) -> float:
@@ -417,15 +442,17 @@ def q_of_basis(F: GradedFiltration, m: int, basis_rows) -> float:
     if (len(rows) != lv.dim or any(len(r) != lv.dim for r in rows)
             or matrix_rank(rows) != lv.dim):
         raise NotABasis("supplied vectors do not form a basis of the level")
-    return _mean_exp(lv.values_of(rows), m, lv.dim)
+    return _mean_exp(*_integer_row(lv.values_of(rows)), m)
 
 
-def _mean_exp(values, m: int, dim: int) -> float:
-    """(1/dim) sum e^{-v/m}; NonFiniteResult when a term or the sum leaves double range."""
+def _mean_exp(den: int, nums, m: int) -> float:
+    """(1/N) sum e^{-v/m} over the N values v = num / den, each v rounded once;
+    NonFiniteResult when a term or the sum leaves double range."""
     try:
-        return fsum(exp(-float(v) / m) for v in values) / dim
+        return fsum(exp(-(v / den) / m) for v in nums) / len(nums)
     except OverflowError as exc:
-        raise NonFiniteResult(f"Q_{m} = (1/{dim}) sum e^(-v/{m}) is outside double range") from exc
+        raise NonFiniteResult(
+            f"Q_{m} = (1/{len(nums)}) sum e^(-v/{m}) is outside double range") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +520,7 @@ def initial_term_degeneration(model: MonomialModel, w, F1: GradedFiltration, m: 
     jumps = sorted(set(lv.values), reverse=True)
     flags = []
     for lam in jumps:
-        rows = [list(r) for r in lv.subspace_rows(lam)]
-        reordered = [[row[j] for j in col_order] for row in rows]
+        reordered = [[row[j] for j in col_order] for row in lv.subspace_rows(lam)]
         reduced = row_echelon(reordered, reduced=False)[1]
         initial_rows = []
         for row in reduced:
@@ -519,7 +545,7 @@ def multiplicativity_warnings(F: GradedFiltration) -> list[str]:
     violation disproves it.
     """
     degs = F.degrees()
-    tops = {m: max(F.level(m).values) for m in degs}
+    tops = {m: Fraction(max(lv._nums), lv._den) for m, lv in F.levels.items()}
     out = []
     for m1, m2 in itertools.combinations_with_replacement(degs, 2):
         if m1 + m2 in tops and tops[m1 + m2] < tops[m1] + tops[m2]:

@@ -23,7 +23,7 @@ from .errors import (
     NegativeSupport,
 )
 from .expint import PLConcaveFunction, exp_scaled
-from .filtration import GradedFiltration, successive_minima
+from .filtration import GradedFiltration
 from .geometry import RationalPolytope, pairing_form
 from .measure import DHMeasure
 from .rational import need, rat, solve_square
@@ -192,20 +192,12 @@ def ek_from_minima_polynomial(F: GradedFiltration, degrees, k: int,
         raise InsufficientDegrees(
             f"need at least {max(3, deg + 1)} stored degrees for k={k}, n={ambient_dim}"
         )
-    ys = []
-    for m in degrees:
-        vals = successive_minima(F.level(m))
-        ys.append(sum((v**k for v in vals), Fraction(0)))
-    # normal equations for the Vandermonde fit, all over Q
+    # sum_i (n_i / d)^k over each level's integer table
+    ys = [Fraction(sum(n**k for n in lv._nums), lv._den**k) for lv in map(F.level, degrees)]
+    # normal equations for the Vandermonde fit: sums of powers of m, all exact
     cols = deg + 1
-    ata = [[Fraction(0)] * cols for _ in range(cols)]
-    aty = [Fraction(0)] * cols
-    for m, y in zip(degrees, ys):
-        powers = [Fraction(m) ** j for j in range(cols)]
-        for i in range(cols):
-            aty[i] += powers[i] * y
-            for j in range(cols):
-                ata[i][j] += powers[i] * powers[j]
+    ata = [[sum(m ** (i + j) for m in degrees) for j in range(cols)] for i in range(cols)]
+    aty = [sum((m**i * y for m, y in zip(degrees, ys)), Fraction(0)) for i in range(cols)]
     coeffs = solve_square(ata, aty)
     if coeffs is None:
         raise InsufficientDegrees("degenerate degree set for the fit")

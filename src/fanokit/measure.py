@@ -20,6 +20,11 @@ CDF is sampled on ``SUPERLEVEL_GRID`` equal steps and its inverse power
 means take adaptive quadrature.  ``wasserstein1`` integrates |F - G| in
 closed form on each interval between the two CDFs' knots.
 
+An atomic measure is an integer table: sorted position numerators over one
+denominator, mass numerators over another, weights over a third.  Its
+moments, tilted sums, CDF and JSON read the table, and every float is one
+int / int, correctly rounded, so it equals the ``Fraction`` value rounded once.
+
 All functional formulas downstream divide by ``mass`` explicitly, so measures
 here carry raw (possibly non-probability) mass.
 """
@@ -29,9 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import accumulate, groupby, zip_longest
-from operator import add
+from functools import cached_property
+from itertools import accumulate, zip_longest
 
 from .errors import DenominatorVanishes, InputError, NonpositiveScale, UnsupportedOrder
 from .expint import (
@@ -45,7 +49,7 @@ from .expint import (
     superlevel_log_gvolume,
 )
 from .geometry import RationalPolytope, polytope_from_json
-from .rational import format_rat, need, rat, rat_vector
+from .rational import _format_over, _fractions, _integer_row, format_rat, need, rat, rat_vector
 
 #: equal steps on which a weighted pushforward's CDF is sampled for ``wasserstein1``
 SUPERLEVEL_GRID = 2048
@@ -75,7 +79,13 @@ class DHMeasure:
             packed.append((rat(pos), mass, rat_vector(weight) if weight is not None else None))
         if not packed:
             raise InputError("atomic measure needs at least one atom")
-        return AtomicMeasure(tuple(sorted(packed, key=lambda a: a[0])))
+        packed.sort(key=lambda a: a[0])
+        positions, masses, weights = zip(*packed)
+        wden, flat = _integer_row([x for w in weights if w is not None for x in w])
+        flat = iter(flat)
+        (pden, pos), (mden, mass) = _integer_row(positions), _integer_row(masses)
+        return AtomicMeasure(pden, tuple(pos), mden, tuple(mass), wden, tuple(
+            None if w is None else tuple(next(flat) for _ in w) for w in weights))
 
     @staticmethod
     def dirac(position, mass=1) -> "AtomicMeasure":
@@ -126,38 +136,67 @@ class DHMeasure:
         return self._affine(a, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicMeasure(DHMeasure):
-    """sum_i m_i delta_{x_i}, atoms ((x_i, m_i, torus weight | None), ...) sorted by x_i."""
+    """sum_i m_i delta_{x_i}: positions x_i = pos[i] / pden, increasing, masses
+    m_i = mass[i] / mden and torus weights weights[i] / wden (None for an atom
+    without one).  ``atoms`` is the ``Fraction`` view ((x_i, m_i, weight | None),
+    ...), built on each access; equality reads it.
+    """
 
-    atoms: tuple
+    _pden: int
+    _pos: tuple[int, ...]
+    _mden: int
+    _mass: tuple[int, ...]
+    _wden: int
+    _weights: tuple
+
+    @property
+    def atoms(self) -> tuple:
+        return tuple(zip(_fractions(self._pos, self._pden), _fractions(self._mass, self._mden),
+                         (w and _fractions(w, self._wden) for w in self._weights)))
+
+    def __eq__(self, other):
+        return isinstance(other, AtomicMeasure) and self.atoms == other.atoms
+
+    def __hash__(self):
+        return hash(self.atoms)
 
     @cached_property
-    def _total(self) -> Fraction:
-        return sum((m for _, m, _ in self.atoms), Fraction(0))
+    def _total(self) -> int:
+        """The total mass over ``_mden``."""
+        return sum(self._mass)
 
     @cached_property
-    def _merged(self) -> tuple:
-        """(x, mass at x) per distinct position x, in increasing order."""
-        runs = groupby(self.atoms, key=lambda atom: atom[0])
-        return tuple((pos, reduce(add, (m for _, m, _ in run))) for pos, run in runs)
+    def _merged(self) -> tuple[list[int], list[int]]:
+        """The distinct position numerators, increasing, and the mass numerators at each."""
+        xs, ms = [], []
+        for x, m in zip(self._pos, self._mass):
+            if xs and xs[-1] == x:
+                ms[-1] += m
+            else:
+                xs.append(x)
+                ms.append(m)
+        return xs, ms
 
     def _tilt(self, a) -> tuple[float, list[float]]:
-        """(top, w_i e^{-a x_i - top}) with top the largest exponent -a x_i and
-        w_i the mass at x_i normalized exactly, so a Dirac has w = 1."""
-        af = float(a)
-        top = max(-af * float(x) for x, _ in self._merged)
-        return top, [float(m / self._total) * math.exp(-af * float(x) - top)
-                     for x, m in self._merged]
+        """(top, w_i e^{-a x_i - top}) per distinct x_i, with top the largest exponent
+        -a x_i and w_i the mass at x_i normalized exactly, so a Dirac has w = 1."""
+        af, d, total = float(a), self._pden, self._total
+        xs, ms = self._merged
+        exponents = [-af * (x / d) for x in xs]
+        top = max(exponents)
+        return top, [m / total * math.exp(e - top) for m, e in zip(ms, exponents)]
 
     def mass(self) -> float:
-        return float(self._total)
+        return self._total / self._mden
 
     def moment(self, k: int) -> float:
         """(1/mass) int lambda^k dmu, exactly rounded; moment(0) = 1."""
         if k < 0 or k > MAX_MOMENT_ORDER:
             raise UnsupportedOrder(f"moment order {k} not in 0..{MAX_MOMENT_ORDER}")
-        return float(sum((m * pos**k for pos, m, _ in self.atoms), Fraction(0)) / self._total)
+        xs, ms = self._merged
+        return sum(m * x**k for x, m in zip(xs, ms)) / (self._total * self._pden**k)
 
     def log_exp_moments(self, a_list) -> list[float]:
         """log (1/mass) int e^{-a lambda} dmu per a; exactly -a x for a Dirac at x."""
@@ -171,25 +210,26 @@ class AtomicMeasure(DHMeasure):
             return 0.0, [self.moment(j) for j in range(k + 1)]
         top, terms = self._tilt(a)
         total = math.fsum(terms)
+        xs = [x / self._pden for x in self._merged[0]]
         return top + math.log(total), [
-            math.fsum(float(x)**j * t for (x, _), t in zip(self._merged, terms)) / total
-            for j in range(k + 1)]
+            math.fsum(x**j * t for x, t in zip(xs, terms)) / total for j in range(k + 1)]
 
     def _mass_above(self, t: Fraction) -> float:
-        return float(sum((m for pos, m, _ in self.atoms if pos >= t), Fraction(0)))
+        return sum(m for x, m in zip(self._pos, self._mass)
+                   if x * t.denominator >= t.numerator * self._pden) / self._mden
 
     def _share_above(self, t: Fraction) -> float:
         return self._mass_above(t) / self.mass()
 
     def support(self) -> SupportInfo:
-        return SupportInfo(float(self.atoms[0][0]), float(self.atoms[-1][0]), True)
+        return SupportInfo(self._pos[0] / self._pden, self._pos[-1] / self._pden, True)
 
     def _affine(self, a: Fraction, b: Fraction) -> "AtomicMeasure":
         return DHMeasure.atomic([(a * pos + b, m, w) for pos, m, w in self.atoms])
 
     def twisted(self, xi) -> "AtomicMeasure":
         """Each atom moved by <w, xi>, w its torus weight."""
-        if any(w is None for _, _, w in self.atoms):
+        if any(w is None for w in self._weights):
             raise InputError("xi sweep needs torus weights on every atom")
         return DHMeasure.atomic([(pos + sum(a * x for a, x in zip(w, xi)), m, w)
                                  for pos, m, w in self.atoms])
@@ -197,11 +237,11 @@ class AtomicMeasure(DHMeasure):
     def inverse_power_mean(self, b, c, p: int) -> float:
         """(1/mass) int (b lambda + c)^{-p} dmu, summed exactly over the atoms."""
         b, c = rat(b), rat(c)
-        u = [b * x + c for x, _ in self._merged]
+        xs, ms = self._merged
+        u = [b * Fraction(x, self._pden) + c for x in xs]
         if min(u) <= 0:
             raise DenominatorVanishes(f"{b} x + {c} vanishes on the support")
-        return float(sum((m * ui ** -p for (_, m), ui in zip(self._merged, u)), Fraction(0))
-                     / self._total)
+        return float(sum((m * ui ** -p for m, ui in zip(ms, u)), Fraction(0)) / self._total)
 
     @cached_property
     def _cdf(self):
@@ -210,18 +250,16 @@ class AtomicMeasure(DHMeasure):
         The cumulative masses are integers over one common denominator, and
         int / int is correctly rounded, so each value is exactly float(c / total).
         """
-        scale = math.lcm(*(m.denominator for _, m in self._merged))
-        cumulative = list(accumulate(m.numerator * (scale // m.denominator)
-                                     for _, m in self._merged))
-        return ([float(x) for x, _ in self._merged],
-                [(c / cumulative[-1],) for c in cumulative])
+        xs, ms = self._merged
+        cumulative = list(accumulate(ms))
+        return ([x / self._pden for x in xs], [(c / cumulative[-1],) for c in cumulative])
 
     def to_json(self) -> dict:
         out = []
-        for pos, m, w in self.atoms:
-            entry = {"pos": format_rat(pos), "mass": format_rat(m)}
+        for x, m, w in zip(self._pos, self._mass, self._weights):
+            entry = {"pos": _format_over(x, self._pden), "mass": _format_over(m, self._mden)}
             if w is not None:
-                entry["weight"] = [format_rat(x) for x in w]
+                entry["weight"] = [_format_over(y, self._wden) for y in w]
             out.append(entry)
         return {"atoms": out}
 

@@ -306,9 +306,9 @@ def twist_opt(F, m_list, L: LPolicy, x0=None, tol: float = NEWTON_TOL) -> OptRes
         if lv.weights is None:
             raise MissingTorusWeights(f"level {m} has no torus weights")
         weight_points += lv.weights
-        for val, w in zip(lv.values, lv.weights):
-            atoms.append((float(val) / m, 1.0 / len(m_list) / lv.dim,
-                          tuple(float(x) / m for x in w)))
+        for val, w in zip(lv._nums, lv._wnums):
+            atoms.append((val / lv._den / m, 1.0 / len(m_list) / lv.dim,
+                          tuple(x / lv._wden / m for x in w)))
     rank = len(atoms[0][2])
     # 0 is interior to the hull of the w / m exactly when it is interior to
     # the hull of the w: scaling each point by 1/m > 0 keeps every sign <a, w>
@@ -366,8 +366,8 @@ def interpolation_derivative(transform_or_filtration, xi, L_hat,
         lv = F.level(m)
         if lv.weights is None:
             raise MissingTorusWeights(f"level {m} has no torus weights")
-        lam = np.array([float(v) / m for v in lv.values])
-        wts = np.array([[float(x) / m for x in w] for w in lv.weights])
+        lam = np.array([v / lv._den / m for v in lv._nums])
+        wts = np.array([[x / lv._wden / m for x in w] for w in lv._wnums])
         pairing = wts @ np.asarray([float(x) for x in xi])
 
         def h_hat(s):

@@ -1,9 +1,10 @@
 """Exact rational scalars, vectors and small dense linear algebra.
 
-Everything combinatorial in the geometry and filtration layers runs on
-``fractions.Fraction`` so that degeneracy decisions (facet incidence, flag
-nesting, ties between successive minima) are exact.  Floats appear only when
-a value is handed to the numeric integration kernel.
+Everything combinatorial in the geometry and filtration layers is exact
+rational arithmetic, in ``fractions.Fraction`` or in integers over a common
+denominator, so that degeneracy decisions (facet incidence, flag nesting,
+ties between successive minima) are exact.  Floats appear only when a value
+is handed to the numeric integration kernel.
 
 Every elimination (rank, determinant, solves, echelon forms, coordinates)
 scales each row to integers once and runs one fraction-free core, Bareiss's
@@ -32,11 +33,17 @@ def rat(x) -> Fraction:
     A value outside double range is an input error: every rational a
     document holds is rounded to a double somewhere downstream.
     """
+    q = _exact(x)
+    return Fraction(q) if type(q) is int else q
+
+
+def _exact(x) -> int | Fraction:
+    """``rat(x)``, except that an int or an integer string stays an ``int``."""
     # str first: isinstance against Fraction goes through the ABC machinery
     if isinstance(x, str):
         digits = x[1:] if x[:1] == "-" else x
         if digits.isascii() and digits.isdecimal() and len(digits) <= 308:
-            return Fraction(int(x))  # below 10^308: inside double range
+            return int(x)  # below 10^308: inside double range
         try:
             q = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
@@ -46,11 +53,11 @@ def rat(x) -> Fraction:
     elif isinstance(x, bool):
         raise InputError(f"not a rational: {x!r}")
     elif isinstance(x, int):
-        q = Fraction(x)
+        q = int(x)
     elif isinstance(x, float):
         # floats only arrive from JSON constants (NaN, Infinity) or solver iterates;
         # read as decimals (cast first: numpy scalars repr differently)
-        return rat(repr(float(x)))
+        return _exact(repr(float(x)))
     elif isinstance(x, (list, tuple)) and len(x) == 2:
         try:
             q = Fraction(int(x[0]), int(x[1]))
@@ -114,16 +121,32 @@ def _sequence(value, name: str, what: str):
 def rat_vector(value, name: str = "vector", length: int | None = None) -> Vector:
     """Rationals from a list, tuple, generator or array, ``length`` of them when one is
     given; anything else is an InputError naming ``name``."""
-    vec = tuple(rat(x) for x in _sequence(value, name, "rationals"))
-    if length is not None and len(vec) != length:
-        raise InputError(f"{name} has {len(vec)} entries, not {length}")
-    return vec
+    return _vector(rat, value, name, length)
 
 
 def rat_rows(value, name: str, width: int | None = None) -> tuple[Vector, ...]:
     """A list of ``rat_vector`` rows, each ``width`` long when one is given."""
-    return tuple(rat_vector(row, f"each row of the {name}", width)
-                 for row in _sequence(value, name, "vectors"))
+    row_name = f"each row of the {name}"
+    return tuple(rat_vector(row, row_name, width) for row in _sequence(value, name, "vectors"))
+
+
+def exact_vector(value, name: str, length: int | None = None) -> tuple:
+    """``rat_vector`` with each integer entry left an ``int``: no ``Fraction`` per
+    entry for tables that scale their rows to integers anyway."""
+    return _vector(_exact, value, name, length)
+
+
+def exact_rows(value, name: str, width: int | None = None) -> tuple:
+    """``rat_rows`` with each integer entry left an ``int``, as ``exact_vector``."""
+    row_name = f"each row of the {name}"
+    return tuple(_vector(_exact, row, row_name, width) for row in _sequence(value, name, "vectors"))
+
+
+def _vector(parse, value, name: str, length: int | None) -> tuple:
+    vec = tuple(map(parse, _sequence(value, name, "rationals")))
+    if length is not None and len(vec) != length:
+        raise InputError(f"{name} has {len(vec)} entries, not {length}")
+    return vec
 
 
 def format_rat(q: Fraction) -> str:
@@ -143,9 +166,22 @@ def smul(c: Fraction, u) -> Vector:
 
 
 def _integer_row(row) -> tuple[int, list[int]]:
-    """The row scaled by the lcm of its denominators, and that lcm."""
+    """The row of ints and Fractions scaled by the lcm of its denominators, and that lcm."""
+    if all(type(x) is int for x in row):
+        return 1, list(row)
     scale = lcm(*(x.denominator for x in row))
     return scale, [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _fractions(nums, d: int) -> tuple[Fraction, ...]:
+    """The ``Fraction`` view of the integer row ``nums`` over the denominator ``d``."""
+    return tuple(map(Fraction, nums)) if d == 1 else tuple(Fraction(n, d) for n in nums)
+
+
+def _format_over(n: int, d: int) -> str:
+    """``format_rat(Fraction(n, d))`` for d > 0, without the ``Fraction``."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def integer_rows(rows) -> list[list[int]]:

@@ -295,6 +295,20 @@ def test_pl_exp_integral_outside_double_range(domain):
         pl_exp_integral(PLConcaveFunction.constant(domain, -709))
 
 
+@pytest.mark.parametrize("c", [-800, -709], ids=["offset-overflows", "volume-product-overflows"])
+@pytest.mark.parametrize("integral", [
+    lambda s, l: simplex_exp_integral(s, l),
+    lambda s, l: simplex_weighted_exp_integral(s, l, AffineForm.make([1], 0), 1),
+], ids=["plain", "weighted-k1"])
+def test_simplex_integrals_outside_double_range(c, integral):
+    """e^{-c} on [0, 4]: a raw OverflowError from the kernel offset at c = -800, an inf value
+    at c = -709; both are NonFiniteResult."""
+    with pytest.raises(NonFiniteResult):
+        integral(Simplex.make([[0], [4]]), AffineForm.make([0], c))
+    # just inside double range the value is finite
+    assert math.isfinite(integral(Simplex.make([[0], [4]]), AffineForm.make([0], -700)).value)
+
+
 def test_pl_exp_integral_linear_shift():
     dom = RationalPolytope.interval(-1, 1)
     G = PLConcaveFunction.constant(dom, 0)
@@ -350,7 +364,8 @@ def test_pl_gradient_matches_weighted_integral():
 
 
 def test_pl_cell_order_bitstable():
-    # the reduction follows the canonical cell order, not the order cells are given in
+    # math.fsum rounds the cell sum once and is order-free, so the order cells are given in
+    # cannot change a bit
     dom = RationalPolytope.from_vertices(
         [[x, y, z] for x in (0, 3) for y in (0, 2) for z in (0, 1)])
     G = PLConcaveFunction.linear(dom, [1, -1, 2], 0)

@@ -342,8 +342,9 @@ def test_atomic_tilted_sums_are_correctly_rounded(atoms, a):
     """Each sum of the ``_tilt`` terms x^j w e^{-a x - top} is the exact sum rounded once;
     at these atoms a double-double tree missed the moment j = 2 (or 1) by one ulp."""
     mu = DHMeasure.atomic(atoms)
-    _, terms = mu._tilt(a)
-    sums = [float(sum((Fraction(float(x)**j * t) for (x, _), t in zip(mu._merged, terms)),
+    _, terms = mu._tilt(a)  # one term per distinct position, in increasing order
+    positions = sorted({x for x, _, _ in mu.atoms})
+    sums = [float(sum((Fraction(float(x)**j * t) for x, t in zip(positions, terms)),
                       Fraction(0))) for j in range(3)]
     assert mu.tilted_moments(a, 2) == [s / sums[0] for s in sums]
 
