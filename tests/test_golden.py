@@ -1,9 +1,9 @@
 """Golden bytes: the sha256 of whole CLI artifacts, pinned.
 
 Each document runs through ``cli.main`` and its output file is hashed.  The
-hashes were taken before filtration levels and atomic measures moved to
-integer tables, so any drift in a value, an ordering or a rational's
-formatting fails here.
+hashes were taken at 08fd011, before filtration levels and atomic measures
+moved to integer tables, so any drift in a value, an ordering or a
+rational's formatting fails here.
 """
 
 import hashlib
@@ -12,6 +12,8 @@ import json
 import pytest
 
 from fanokit.cli import _fixture_path, main
+
+P1 = _fixture_path("p1_example.json")
 
 # explicit, non-identity adapted bases with mixed denominators
 DISTANCE = {
@@ -63,9 +65,9 @@ def _artifact_sha256(tmp_path, command, doc_or_path):
 
 
 @pytest.mark.parametrize("command, doc, digest", [
-    ("dh", "p1",
+    ("dh", P1,
      "7620732b549d07366b111a790387248e9ba2b8eaded591c017a3fa967be2e2b7"),
-    ("check", "p1",
+    ("check", P1,
      "1cb72cddb0ef8ddd6082af28c3792f0bcc9268ad16fd5bbc56e7a7c27545b595"),
     ("distance", DISTANCE,
      "c2ce865bd772887d9498beec788813654afdc4bd67ccc0b25708f264328aadb8"),
@@ -74,6 +76,5 @@ def _artifact_sha256(tmp_path, command, doc_or_path):
     ("dh", DH,
      "908b081cb2aed068e0e9c09cdae7be780caf9228237c864efd76a43aaad3fce0"),
 ], ids=["dh-p1", "check-p1", "distance", "degenerate", "dh-weighted"])
-def test_artifact_bytes_pinned(tmp_path, capsys, command, doc, digest):
-    doc = _fixture_path("p1_example.json") if doc == "p1" else doc
+def test_artifact_bytes_pinned(tmp_path, command, doc, digest):
     assert _artifact_sha256(tmp_path, command, doc) == digest
