@@ -13,8 +13,7 @@ each a polynomial of one fixed degree with no convergence test:
   exponent, and every matrix takes the same degree-``_TAYLOR_DEGREE`` Taylor
   polynomial, so a list's result never depends on the other lists in its
   batch.  Uniformly accurate for any node spread, including exactly repeated
-  nodes (the matrix route is the confluent table).  ``dd_exp`` is its
-  batch-of-one form.
+  nodes (the matrix route is the confluent table).
 * ``dd_exp_series`` - Taylor expansion of the divided difference around the
   mean node, in complete homogeneous symmetric polynomials up to degree
   ``_SERIES_DEGREE``, with the mean returned as the log offset.  Fast and
@@ -99,13 +98,6 @@ def _expm_taylor(a):
         e *= 1.0 / j
         e += eye
     return e
-
-
-def dd_exp(z):
-    """Divided difference of exp at nodes z (ties allowed); returns (value, rel_err)."""
-    n1 = len(z)
-    rows, offset, err = dd_exp_batch([z])
-    return float(rows[0, n1 - 1]) * math.exp(offset[0]), float(err[0])
 
 
 def dd_exp_series(z):

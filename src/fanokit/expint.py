@@ -30,6 +30,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 
 from ._kernel import dd_exp_batch, dd_exp_series
 from .errors import InputError, NonFiniteResult, UnsupportedOrder
@@ -40,7 +41,17 @@ from .geometry import (
     halfspace_slice,
     pairing_form,
 )
-from .rational import format_rat, need, rat, rat_rows, rat_vector
+from .rational import (
+    _exact,
+    _format_over,
+    _fractions,
+    _integer_row,
+    exact_rows,
+    exact_vector,
+    need,
+    rat,
+    rat_vector,
+)
 
 #: node spread below which the series is used; absolute, since DD[exp](z + c) = e^c DD[exp](z)
 CLUSTER_SPREAD = 1e-4
@@ -68,11 +79,12 @@ class ExpIntegralResult:
 
 def _factorial_volume(s: Simplex) -> float:
     # n! * vol(s) = |det of edge matrix|, exact before rounding
-    return float(abs(s.edge_determinant()))
+    return abs(s._det) / s._den ** s.dim
 
 
 def _vertex_values(s: Simplex, form: AffineForm) -> list[float]:
-    return [float(form(v)) for v in s.vertices]
+    den = form._den * s._den
+    return [form._at(s._den, v) / den for v in s._rows]
 
 
 def _exp_integrals(z, volumes, b, k: int, tops) -> list:
@@ -115,30 +127,15 @@ def _exp_integrals(z, volumes, b, k: int, tops) -> list:
 
 
 def simplex_exp_integral(s: Simplex, l: AffineForm) -> ExpIntegralResult:
-    """int_s e^{-l(y)} dy = n! vol(s) * (divided difference of exp at -l(vertices))."""
-    return _simplex_integral(s, l, None, 0)
+    """int_s e^{-l(y)} dy = n! vol(s) * (divided difference of exp at -l(vertices)).
 
-
-def simplex_weighted_exp_integral(s: Simplex, l: AffineForm, w: AffineForm, k: int) -> ExpIntegralResult:
-    """int_s w(y)^k e^{-l(y)} dy for k <= 4.
-
-    Realized as the k-th derivative of the divided-difference representation
-    along the deformation l -> l - t*w, so the clustering safeguards of the
-    plain kernel carry over.
+    NonFiniteResult outside double range.
     """
-    if k < 0 or k > MAX_MOMENT_ORDER:
-        raise UnsupportedOrder(f"moment order {k} not in 0..{MAX_MOMENT_ORDER}")
-    return _simplex_integral(s, l, w, k)
-
-
-def _simplex_integral(s: Simplex, l: AffineForm, w, k: int) -> ExpIntegralResult:
-    """The unscaled integral of one simplex; NonFiniteResult outside double range."""
     z = [-v for v in _vertex_values(s, l)]
-    b = [_vertex_values(s, w)] if k else None
     try:
-        values, err, method = _exp_integrals([z], [_factorial_volume(s)], b, k, [0.0])[0]
-        if math.isfinite(values[k]):
-            return ExpIntegralResult(values[k], err, method)
+        (value,), err, method = _exp_integrals([z], [_factorial_volume(s)], None, 0, [0.0])[0]
+        if math.isfinite(value):
+            return ExpIntegralResult(value, err, method)
     except OverflowError:  # the kernel's offset e^{-l} itself
         pass
     raise NonFiniteResult("the exponential integral is outside double range")
@@ -264,9 +261,27 @@ def _survival_spline(cell_table, n: int) -> SurvivalSpline:
                           sum((det for _, det in cell_table), Fraction(0)))
 
 
+def _common_grid(simplices) -> tuple[int, list]:
+    """(C, per simplex its vertex rows times C): every vertex over one common denominator."""
+    c = math.lcm(*(s._den for s in simplices))
+    return c, [s._rows if s._den == c else tuple(tuple(x * (c // s._den) for x in r) for r in s._rows)
+               for s in simplices]
+
+
+def _nodes(d: int, values, volumes) -> tuple:
+    """The node table (D, values, floats, volumes) of vertex value numerators over D."""
+    return d, values, tuple(tuple(v / d for v in vals) for vals in values), volumes
+
+
 @dataclass(frozen=True)
 class PLConcaveFunction:
-    """Piecewise-affine function given by affine pieces over a triangulated domain."""
+    """Piecewise-affine function given by affine pieces over a triangulated domain.
+
+    Its exact tables are integers, built once: ``_grid`` holds every cell
+    vertex over one common denominator and ``_node_table`` every vertex value
+    over another.  ``rescaled`` shares the domain, the grid and the pairings,
+    and maps only the value numerators.
+    """
 
     domain: RationalPolytope
     cells: tuple[tuple[Simplex, AffineForm], ...]
@@ -274,14 +289,18 @@ class PLConcaveFunction:
 
     @classmethod
     def make(cls, domain: RationalPolytope, cells, certify_concave: bool = False) -> "PLConcaveFunction":
-        ordered = tuple(sorted(((s, f) for s, f in cells), key=lambda c: c[0].vertices))
-        obj = cls(domain, ordered, certify_concave)
+        """The function with its cells in canonical order (by their vertices), validated."""
+        cells = tuple(cells)
+        c, rows = _common_grid([s for s, _ in cells])
+        order = sorted(range(len(cells)), key=rows.__getitem__)
+        obj = cls(domain, tuple(cells[i] for i in order), certify_concave)
+        obj.__dict__["_grid"] = c, tuple(rows[i] for i in order)
         obj._validate()
         return obj
 
     @classmethod
     def constant(cls, domain: RationalPolytope, value=0) -> "PLConcaveFunction":
-        form = AffineForm(tuple(Fraction(0) for _ in range(domain.dim)), rat(value))
+        form = AffineForm((0,) * domain.dim, rat(value))
         return cls.make(domain, [(s, form) for s in domain.triangulate()])
 
     @classmethod
@@ -293,18 +312,25 @@ class PLConcaveFunction:
         """Each distinct vertex is tested for containment once, each cell vertex evaluated once."""
         if not self.cells:
             raise InputError("piecewise function needs at least one cell")
-        table = self._cell_table
-        if sum(det for _, det in table) != math.factorial(self.dim) * self.domain.volume():
+        n, domain = self.dim, self.domain
+        if any(s.dim != n for s, _ in self.cells):
+            raise InputError(f"cells of another dimension than the domain's {n}")
+        c, rows = self._grid
+        d, values = self._node_table[:2]
+        # n! vol of the cells over c^n against the domain's over its denominator^n
+        cells = sum(abs(s._det) * (c // s._den) ** n for s, _ in self.cells)
+        if not domain.full_dimensional or (
+                cells * domain._den ** n != domain._factorial_volume() * c ** n):
             raise InputError("cells do not triangulate the domain (volume mismatch)")
-        values = {}
-        for (s, _), (vals, _) in zip(self.cells, table):
-            for v, val in zip(s.vertices, vals):
-                if values.setdefault(v, val) != val:
-                    raise InputError(f"adjacent pieces disagree at shared vertex {v}")
-        if not all(self.domain.contains(v) for v in values):
+        seen = {}
+        for pts, vals in zip(rows, values):
+            for v, val in zip(pts, vals):
+                if seen.setdefault(v, val) != val:
+                    raise InputError(f"adjacent pieces disagree at shared vertex {_fractions(v, c)}")
+        if not domain._contains_all(c, seen):
             raise InputError("cell vertex outside the domain")
-        if self.concavity_certified and any(g(v) < val for v, val in values.items()
-                                            for _, g in self.cells):
+        if self.concavity_certified and any(f._at(c, v) * (d // (f._den * c)) < val
+                                            for v, val in seen.items() for _, f in self.cells):
             raise InputError("concavity certificate fails: piece exceeds the minimum")
 
     @property
@@ -312,10 +338,26 @@ class PLConcaveFunction:
         return self.domain.dim
 
     @cached_property
+    def _grid(self) -> tuple:
+        """(C, per cell its vertex rows times C), every cell vertex over one denominator."""
+        return _common_grid([s for s, _ in self.cells])
+
+    @cached_property
+    def _node_table(self) -> tuple:
+        """(D, values, floats, volumes): per cell, the vertex values times their common
+        denominator D as integers and as floats, and n! vol as a float."""
+        c, rows = self._grid
+        e = math.lcm(*(f._den for _, f in self.cells))
+        values = tuple(tuple(f._at(c, v) * (e // f._den) for v in pts)
+                       for (_, f), pts in zip(self.cells, rows))
+        return _nodes(e * c, values, tuple(_factorial_volume(s) for s, _ in self.cells))
+
+    @cached_property
     def _cell_table(self) -> tuple:
         """Per cell, in canonical order: exact vertex values and exact n! vol."""
-        return tuple((tuple(f(v) for v in s.vertices), abs(s.edge_determinant()))
-                     for s, f in self.cells)
+        d, values = self._node_table[:2]
+        return tuple((tuple(Fraction(v, d) for v in vals), abs(s.edge_determinant()))
+                     for (s, _), vals in zip(self.cells, values))
 
     @cached_property
     def _survival_spline(self) -> SurvivalSpline:
@@ -323,54 +365,52 @@ class PLConcaveFunction:
         return _survival_spline(self._cell_table, self.dim)
 
     @cached_property
-    def _node_table(self) -> tuple:
-        """(D, values, floats, volumes): per cell, the vertex values times their common
-        denominator D as integers and as floats, and n! vol as a float."""
-        d = math.lcm(*(v.denominator for vals, _ in self._cell_table for v in vals))
-        return (d, tuple(tuple(v.numerator * (d // v.denominator) for v in vals)
-                         for vals, _ in self._cell_table),
-                tuple(tuple(map(float, vals)) for vals, _ in self._cell_table),
-                tuple(float(det) for _, det in self._cell_table))
-
-    @cached_property
     def _pairing_table(self) -> dict:
         """Per xi tuple, filled on first query: (E, per cell the integers E <y', xi> at its
-        vertices), from the vertex coordinates times their common denominator."""
+        vertices), from the grid's vertex rows."""
         return {}
 
     def _pairings(self, xi) -> tuple:
         key = rat_vector(xi)
         if key not in self._pairing_table:
             pairing_form(key, self.dim)  # InputError for a vector longer than the dimension
-            points = [p for s, _ in self.cells for p in s.vertices]
-            c = math.lcm(*(x.denominator for p in points for x in p))
-            e = math.lcm(*(x.denominator for x in key))
-            xs = [x.numerator * (e // x.denominator) for x in key]
+            c, rows = self._grid
+            e, xs = _integer_row(key)
             self._pairing_table[key] = c * e, tuple(
-                tuple(sum(x * (y.numerator * (c // y.denominator)) for x, y in zip(xs, p))
-                      for p in s.vertices) for s, _ in self.cells)
+                tuple(sum(map(mul, xs, p)) for p in pts) for pts in rows)
         return self._pairing_table[key]
 
     def min_value(self) -> Fraction:
-        return min(min(vals) for vals, _ in self._cell_table)
+        d, values = self._node_table[:2]
+        return Fraction(min(map(min, values)), d)
 
     def max_value(self) -> Fraction:
-        return max(max(vals) for vals, _ in self._cell_table)
+        d, values = self._node_table[:2]
+        return Fraction(max(map(max, values)), d)
 
     def rescaled(self, a, b) -> "PLConcaveFunction":
-        """a*G + b for a > 0 (cells unchanged)."""
-        a = rat(a)
-        cells = [(s, f.scaled(a).shifted(b)) for s, f in self.cells]
-        return PLConcaveFunction(self.domain, tuple(cells), self.concavity_certified)
+        """a*G + b for a > 0: the same cells, domain, grid, pairings and volumes.
+
+        For a = p/q and b = r/s a value v / D becomes (p s v + r q D) / (q s D).
+        """
+        a, b = rat(a), rat(b)
+        obj = PLConcaveFunction(self.domain, tuple((s, f.scaled(a).shifted(b))
+                                                   for s, f in self.cells),
+                                self.concavity_certified)
+        d, values, _, volumes = self._node_table
+        p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+        obj.__dict__.update(_grid=self._grid, _pairing_table=self._pairing_table, _node_table=_nodes(
+            d * q * s, tuple(tuple(p * s * v + r * q * d for v in vals) for vals in values), volumes))
+        return obj
 
     def to_json(self) -> dict:
         return {
             "cells": [
                 {
-                    "simplex": [[format_rat(x) for x in v] for v in s.vertices],
+                    "simplex": [[_format_over(x, s._den) for x in v] for v in s._rows],
                     "affine": {
-                        "gradient": [format_rat(x) for x in f.gradient],
-                        "constant": format_rat(f.constant),
+                        "gradient": [_format_over(g, f._den) for g in f._grad],
+                        "constant": _format_over(f._const, f._den),
                     },
                 }
                 for s, f in self.cells
@@ -385,14 +425,15 @@ class PLConcaveFunction:
         for cell in need(doc, "piecewise-function document", "cells", kind=list):
             vertices, affine = need(cell, "cell", "simplex", "affine")
             gradient, constant = need(affine, "cell affine form", "gradient", "constant")
-            simplex = Simplex(rat_rows(vertices, "cell simplex", n))
+            simplex = Simplex(exact_rows(vertices, "cell simplex", n))
             n = simplex.dim
-            cells.append((simplex, AffineForm(rat_vector(gradient, "cell gradient", n),
-                                              rat(constant))))
+            cells.append((simplex, AffineForm(exact_vector(gradient, "cell gradient", n),
+                                              _exact(constant))))
+        if not cells:
+            raise InputError("piecewise function needs at least one cell")
         if domain is None:
-            domain = RationalPolytope.from_vertices(
-                [v for s, _ in cells for v in s.vertices]
-            )
+            c, rows = _common_grid([s for s, _ in cells])
+            domain = RationalPolytope._from_points(c, [v for pts in rows for v in pts])
         return cls.make(domain, cells, certify_concave=bool(doc.get("concave_certificate")))
 
 
@@ -460,7 +501,7 @@ def superlevel_log_gvolume(G: PLConcaveFunction, x, xi) -> tuple[float, float]:
     pieces = [piece for s, f in G.cells for piece in halfspace_slice(s, f, x)]
     if not pieces:
         return 0.0, 0.0
-    z = [[-float(ell(v)) for v in piece.vertices] for piece in pieces]
+    z = [[-v for v in _vertex_values(piece, ell)] for piece in pieces]
     top = max(max(zi) for zi in z)
     rows = _exp_integrals(z, [_factorial_volume(p) for p in pieces], None, 0, [top] * len(z))
     return top, math.factorial(n) * math.fsum(values[0] for values, _, _ in rows)

@@ -60,8 +60,8 @@ class FiltrationLevel:
     Takes rationals (ints or Fractions) and stores integer tables: values
     ``_nums / _den``, weights ``_wnums / _wden`` and each basis row as (d, the
     row times d); ``values``, ``basis`` and ``weights`` are the ``Fraction``
-    view.  ``basis`` is ``None`` for a level diagonal in the standard basis:
-    no matrix is stored or rank-checked.
+    view.  ``basis`` is ``None`` for a level diagonal in the standard basis,
+    an explicit identity basis included: no matrix is stored or rank-checked.
     """
 
     degree: int
@@ -80,7 +80,10 @@ class FiltrationLevel:
             if any(len(row) != n for row in basis):
                 raise InputError("adapted basis must be square over the level")
             rows = tuple((d, tuple(r)) for d, r in map(_integer_row, basis))
-            if matrix_rank([r for _, r in rows]) != n:
+            if all(d == 1 and r[i] == 1 and sum(map(abs, r)) == 1
+                   for i, (d, r) in enumerate(rows)):
+                rows = None  # the standard basis, stored as no basis
+            elif matrix_rank([r for _, r in rows]) != n:
                 raise NotABasis(f"adapted basis of level {degree} is singular")
         wden, wnums = 1, None
         if weights is not None:
@@ -241,9 +244,7 @@ class GradedFiltration:
         for m in self.degrees():
             lv = self.levels[m]
             entry = {"dim": lv.dim, "values": [_format_over(v, lv._den) for v in lv._nums]}
-            identity = lv._rows is None or lv._rows == tuple(
-                (1, tuple(int(i == j) for j in range(lv.dim))) for i in range(lv.dim))
-            if not identity:
+            if lv._rows is not None:
                 entry["basis"] = [[_format_over(x, d) for x in row] for d, row in lv._rows]
             if lv._wnums is not None:
                 entry["weights"] = [[_format_over(x, lv._wden) for x in w] for w in lv._wnums]

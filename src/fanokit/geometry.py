@@ -1,14 +1,27 @@
 """Exact rational convex polytope engine.
 
-Polytopes carry both a vertex and a halfspace description; whichever one the
-caller supplies, the other is derived and the two are cross-validated.  All
-combinatorics (facet incidence, slicing, triangulation) is exact over Q;
-floats never enter this module.
+Polytopes, simplices and affine forms are stored once, when they are built,
+as integer tables:
+
+- a polytope's vertices as integer rows over one positive common
+  denominator, and each halfspace <a, y> <= b as the integer row (b, -a)
+  over another;
+- a simplex's vertices as integer rows over one denominator, with its edge
+  determinant from one fraction-free elimination;
+- an affine form's gradient and constant over one denominator.
+
+Every denominator is the least one, so equal objects have equal tables.
+Every question (hull, cross-validation, extreme points, containment,
+triangulation, volume, slicing) reads the integers; ``vertices``,
+``halfspaces``, ``Facet``, ``gradient``, ``constant``,
+``edge_determinant()``, ``volume()``, ``barycenter()`` and ``to_json()`` are
+exact ``Fraction`` views built from the tables.  Floats never enter this
+module.
 
 Every polytope question runs on one core, the double-description method on
 integer rows (``_extreme_rays``), which is self-dual:
 
-- facets of a point set are the extreme rays of the cone of rows (1, p);
+- facets of points p / d are the extreme rays of the cone of rows (d, p);
 - vertices and boundedness of a halfspace system are the extreme rays of the
   cone of rows (b, -a) and (1, 0, ..., 0); every full-dimensional polytope
   recomputes its vertices this way from its halfspaces on construction and
@@ -29,41 +42,89 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, lcm
 from operator import mul
 
 from .errors import DegeneratePolytope, DegenerateSimplex, InputError
 from .rational import (
     Vector,
-    affine_rank,
+    _bareiss,
+    _exact,
+    _format_over,
+    _fractions,
+    _integer_row,
     coordinates,
-    det,
-    dot,
-    format_rat,
+    exact_rows,
+    exact_vector,
     independent_rows,
     integer_rows,
     matrix_rank,
     need,
     parse_number,
-    primitive,
     rat,
-    rat_rows,
     rat_vector,
-    row_echelon,
-    smul,
-    vsub,
 )
 
 
-@dataclass(frozen=True)
-class AffineForm:
-    """y -> <gradient, y> + constant with exact rational coefficients."""
+def _over(rows) -> tuple[int, list[tuple[int, ...]]]:
+    """(d, each row times d) for rows of ints and Fractions, d the lcm of their
+    entries' denominators: the least positive common denominator."""
+    rows = [tuple(r) for r in rows]
+    d = lcm(*(x.denominator for r in rows for x in r))
+    return d, [tuple(x.numerator * (d // x.denominator) for x in r) for r in rows]
 
-    gradient: Vector
-    constant: Fraction
+
+def _reduced(d: int, rows) -> tuple[int, list[tuple[int, ...]]]:
+    """The integer rows over d, both divided by their common gcd: the same
+    rationals over the least denominator."""
+    g = gcd(d, *(x for r in rows for x in r))
+    if g == 1:
+        return d, [tuple(r) for r in rows]
+    return d // g, [tuple(x // g for x in r) for r in rows]
+
+
+@dataclass(frozen=True, init=False)
+class AffineForm:
+    """y -> <gradient, y> + constant with exact rational coefficients.
+
+    Stored as the integers ``_grad`` and ``_const`` over the least common
+    denominator ``_den``; ``gradient`` and ``constant`` are ``Fraction`` views.
+    """
+
+    _den: int
+    _grad: tuple[int, ...]
+    _const: int
+
+    def __init__(self, gradient, constant):
+        self._fill(*_over([(*gradient, constant)]))
+
+    @classmethod
+    def _table(cls, den: int, grad, const: int) -> "AffineForm":
+        obj = object.__new__(cls)
+        obj._fill(*_reduced(den, [(*grad, const)]))
+        return obj
+
+    def _fill(self, den: int, rows):
+        (*grad, const), = rows
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_grad", tuple(grad))
+        object.__setattr__(self, "_const", const)
+
+    @property
+    def gradient(self) -> Vector:
+        return _fractions(self._grad, self._den)
+
+    @property
+    def constant(self) -> Fraction:
+        return Fraction(self._const, self._den)
+
+    def _at(self, den: int, point) -> int:
+        """The value at the integer point ``point / den``, times ``self._den * den``."""
+        return sum(map(mul, self._grad, point)) + self._const * den
 
     def __call__(self, point) -> Fraction:
-        return dot(self.gradient, point) + self.constant
+        den, p = _integer_row(rat_vector(point, "point", len(self._grad)))
+        return Fraction(self._at(den, p), self._den * den)
 
     @classmethod
     def make(cls, gradient, constant=0) -> "AffineForm":
@@ -71,16 +132,21 @@ class AffineForm:
 
     def scaled(self, a) -> "AffineForm":
         a = rat(a)
-        return AffineForm(smul(a, self.gradient), a * self.constant)
+        return AffineForm._table(self._den * a.denominator,
+                                 [g * a.numerator for g in self._grad], self._const * a.numerator)
 
     def plus(self, other: "AffineForm") -> "AffineForm":
-        return AffineForm(
-            tuple(a + b for a, b in zip(self.gradient, other.gradient, strict=True)),
-            self.constant + other.constant,
-        )
+        d = lcm(self._den, other._den)
+        s, t = d // self._den, d // other._den
+        return AffineForm._table(d, [g * s + h * t for g, h in zip(self._grad, other._grad,
+                                                                    strict=True)],
+                                 self._const * s + other._const * t)
 
     def shifted(self, c) -> "AffineForm":
-        return AffineForm(self.gradient, self.constant + rat(c))
+        c = rat(c)
+        q = c.denominator
+        return AffineForm._table(self._den * q, [g * q for g in self._grad],
+                                 self._const * q + c.numerator * self._den)
 
 
 def pairing_form(xi, dim: int) -> AffineForm:
@@ -88,47 +154,68 @@ def pairing_form(xi, dim: int) -> AffineForm:
     xi = rat_vector(xi)
     if len(xi) > dim:
         raise InputError(f"pairing vector of length {len(xi)} in ambient dimension {dim}")
-    grad = tuple(xi) + tuple(Fraction(0) for _ in range(dim - len(xi)))
-    return AffineForm(grad, Fraction(0))
+    d, row = _integer_row(xi)
+    return AffineForm._table(d, [*row] + [0] * (dim - len(xi)), 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Simplex:
-    """n+1 affinely independent points in Q^n."""
+    """n+1 affinely independent points in Q^n.
 
-    vertices: tuple[Vector, ...]
-    _det: Fraction = field(init=False, repr=False, compare=False)
+    Stored as the integer vertex rows ``_rows`` over the least common
+    denominator ``_den``, and the edge determinant's numerator ``_det`` over
+    ``_den ** n``; ``vertices`` is the ``Fraction`` view.
+    """
 
-    def __post_init__(self):
-        n = len(self.vertices) - 1
-        if n < 1 or any(len(v) != n for v in self.vertices):
-            raise DegenerateSimplex(f"need n+1 vertices in Q^n, got {len(self.vertices)}")
-        base = self.vertices[0]
-        object.__setattr__(self, "_det", det([list(vsub(v, base)) for v in self.vertices[1:]]))
-        if self._det == 0:
+    _den: int
+    _rows: tuple[tuple[int, ...], ...]
+    _det: int = field(repr=False, compare=False)
+
+    def __init__(self, vertices):
+        d, rows = _over(vertices)
+        self._fill(d, rows)
+
+    @classmethod
+    def _from_table(cls, den: int, rows) -> "Simplex":
+        obj = object.__new__(cls)
+        obj._fill(*_reduced(den, rows))
+        return obj
+
+    def _fill(self, den: int, rows):
+        n = len(rows) - 1
+        if n < 1 or any(len(r) != n for r in rows):
+            raise DegenerateSimplex(f"need n+1 vertices in Q^n, got {len(rows)}")
+        base = rows[0]
+        edges = [[x - y for x, y in zip(r, base)] for r in rows[1:]]
+        pivots, d, sign = _bareiss(edges, n, reduced=False)
+        if len(pivots) < n:
             raise DegenerateSimplex("vertices are affinely dependent")
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_det", sign * d)
 
     @classmethod
     def make(cls, vertices) -> "Simplex":
         return cls(tuple(rat_vector(v) for v in vertices))
 
     @property
+    def vertices(self) -> tuple[Vector, ...]:
+        return tuple(_fractions(r, self._den) for r in self._rows)
+
+    @property
     def dim(self) -> int:
-        return len(self.vertices) - 1
+        return len(self._rows) - 1
 
     def edge_determinant(self) -> Fraction:
         """det(v_1 - v_0, ..., v_n - v_0), computed once on construction."""
-        return self._det
+        return Fraction(self._det, self._den ** self.dim)
 
     def volume(self) -> Fraction:
-        vol = abs(self.edge_determinant())
-        for k in range(2, self.dim + 1):
-            vol /= k
-        return vol
+        return Fraction(abs(self._det), self._den ** self.dim * factorial(self.dim))
 
     def centroid(self) -> Vector:
-        n1 = len(self.vertices)
-        return tuple(sum(v[i] for v in self.vertices) / n1 for i in range(len(self.vertices[0])))
+        n1 = len(self._rows)
+        return tuple(Fraction(sum(c), self._den * n1) for c in zip(*self._rows))
 
 
 @dataclass(frozen=True)
@@ -138,6 +225,11 @@ class Facet:
     normal: Vector
     offset: Fraction
     incident: tuple[int, ...]
+
+
+def _facet(scale: int, ray, incident) -> Facet:
+    """The ``Facet`` view of the halfspace row ray = (b, -a) over ``scale``."""
+    return Facet(tuple(Fraction(-x, scale) for x in ray[1:]), Fraction(ray[0], scale), incident)
 
 
 def _lex_min_index(points) -> int:
@@ -196,48 +288,45 @@ def _extreme_rays(rows) -> tuple[list[list[int]], list[frozenset[int]]] | None:
     return rays, zeros
 
 
-def _facets_from_points(points) -> list[Facet]:
-    """All facets of conv(points), sorted; [] if the hull is lower-dimensional.
+def _hull(den: int, points) -> tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The facets of conv(p / den for the integer points p), as (scale, facets).
 
-    <a, y> <= b holds on every point exactly when r = (b, -a) has
-    <r, (1, p)> >= 0 for every point p, so the facets are the extreme rays
-    of that cone, and a ray's zero set is its facet's incidence set.  Each
-    row (1, p) is scaled to integers, which leaves the cone unchanged.
+    Each facet is (ray, incident): the halfspace <a, y> <= b whose row
+    (b, -a) is ray / scale, and the indices of the points on it; [] if the
+    hull is lower-dimensional.  <a, y> <= b holds on every point exactly when
+    r = (b, -a) has <r, (den, p)> >= 0 for every point p, so the facets are
+    the extreme rays of that cone (primitive, scale 1), sorted by (normal,
+    offset), and a ray's zero set is its facet's incidence set.  On a line
+    the facets are y <= hi and -y <= -lo, in that order, over scale den.
     """
-    n = len(points[0])
-    if n == 1:
+    if len(points[0]) == 1:
         lo = min(p[0] for p in points)
         hi = max(p[0] for p in points)
         if lo == hi:
-            return []
-        return [
-            Facet((Fraction(1),), hi, tuple(i for i, p in enumerate(points) if p[0] == hi)),
-            Facet((Fraction(-1),), -lo, tuple(i for i, p in enumerate(points) if p[0] == lo)),
-        ]
-    cone = _extreme_rays(integer_rows((Fraction(1), *p) for p in points))
+            return 1, []
+        return den, [((hi, -den), tuple(i for i, p in enumerate(points) if p[0] == hi)),
+                     ((-lo, den), tuple(i for i, p in enumerate(points) if p[0] == lo))]
+    cone = _extreme_rays([(den, *p) for p in points])
     if cone is None:
-        return []
-    facets = []
-    for ray, zero in zip(*cone):
-        # the ray is primitive, and so is its key
-        facets.append(Facet(tuple(Fraction(-x) for x in ray[1:]), Fraction(ray[0]),
-                            tuple(sorted(zero))))
-    return sorted(facets, key=lambda f: (f.normal, f.offset))
+        return 1, []
+    facets = [(tuple(ray), tuple(sorted(zero))) for ray, zero in zip(*cone)]
+    facets.sort(key=lambda f: ([-x for x in f[0][1:]], f[0][0]))
+    return 1, facets
 
 
-def _extreme_points(points, facets) -> list[Vector]:
+def _extreme_points(points, facets) -> list[tuple[int, ...]]:
     """Points whose active facet normals have full rank (the true vertices)."""
     n = len(points[0])
-    out = []
-    for i, p in enumerate(points):
-        active = [f.normal for f in facets if i in f.incident]
-        if len(active) >= n and matrix_rank(active) == n:
-            out.append(p)
-    return sorted(set(out))
+    active = [[] for _ in points]
+    for ray, incident in facets:
+        for i in incident:
+            active[i].append(ray[1:])
+    return sorted({p for p, normals in zip(points, active)
+                   if len(normals) >= n and matrix_rank(normals) == n})
 
 
-def _vertices_from_halfspaces(halfspaces, n: int) -> tuple[list[Vector], bool]:
-    """Vertices of {y : <a, y> <= b} and whether that set is bounded.
+def _vertices_from_halfspaces(rows, n: int) -> tuple[int, list[tuple[int, ...]], bool]:
+    """(d, vertex rows over d, bounded) for the halfspace rows (b, -a) of {y : <a, y> <= b}.
 
     The facet search run backwards: (x0, x) lies in the cone x0 >= 0,
     b x0 - <a, x> >= 0 exactly when x / x0 satisfies every halfspace
@@ -245,88 +334,130 @@ def _vertices_from_halfspaces(halfspaces, n: int) -> tuple[list[Vector], bool]:
     with x0 > 0 is the vertex x / x0, and the set is unbounded when a ray has
     x0 = 0 or the rows do not span (the normals miss a direction); these are
     the systems whose normals do not positively span Q^n.  No ray at all
-    means the set is empty.
+    means the set is empty.  The rays are primitive, so d, the lcm of their
+    x0, is the vertices' least common denominator; the rows come sorted.
     """
-    rows = [(b, *(-x for x in a)) for a, b in halfspaces]
-    cone = _extreme_rays(integer_rows(rows + [(Fraction(1),) + (Fraction(0),) * n]))
+    cone = _extreme_rays([*rows, (1,) + (0,) * n])
     if cone is None:
-        return [], False
+        return 1, [], False
     rays = cone[0]
-    vertices = sorted(tuple(Fraction(x, r[0]) for x in r[1:]) for r in rays if r[0] > 0)
-    return vertices, all(r[0] > 0 for r in rays)
+    tops = [r for r in rays if r[0] > 0]
+    d = lcm(*(r[0] for r in tops))
+    return (d, sorted(tuple(x * (d // r[0]) for x in r[1:]) for r in tops),
+            len(tops) == len(rays))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RationalPolytope:
-    """Bounded convex polytope {y : <normal_i, y> <= offset_i} = conv(vertices)."""
+    """Bounded convex polytope {y : <normal_i, y> <= offset_i} = conv(vertices).
+
+    Stored as integer tables: the vertex rows ``_verts`` over ``_den``, and
+    each halfspace <a, y> <= b as the row (b, -a) of ``_rays`` over
+    ``_hden``, both least denominators; ``vertices`` and ``halfspaces`` are
+    the ``Fraction`` views.  The constructor takes rationals; the stated
+    vertices of a full-dimensional polytope must be exactly the extreme
+    points of its stated halfspaces.
+    """
 
     dim: int
-    vertices: tuple[Vector, ...]
-    halfspaces: tuple[tuple[Vector, Fraction], ...]
     full_dimensional: bool
-    # derived once per instance: facets (incidences index ``vertices``) and cells
-    _facets: tuple[Facet, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    _cells: tuple[Simplex, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _den: int
+    _verts: tuple[tuple[int, ...], ...]
+    _hden: int
+    _rays: tuple[tuple[int, ...], ...]
+    # derived once per instance: (scale, facets) as ``_hull`` gives them, the
+    # incidences indexing ``_verts``, and the cells
+    _facets: tuple | None = field(default=None, repr=False, compare=False)
+    _cells: tuple[Simplex, ...] | None = field(default=None, repr=False, compare=False)
+
+    def __init__(self, dim: int, vertices, halfspaces, full_dimensional: bool):
+        den, verts = _over(vertices)
+        hden, rays = _over((b, *(-x for x in a)) for a, b in halfspaces)
+        self._fill(dim, full_dimensional, den, verts, hden, rays)
+
+    def _fill(self, dim, full_dimensional, den, verts, hden, rays):
+        verts, rays = tuple(verts), tuple(rays)
+        for key, value in (("dim", dim), ("full_dimensional", full_dimensional), ("_den", den),
+                           ("_verts", verts), ("_hden", hden), ("_rays", rays)):
+            object.__setattr__(self, key, value)
+        # cross-validation: the stated vertices must be exactly the extreme
+        # points of the stated halfspace intersection
+        if full_dimensional and rays and (
+                _vertices_from_halfspaces(rays, dim)[:2] != (den, sorted(verts))):
+            raise InputError("vertex and halfspace descriptions disagree")
+
+    @classmethod
+    def _from_points(cls, den: int, rows) -> "RationalPolytope":
+        """conv(p / den for the integer rows p): vertices, halfspaces and facets
+        from one hull."""
+        pts = sorted(set(rows))
+        n = len(pts[0])
+        scale, facets = _hull(den, pts)
+        poly = object.__new__(cls)
+        if not facets:
+            poly._fill(n, False, *_reduced(den, pts), 1, ())
+            return poly
+        extreme = _extreme_points(pts, facets)
+        index = {p: i for i, p in enumerate(extreme)}
+        vden, verts = _reduced(den, extreme)
+        hden, rays = _reduced(scale, [ray for ray, _ in facets])
+        poly._fill(n, True, vden, verts, hden, rays)
+        kept = tuple((ray, tuple(index[pts[i]] for i in incident if pts[i] in index))
+                     for ray, (_, incident) in zip(rays, facets))
+        object.__setattr__(poly, "_facets", (hden, kept))
+        return poly
 
     @classmethod
     def from_vertices(cls, vertices) -> "RationalPolytope":
-        pts = sorted({rat_vector(v) for v in vertices})
+        pts = [exact_vector(v, "vector") for v in vertices]
         if not pts:
             raise InputError("empty vertex list")
         n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise InputError("vertices of mixed dimension")
-        facets = _facets_from_points(pts)
-        if not facets:
-            return cls(n, tuple(pts), (), False)
-        extreme = _extreme_points(pts, facets)
-        halfspaces = tuple((f.normal, f.offset) for f in facets)
-        poly = cls(n, tuple(extreme), halfspaces, True)
-        index = {p: i for i, p in enumerate(extreme)}
-        kept = tuple(
-            Facet(f.normal, f.offset, tuple(index[pts[i]] for i in f.incident if pts[i] in index))
-            for f in facets
-        )
-        object.__setattr__(poly, "_facets", kept)
-        return poly
+        return cls._from_points(*_over(pts))
 
     @classmethod
     def from_halfspaces(cls, halfspaces, dim: int) -> "RationalPolytope":
-        spaces = [(rat_vector(a), rat(b)) for a, b in halfspaces]
+        spaces = [(exact_vector(a, "vector"), _exact(b)) for a, b in halfspaces]
         if not spaces or any(len(a) != dim for a, _ in spaces):
             raise InputError("halfspaces missing or of wrong dimension")
-        verts, bounded = _vertices_from_halfspaces(spaces, dim)
+        den, verts, bounded = _vertices_from_halfspaces(
+            integer_rows((b, *(-x for x in a)) for a, b in spaces), dim)
         if not bounded:
             raise InputError("halfspace intersection is unbounded")
         if not verts:
             raise InputError("halfspace intersection is empty")
-        return cls.from_vertices(verts)
+        return cls._from_points(den, verts)
 
     @classmethod
     def interval(cls, lo, hi) -> "RationalPolytope":
         return cls.from_vertices([[lo], [hi]])
 
-    def __post_init__(self):
-        if self.full_dimensional and self.halfspaces:
-            # cross-validation: the stated vertices must be exactly the
-            # extreme points of the stated halfspace intersection
-            recomputed, _ = _vertices_from_halfspaces(self.halfspaces, self.dim)
-            if sorted(self.vertices) != recomputed:
-                raise InputError("vertex and halfspace descriptions disagree")
+    @property
+    def vertices(self) -> tuple[Vector, ...]:
+        return tuple(_fractions(v, self._den) for v in self._verts)
+
+    @property
+    def halfspaces(self) -> tuple[tuple[Vector, Fraction], ...]:
+        return tuple((tuple(Fraction(-x, self._hden) for x in r[1:]), Fraction(r[0], self._hden))
+                     for r in self._rays)
 
     def facets(self) -> list[Facet]:
-        return list(self._facet_list())
+        scale, facets = self._facet_list()
+        return [_facet(scale, ray, incident) for ray, incident in facets]
 
-    def _facet_list(self) -> tuple[Facet, ...]:
+    def _facet_list(self) -> tuple:
         self._require_full_dim()
         if self._facets is None:
-            object.__setattr__(self, "_facets", tuple(_facets_from_points(list(self.vertices))))
+            object.__setattr__(self, "_facets", _hull(self._den, self._verts))
         return self._facets
 
     def _cell_list(self) -> tuple[Simplex, ...]:
         if self._cells is None:
-            pieces = _cone_triangulation(list(self.vertices), self._facet_list())
-            object.__setattr__(self, "_cells", tuple(Simplex(p) for p in pieces))
+            pieces = _cone_triangulation(self._den, list(self._verts), self._facet_list()[1])
+            object.__setattr__(self, "_cells",
+                               tuple(Simplex._from_table(self._den, p) for p in pieces))
         return self._cells
 
     def _require_full_dim(self):
@@ -334,15 +465,41 @@ class RationalPolytope:
             raise DegeneratePolytope(f"polytope is not full-dimensional in Q^{self.dim}")
 
     def contains(self, point, strict: bool = False) -> bool:
-        p = rat_vector(point)
+        den, p = _integer_row(rat_vector(point, "point", self.dim))
         if strict:
             self._require_full_dim()
-            return all(dot(a, p) < b for a, b in self.halfspaces)
-        if self.full_dimensional:
-            return all(dot(a, p) <= b for a, b in self.halfspaces)
-        return affine_rank(list(self.vertices) + [p]) == affine_rank(self.vertices) and _in_hull(
-            p, self.vertices
-        )
+            return all(r[0] * den + sum(map(mul, r[1:], p)) > 0 for r in self._rays)
+        return self._contains_all(den, [p])
+
+    def _contains_all(self, den: int, points) -> bool:
+        """Whether every integer point p / den lies in the polytope."""
+        if not self.full_dimensional:
+            return all(self._flat_contains(den, p) for p in points)
+        return all(r[0] * den + sum(map(mul, r[1:], p)) >= 0 for p in points for r in self._rays)
+
+    def _flat_contains(self, den: int, p) -> bool:
+        """Membership of p / den in a lower-dimensional hull.
+
+        p must lie on the vertices' affine hull: adding p - v_0 to the
+        difference rows v_i - v_0 must not raise their rank.  The pivot
+        columns of those rows are then coordinates on that affine hull, so
+        projecting onto them keeps membership and makes the hull
+        full-dimensional; p is tested against the projection's facets.
+        """
+        d = lcm(self._den, den)
+        verts = [tuple(x * (d // self._den) for x in v) for v in self._verts]
+        q = [x * (d // den) for x in p]
+        base = verts[0]
+        edges = [[x - y for x, y in zip(v, base)] for v in verts[1:]]
+        pivots = _bareiss([list(e) for e in edges], self.dim, reduced=False)[0]
+        rank = len(_bareiss(edges + [[x - y for x, y in zip(q, base)]], self.dim, reduced=False)[0])
+        if rank != len(pivots):
+            return False
+        if not pivots:
+            return True
+        flat = [tuple(v[c] for c in pivots) for v in verts]
+        q = [q[c] for c in pivots]
+        return all(ray[0] * d + sum(map(mul, ray[1:], q)) >= 0 for ray, _ in _hull(d, flat)[1])
 
     def project(self, r: int) -> "RationalPolytope":
         """Image under projection to the first r coordinates."""
@@ -350,53 +507,43 @@ class RationalPolytope:
             raise InputError(f"projection rank {r} out of range")
         if r == self.dim:
             return self
-        return RationalPolytope.from_vertices([v[:r] for v in self.vertices])
+        return RationalPolytope._from_points(self._den, [v[:r] for v in self._verts])
+
+    def _factorial_volume(self) -> int:
+        """n! vol times ``_den ** n``: the cells' |edge determinants| over one denominator."""
+        n = self.dim
+        return sum(abs(s._det) * (self._den // s._den) ** n for s in self._cell_list())
 
     def volume(self) -> Fraction:
         if not self.full_dimensional:
             return Fraction(0)
-        return sum((s.volume() for s in self._cell_list()), Fraction(0))
+        return Fraction(self._factorial_volume(), self._den ** self.dim * factorial(self.dim))
 
     def triangulate(self) -> list[Simplex]:
         return list(self._cell_list())
 
     def barycenter(self) -> Vector:
+        """The cells' centroids weighted by their volumes, summed in integers."""
         self._require_full_dim()
-        total = Fraction(0)
-        acc = [Fraction(0)] * self.dim
+        n, d = self.dim, self._den
+        total, acc = 0, [0] * n
         for s in self._cell_list():
-            v = s.volume()
-            c = s.centroid()
-            total += v
-            for i in range(self.dim):
-                acc[i] += v * c[i]
-        return tuple(x / total for x in acc)
+            m = d // s._den
+            w = abs(s._det) * m ** n
+            total += w
+            acc = [a + w * m * sum(c) for a, c in zip(acc, zip(*s._rows))]
+        return tuple(Fraction(a, total * (n + 1) * d) for a in acc)
 
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
-            "vertices": [[format_rat(x) for x in v] for v in self.vertices],
+            "vertices": [[_format_over(x, self._den) for x in v] for v in self._verts],
             "halfspaces": [
-                {"normal": [format_rat(x) for x in a], "offset": format_rat(b)}
-                for a, b in self.halfspaces
+                {"normal": [_format_over(-x, self._hden) for x in r[1:]],
+                 "offset": _format_over(r[0], self._hden)}
+                for r in self._rays
             ],
         }
-
-
-def _in_hull(p, points) -> bool:
-    """Membership of p, a point on the affine hull of ``points``, in their hull.
-
-    The pivot columns of the points' difference rows are coordinates on that
-    affine hull, so projecting onto them keeps membership and makes the hull
-    full-dimensional; p is then tested against the projection's facets.
-    """
-    base = points[0]
-    pivots, _ = row_echelon([vsub(v, base) for v in points[1:]], reduced=False)
-    if not pivots:
-        return p == base
-    flat = [tuple(v[c] for c in pivots) for v in points]
-    q = tuple(p[c] for c in pivots)
-    return all(dot(f.normal, q) <= f.offset for f in _facets_from_points(flat))
 
 
 def polytope_from_json(doc: dict) -> RationalPolytope:
@@ -405,7 +552,7 @@ def polytope_from_json(doc: dict) -> RationalPolytope:
     dim = None if dim is None else parse_number(dim, "polytope dim", minimum=1)
     poly = None
     if doc.get("vertices"):
-        poly = RationalPolytope.from_vertices(rat_rows(doc["vertices"], "polytope vertices", dim))
+        poly = RationalPolytope.from_vertices(exact_rows(doc["vertices"], "polytope vertices", dim))
         dim = poly.dim
     spaces = []
     if doc.get("halfspaces"):
@@ -413,14 +560,14 @@ def polytope_from_json(doc: dict) -> RationalPolytope:
             raise InputError("halfspace-only polytope document needs a dim field")
         for h in need(doc, "polytope document", "halfspaces", kind=list):
             normal, offset = need(h, "halfspace", "normal", "offset")
-            spaces.append((rat_vector(normal, "halfspace normal", dim), rat(offset)))
+            spaces.append((exact_vector(normal, "halfspace normal", dim), _exact(offset)))
     if poly is None:
         if not spaces:
             raise InputError("polytope document needs vertices or halfspaces")
         return RationalPolytope.from_halfspaces(spaces, dim)
-    for key in {primitive(a + (b,)) for a, b in spaces}:
-        a, b = key[:-1], key[-1]
-        if any(dot(a, v) > b for v in poly.vertices):
+    # <a, v / d> <= b for each vertex v exactly when <(b, -a), (d, v)> >= 0
+    for ray in integer_rows((b, *(-x for x in a)) for a, b in spaces):
+        if any(ray[0] * poly._den + sum(map(mul, ray[1:], v)) < 0 for v in poly._verts):
             raise InputError("halfspace in document cuts off a listed vertex")
     return poly
 
@@ -433,24 +580,25 @@ def _drop_axis(normal) -> int:
     return next(k for k, x in enumerate(normal) if x != 0)
 
 
-def _cone_triangulation(points, facets) -> list[tuple[Vector, ...]]:
+def _cone_triangulation(den: int, points, facets) -> list[tuple[tuple[int, ...], ...]]:
     """Fan from the lex-min point over all facets not containing it.
 
-    ``facets`` must be the complete facet list of conv(points); each returned
-    tuple is a full-dimensional simplex (n+1 points).
+    ``points`` are integer rows over ``den`` and ``facets`` the complete
+    facet list of their hull, as ``_hull`` gives it; each returned tuple is a
+    full-dimensional simplex (n+1 rows over ``den``).
     """
     apex_idx = _lex_min_index(points)
     apex = points[apex_idx]
     pieces = []
-    for f in facets:
-        if apex_idx in f.incident:
+    for ray, incident in facets:
+        if apex_idx in incident:
             continue
-        sub = _triangulate_facet([points[i] for i in f.incident], f.normal)
+        sub = _triangulate_facet(den, [points[i] for i in incident], ray)
         pieces.extend((apex,) + simplex for simplex in sub)
     return pieces
 
 
-def _triangulate_facet(facet_points, normal) -> list[tuple[Vector, ...]]:
+def _triangulate_facet(den: int, facet_points, ray) -> list[tuple[tuple[int, ...], ...]]:
     """Triangulate an (n-1)-dimensional face embedded in Q^n.
 
     The face is projected along a coordinate axis transverse to its hyperplane
@@ -459,16 +607,12 @@ def _triangulate_facet(facet_points, normal) -> list[tuple[Vector, ...]]:
     n = len(facet_points[0])
     if n == 1:
         return [(facet_points[0],)]
-    k = _drop_axis(normal)
-    proj = {}
-    for p in facet_points:
-        q = p[:k] + p[k + 1 :]
-        proj[q] = p
+    k = _drop_axis(ray[1:])
+    proj = {p[:k] + p[k + 1 :]: p for p in facet_points}
     flat = sorted(proj)
     if len(flat) == n:  # the face is itself a simplex
         return [tuple(proj[q] for q in flat)]
-    facets = _facets_from_points(flat)
-    pieces = _cone_triangulation(flat, facets)
+    pieces = _cone_triangulation(den, flat, _hull(den, flat)[1])
     return [tuple(proj[q] for q in piece) for piece in pieces]
 
 
@@ -495,23 +639,27 @@ def halfspace_slice(s: Simplex, h: AffineForm, level) -> list[Simplex]:
 
     The region's vertices are the vertices of s on the kept side and the
     points where the cut plane crosses an edge of s; its facets come from
-    the hull of those points.
+    the hull of those points.  The vertex values and the level are integers
+    over one denominator, and a crossing of the edge u w is
+    (u (level - h(w)) + w (h(u) - level)) / (h(u) - h(w)).
     """
     level = rat(level)
-    vals = [h(v) for v in s.vertices]
-    if min(vals) >= level:
+    den, q = s._den, level.denominator
+    vals = [h._at(den, v) * q for v in s._rows]
+    cut = level.numerator * h._den * den
+    if min(vals) >= cut:
         return [s]
-    if max(vals) <= level:
+    if max(vals) <= cut:
         return []
-
-    points = {v for v, val in zip(s.vertices, vals) if val >= level}
-    for (i, u), (j, w) in itertools.combinations(enumerate(s.vertices), 2):
-        a, b = vals[i], vals[j]
-        if (a > level > b) or (b > level > a):
-            t = (a - level) / (a - b)
-            points.add(tuple(ux + t * (wx - ux) for ux, wx in zip(u, w)))
+    crossings = [(a - b, [x * (cut - b) + y * (a - cut) for x, y in zip(u, w)])
+                 for (a, u), (b, w) in itertools.combinations(zip(vals, s._rows), 2)
+                 if a > cut > b or b > cut > a]
+    m = lcm(*(abs(t) for t, _ in crossings))
+    points = {tuple(x * m for x in v) for v, a in zip(s._rows, vals) if a >= cut}
+    points.update(tuple(x * (m // t) for x in p) for t, p in crossings)
     pts = sorted(points)
-    return [Simplex(piece) for piece in _cone_triangulation(pts, _facets_from_points(pts))]
+    return [Simplex._from_table(den * m, piece)
+            for piece in _cone_triangulation(den * m, pts, _hull(den * m, pts)[1])]
 
 
 def origin_in_interior(points) -> bool:
@@ -520,6 +668,9 @@ def origin_in_interior(points) -> bool:
     That holds exactly when the hull is full-dimensional and every outward
     facet <a, y> <= b has b > 0.
     """
-    pts = sorted({rat_vector(p) for p in points})
-    facets = _facets_from_points(pts) if pts else []
-    return bool(facets) and all(f.offset > 0 for f in facets)
+    pts = [exact_vector(p, "vector") for p in points]
+    if not pts:
+        return False
+    den, rows = _over(pts)
+    facets = _hull(den, sorted(set(rows)))[1]
+    return bool(facets) and all(ray[0] > 0 for ray, _ in facets)

@@ -26,7 +26,7 @@ from .errors import (
     NonConvergence,
     OriginNotInterior,
 )
-from .expint import PLConcaveFunction, pl_cell_integrals
+from .expint import PLConcaveFunction, _factorial_volume, pl_cell_integrals
 from .functionals import LPolicy
 from .geometry import RationalPolytope, origin_in_interior, pairing_form
 from .measure import DHMeasure, adaptive_simpson
@@ -180,10 +180,11 @@ class _SolitonObjective:
 
     def __init__(self, polytope: RationalPolytope, rank: int):
         cells = polytope.triangulate()
-        # (C, n+1, r) vertex coordinates paired with xi, and log |det| = log(n! vol)
-        self.points = np.array([[[float(x) for x in v[:rank]] for v in s.vertices]
+        # (C, n+1, r) vertex coordinates paired with xi, and log |det| = log(n! vol),
+        # each float one correctly rounded int / int
+        self.points = np.array([[[x / s._den for x in v[:rank]] for v in s._rows]
                                 for s in cells])
-        self.log_scale = np.log([float(abs(s.edge_determinant())) for s in cells])
+        self.log_scale = np.log([_factorial_volume(s) for s in cells])
         self.log_vol = math.log(float(polytope.volume()))
         self.pairs = np.triu_indices(self.points.shape[1])
 

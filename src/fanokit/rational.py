@@ -153,18 +153,6 @@ def format_rat(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
-
-
-def vsub(u, v) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def smul(c: Fraction, u) -> Vector:
-    return tuple(c * a for a in u)
-
-
 def _integer_row(row) -> tuple[int, list[int]]:
     """The row of ints and Fractions scaled by the lcm of its denominators, and that lcm."""
     if all(type(x) is int for x in row):
@@ -295,22 +283,3 @@ def coordinates(basis, vectors) -> tuple[int, list[list[int]]] | None:
     if len(pivots) < n:
         return None
     return d, [[a[j][n + k] for j in range(n)] for k in range(len(vectors))]
-
-
-def primitive(vec_and_offset) -> tuple:
-    """Scale a rational tuple by a positive scalar to a primitive integer tuple.
-
-    Used to canonicalize facet data (normal, offset) so duplicates compare equal.
-    """
-    ints = _integer_row(vec_and_offset)[1]
-    g = gcd(*ints) or 1  # the zero vector stays zero
-    return tuple(Fraction(x // g) for x in ints)
-
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of a point set."""
-    pts = list(points)
-    if len(pts) <= 1:
-        return 0
-    base = pts[0]
-    return matrix_rank([list(vsub(p, base)) for p in pts[1:]])

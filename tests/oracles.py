@@ -10,10 +10,27 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
-from fanokit.rational import det, dot, primitive, vsub
+from fanokit.rational import det
+
+
+def dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+
+
+def vsub(u, v) -> tuple:
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def primitive(vec_and_offset) -> tuple:
+    """Scale a rational tuple by a positive scalar to a primitive integer tuple."""
+    scale = lcm(*(Fraction(x).denominator for x in vec_and_offset))
+    ints = [int(x * scale) for x in vec_and_offset]
+    g = gcd(*ints) or 1  # the zero vector stays zero
+    return tuple(Fraction(x // g) for x in ints)
 
 
 # ---------------------------------------------------------------------------

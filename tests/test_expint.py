@@ -11,19 +11,19 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from fanokit import _kernel
-from fanokit._kernel import dd_exp, dd_exp_batch, dd_exp_series
+from fanokit._kernel import dd_exp_batch, dd_exp_series
 from fanokit.errors import InputError, NonFiniteResult, UnsupportedOrder
 from fanokit.expint import (
     MAX_MOMENT_ORDER,
     PLConcaveFunction,
     pl_exp_integral,
     simplex_exp_integral,
-    simplex_weighted_exp_integral,
     superlevel_gvolume,
 )
 from fanokit.geometry import AffineForm, RationalPolytope, Simplex
 
 from oracles import quad_exp_integral
+from simplex_integrals import dd_exp, simplex_weighted_exp_integral
 
 SEG01 = Simplex.make([[0], [1]])
 TRI = Simplex.make([[0, 0], [1, 0], [0, 1]])

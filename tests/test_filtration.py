@@ -592,7 +592,7 @@ def test_flag_basis_of_non_homogeneous_rows():
     weights = [(0,), (1,)]
     rows = [(F(1), F(1)), (F(1), F(-1))]
     lv = FiltrationLevel.from_flags(1, 2, [(1, rows)], ambient_weights=weights)
-    assert lv.basis == ((F(1), F(0)), (F(0), F(1)))
+    assert lv.basis is None  # the kept rows are the standard basis
     assert lv.weights == ((F(0),), (F(1),))
     assert [p for _, p in weight_decompose(rows, [(F(0),), (F(1),)])[0]] == [
         [(F(2), F(0))], [(F(0), F(-2))]]

@@ -23,12 +23,21 @@ from fanokit.geometry import (
 )
 
 from fanokit.cli import _fixture_path
-from fanokit.rational import affine_rank, dot, rat, rat_vector, solve_square
+from fanokit.rational import integer_rows, rat, rat_vector, solve_square
 
 from conftest import random_full_polytope
-from oracles import _facet_hyperplanes, hull_volume_boundary
+from geometry_reference import affine_rank
+from oracles import _facet_hyperplanes, dot, hull_volume_boundary
 
 F = Fraction
+
+
+def _facets_from_points(points):
+    """The facets of conv(points) as ``Facet`` views, the incidences indexing ``points``."""
+    scale, facets = geometry._hull(*geometry._over(points))
+    return [geometry._facet(scale, ray, incident) for ray, incident in facets]
+
+
 UNIT_SQUARE = RationalPolytope.from_vertices([[0, 0], [1, 0], [0, 1], [1, 1]])
 UNIT_TRIANGLE = RationalPolytope.from_vertices([[0, 0], [1, 0], [0, 1]])
 
@@ -306,7 +315,9 @@ def halfspace_systems(draw):
 @example((3, [((F(1), F(0), F(0)), F(1)), ((F(-1), F(0), F(0)), F(1))]))  # normals of rank 1
 def test_polar_vertices_match_subset_reference(system):
     n, spaces = system
-    vertices, bounded = geometry._vertices_from_halfspaces(spaces, n)
+    den, rows, bounded = geometry._vertices_from_halfspaces(
+        integer_rows((b, *(-x for x in a)) for a, b in spaces), n)
+    vertices = [tuple(Fraction(x, den) for x in row) for row in rows]
     assert vertices == _subset_vertices(spaces, n)
     assert bounded == origin_in_interior([a for a, _ in spaces])
     if not bounded:
@@ -326,13 +337,13 @@ BOX3 = RationalPolytope.from_vertices(
 def test_hull_and_triangulation_computed_once(monkeypatch):
     box = RationalPolytope.from_vertices(BOX3.vertices)
     calls = []
-    search = geometry._facets_from_points
+    search = geometry._hull
 
-    def counted(points):
+    def counted(den, points):
         calls.append(len(points))
-        return search(points)
+        return search(den, points)
 
-    monkeypatch.setattr(geometry, "_facets_from_points", counted)
+    monkeypatch.setattr(geometry, "_hull", counted)
     box.triangulate()
     after_first = len(calls)
     for _ in range(3):
@@ -359,7 +370,7 @@ def test_cached_facets_index_kept_vertices(rng):
     for n in (2, 3):
         for _ in range(4):
             poly = random_full_polytope(rng, n, npts=n + 6)
-            assert poly.facets() == geometry._facets_from_points(list(poly.vertices))
+            assert poly.facets() == _facets_from_points(list(poly.vertices))
 
 
 def _oracle_facets(points):
@@ -403,7 +414,7 @@ def _grid(*axes):
 @example(_grid((0, 2), (0, 2)) + _grid((0, 1, 2), (0,)) + _grid((2,), (2,)))  # collinear, repeated
 @example(_grid((0, 1, 2, 3)) + _grid((1, 3)))  # 1-D, repeated
 def test_facets_match_subset_oracle(points):
-    facets = geometry._facets_from_points(points)
+    facets = _facets_from_points(points)
     assert sorted((f.normal, f.offset, f.incident) for f in facets) == _oracle_facets(points)
 
 
@@ -471,7 +482,7 @@ def test_box4d_pinned():
     facets with incidences, and the 24 cells in canonical order."""
     assert BOX4.to_json() == BOX4_JSON
     assert BOX4.facets() == BOX4_FACETS
-    assert geometry._facets_from_points(list(BOX4.vertices)) == BOX4_FACETS
+    assert _facets_from_points(list(BOX4.vertices)) == BOX4_FACETS
     assert [s.vertices for s in BOX4.triangulate()] == BOX4_CELLS
 
 

@@ -9,7 +9,7 @@ gives: the same rationals, and the same doubles bit for bit.
 import json
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import table_reference as ref
 from fanokit.filtration import (
@@ -48,13 +48,19 @@ def level_data(draw, dim=None):
     return draw(st.integers(min_value=1, max_value=50)), values, rows, weights
 
 
+def _is_identity(rows) -> bool:
+    return all(x == (i == j) for i, row in enumerate(rows) for j, x in enumerate(row))
+
+
 @settings(max_examples=80, deadline=None)
 @given(level_data(), st.integers(min_value=0, max_value=3))
+@example(data=(1, [Fraction(0)], [[Fraction(1)]], None), ambient_dim=0)  # an identity basis
 def test_level_and_measure_queries_match_reference(data, ambient_dim):
     m, values, rows, weights = data
     lv = FiltrationLevel(m, rows, values, weights)
     assert lv.values == tuple(values) and lv.dim == len(values)
-    assert lv.basis == (None if rows is None else tuple(map(tuple, rows)))
+    # an explicit identity basis is the standard basis, stored as none
+    assert lv.basis == (None if rows is None or _is_identity(rows) else tuple(map(tuple, rows)))
     assert lv.weights == (None if weights is None else tuple(weights))
     F = GradedFiltration({m: lv})
     # the JSON reader builds the same table

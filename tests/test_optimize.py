@@ -292,7 +292,7 @@ def _xi_with_spread(rng, poly, spread):
 @pytest.mark.parametrize("spread", [0, 1e-8, 10.0])
 def test_soliton_derivatives_match_weighted_integrals(rng, spread):
     """Repeated-node derivatives equal the k=1 moments and the polarized k=2 moments."""
-    from fanokit.expint import simplex_weighted_exp_integral
+    from simplex_integrals import simplex_weighted_exp_integral
     from fanokit.geometry import pairing_form
     from fanokit.optimize import _SolitonObjective
 
