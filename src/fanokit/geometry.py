@@ -213,10 +213,6 @@ class Simplex:
     def volume(self) -> Fraction:
         return Fraction(abs(self._det), self._den ** self.dim * factorial(self.dim))
 
-    def centroid(self) -> Vector:
-        n1 = len(self._rows)
-        return tuple(Fraction(sum(c), self._den * n1) for c in zip(*self._rows))
-
 
 @dataclass(frozen=True)
 class Facet:
