@@ -14,7 +14,6 @@ from .filtration import (
     empirical_dh,
     multiplicativity_warnings,
     q_m,
-    successive_minima,
 )
 from .functionals import LPolicy, ek_from_minima_polynomial, na_report
 from .measure import DHMeasure, wasserstein1
@@ -26,8 +25,10 @@ def run_p1_checks(F: GradedFiltration, limit: DHMeasure, ambient_dim: int,
     results = []
     degrees = F.degrees()
 
-    # the values 0, -1, ..., -m sum to -(m^2 + m)/2
-    ok = all(successive_minima(F.level(m)) == [-i for i in range(m + 1)] for m in degrees)
+    # the values 0, -1, ..., -m sum to -(m^2 + m)/2; compared on the level's
+    # integer table, values over one denominator
+    ok = all(sorted(lv._nums, reverse=True) == [-i * lv._den for i in range(m + 1)]
+             for m, lv in zip(degrees, map(F.level, degrees)))
     results.append(("successive-minima", ok,
                     f"values -m..0 and sum -(m^2+m)/2 on degrees {degrees[0]}..{degrees[-1]}"))
 

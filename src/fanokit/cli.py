@@ -67,14 +67,17 @@ def _fixture_path(name: str) -> str:
 
 
 def _parse_degrees(arg) -> list[int]:
-    """Degrees from ``m``, ``m1..m2`` or a list; [] when absent."""
+    """Degrees from ``m``, ``m1..m2`` (m1 <= m2) or a list; [] when absent."""
     if arg is None:
         return []
     if isinstance(arg, list):
         return [parse_number(x, "degree", minimum=1) for x in arg]
     lo, dots, hi = str(arg).partition("..")
     lo = parse_number(lo, "degree", minimum=1)
-    return list(range(lo, (parse_number(hi, "degree", minimum=1) if dots else lo) + 1))
+    hi = parse_number(hi, "degree", minimum=1) if dots else lo
+    if hi < lo:
+        raise InputError(f"degree range {arg!r} is empty: {hi} < {lo}")
+    return list(range(lo, hi + 1))
 
 
 def _measure_from_doc(doc: dict) -> DHMeasure:
@@ -321,9 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args leaves the parser unchanged and returns a fresh namespace
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    options = parser.parse_args(argv)
+    options = _PARSER.parse_args(argv)
     options.tol = options.tol if options.tol is not None else 1e-10
     try:
         if options.input is None:

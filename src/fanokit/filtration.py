@@ -34,23 +34,24 @@ from .errors import (
 from .measure import AtomicMeasure, DHMeasure
 from .rational import (
     Vector,
+    _bareiss,
     _format_over,
+    _format_row,
     _fractions,
+    _independent,
     _integer_row,
+    _rank,
+    _reduced_row,
     coordinates,
     exact_rows,
     exact_vector,
-    independent_rows,
     matrix_rank,
     need,
     parse_number,
     rat,
     rat_rows,
     rat_vector,
-    row_echelon,
 )
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True, init=False)
@@ -79,25 +80,29 @@ class FiltrationLevel:
         if basis is not None:
             if any(len(row) != n for row in basis):
                 raise InputError("adapted basis must be square over the level")
-            rows = tuple((d, tuple(r)) for d, r in map(_integer_row, basis))
-            if all(d == 1 and r[i] == 1 and sum(map(abs, r)) == 1
-                   for i, (d, r) in enumerate(rows)):
-                rows = None  # the standard basis, stored as no basis
-            elif matrix_rank([r for _, r in rows]) != n:
+            rows = _basis_table(map(_integer_row, basis))
+            if rows is not None and _rank([r for _, r in rows]) != n:
                 raise NotABasis(f"adapted basis of level {degree} is singular")
         wden, wnums = 1, None
         if weights is not None:
             if len(weights) != n:
                 raise InputError("need one torus weight per basis vector")
-            rank = len(weights[0])
-            if any(len(w) != rank for w in weights):
-                raise InputError("torus weights of mixed rank")
-            wden, flat = _integer_row([x for w in weights for x in w])
-            wnums = tuple(tuple(flat[i * rank:(i + 1) * rank]) for i in range(n))
+            wden, wnums = _weight_table(_integer_row, weights)
         den, nums = _integer_row(values)
-        for key, value in (("degree", degree), ("_den", den), ("_nums", tuple(nums)),
+        self._store(degree, den, tuple(nums), rows, wden, wnums)
+
+    def _store(self, degree, den, nums, rows, wden, wnums):
+        for key, value in (("degree", degree), ("_den", den), ("_nums", nums),
                            ("_rows", rows), ("_wden", wden), ("_wnums", wnums)):
             object.__setattr__(self, key, value)
+
+    @classmethod
+    def _from_tables(cls, degree, den, nums, rows, wden, wnums) -> "FiltrationLevel":
+        """A level from finished integer tables, whose ``rows`` are known to be a basis
+        (or ``None``): no scaling and no rank check."""
+        lv = cls.__new__(cls)
+        lv._store(degree, den, nums, rows, wden, wnums)
+        return lv
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -125,36 +130,64 @@ class FiltrationLevel:
         With ``ambient_weights`` each flag must be weight-decomposable and the
         returned basis is weight-homogeneous.
         """
-        items = sorted(((rat(v), [rat_vector(r) for r in rows]) for v, rows in flags),
-                       key=lambda t: -t[0])
-        if any(len(r) != dim for _, rows in items for r in rows):
+        flags = [(rat(v), [_integer_row(exact_vector(r, "vector")) for r in rows])
+                 for v, rows in flags]
+        if any(len(r) != dim for _, rows in flags for _, r in rows):
             raise InputError("flag rows of wrong ambient dimension")
-        wts = [rat_vector(w) for w in ambient_weights] if ambient_weights is not None else None
+        den, nums = _integer_row([v for v, _ in flags])
+        items = sorted(zip(nums, (rows for _, rows in flags)), key=lambda t: -t[0])
+        wden, wts = 1, None
+        if ambient_weights is not None:
+            wts = [exact_vector(w, "vector") for w in ambient_weights]
+            if len(wts) != dim:
+                raise InputError(f"level {degree} needs one torus weight per coordinate, "
+                                 f"got {len(wts)} for dim {dim}")
+            wden, flat = _integer_row([x for w in wts for x in w])
+            flat = iter(flat)
+            wts = [tuple(next(flat) for _ in w) for w in wts]
+        return cls._from_flag_rows(degree, dim, den, items, wts, wden)
+
+    @classmethod
+    def _from_flag_rows(cls, degree, dim, den, flags, weights, wden) -> "FiltrationLevel":
+        """``from_flags`` on integer tables.
+
+        ``flags`` lists (value numerator over ``den``, rows) by decreasing
+        value, each row a pair (s, r) standing for the rational row r / s;
+        ``weights`` are the ambient weights as integer tuples over ``wden``,
+        or None.  Each kept row is stored as ``_reduced_row(s, r)``, the table
+        its rational row gives; the kept rows are a basis, so the level takes
+        its tables directly.
+        """
         # every candidate row in flag order; a row is kept when it is
         # independent of the rows before it
-        candidates: list[tuple[Vector, Fraction, Vector | None]] = []
+        candidates: list[tuple[int, list[int], int, tuple | None]] = []
         ends = []
-        for value, rows in items:
-            if wts is None:
-                candidates += [(tuple(row), value, None) for row in rows]
-                space_rank = matrix_rank(rows)
+        for value, rows in flags:
+            if weights is None:
+                candidates += [(s, r, value, None) for s, r in rows]
+                space_rank = _rank([r for _, r in rows])
             else:
-                pieces, space_rank = _weight_decompose(rows, wts)
-                candidates += [(row, value, alpha) for alpha, part in pieces for row in part]
+                pieces, space_rank = _weight_decompose([r for _, r in rows], weights)
+                candidates += [(rows[i][0], row, value, alpha)
+                               for alpha, part in pieces for i, row in part]
             ends.append((len(candidates), space_rank, value))
-        kept = independent_rows([row for row, _, _ in candidates])
+        kept = _independent([r for _, r, _, _ in candidates])
         for end, space_rank, value in ends:
             if sum(1 for k in kept if k < end) != space_rank:
-                raise InputError(
-                    f"flag at value {value} of level {degree} is not nested/decomposable"
-                )
+                raise InputError(f"flag at value {_format_over(value, den)} of level {degree} "
+                                 "is not nested/decomposable")
         if len(kept) != dim:
             raise InputError(f"flags of level {degree} do not span the level")
+        if not kept:
+            raise InputError("level needs one value per basis vector")
         chosen = [candidates[k] for k in kept]
-        basis = tuple(r for r, _, _ in chosen)
-        values = tuple(v for _, v, _ in chosen)
-        weights = tuple(w for _, _, w in chosen) if wts is not None else None
-        return cls(degree, basis, values, weights)
+        rows = _basis_table(_reduced_row(s, r) for s, r, _, _ in chosen)
+        vden, vnums = _reduced_row(den, [v for _, _, v, _ in chosen])
+        wd, wnums = 1, None
+        if weights is not None:
+            wd, wnums = _weight_table(lambda flat: _reduced_row(wden, flat),
+                                      [alpha for _, _, _, alpha in chosen])
+        return cls._from_tables(degree, vden, tuple(vnums), rows, wd, wnums)
 
     @property
     def dim(self) -> int:
@@ -189,37 +222,60 @@ class FiltrationLevel:
         return [self._rows[i][1] for i in keep]
 
 
-def _weight_decompose(rows, ambient_weights):
-    """Split a row space into weight-homogeneous pieces and return them with the
-    dimension of the space; raise if it is not decomposable.
+def _basis_table(pairs):
+    """The stored basis: each (d, integer row) pair as a tuple, or None for the
+    standard basis."""
+    rows = tuple((d, tuple(r)) for d, r in pairs)
+    if all(d == 1 and r[i] == 1 and sum(map(abs, r)) == 1 for i, (d, r) in enumerate(rows)):
+        return None
+    return rows
 
-    The piece of weight alpha is spanned by the coordinate projections
-    pi_alpha of the rows.  Every space V lies in the direct sum of its
-    projections pi_alpha(V), with equality exactly when V is spanned by weight
-    vectors, and then pi_alpha(V) = V meet E_alpha.  So V decomposes iff the
-    ranks of its projections add up to dim V.
+
+def _weight_table(scale, weights):
+    """(wden, numerator tuples) of torus weights of one rank; ``scale`` maps the
+    flattened entries to (wden, numerators)."""
+    rank = len(weights[0])
+    if any(len(w) != rank for w in weights):
+        raise InputError("torus weights of mixed rank")
+    wden, flat = scale([x for w in weights for x in w])
+    return wden, tuple(tuple(flat[i * rank:(i + 1) * rank]) for i in range(len(weights)))
+
+
+def _weight_decompose(rows, ambient_weights):
+    """Split the row space of the integer ``rows``, one ambient weight per column,
+    into weight-homogeneous pieces and return them with the dimension of the
+    space; raise if it is not decomposable.
+
+    A piece is (alpha, [(i, pi_alpha(rows[i])), ...]) over the rows with a
+    nonzero alpha part.  The piece of weight alpha is spanned by the
+    coordinate projections pi_alpha of the rows.  Every space V lies in the
+    direct sum of its projections pi_alpha(V), with equality exactly when V
+    is spanned by weight vectors, and then pi_alpha(V) = V meet E_alpha.  So
+    V decomposes iff the ranks of its projections add up to dim V, which
+    holds without a check when every row is itself a weight vector.
     """
-    by_weight: dict[Vector, list[int]] = {}
+    by_weight: dict[tuple, list[int]] = {}
     for j, w in enumerate(ambient_weights):
         by_weight.setdefault(w, []).append(j)
     pieces = []
     found = 0
+    pieces_of_row = [0] * len(rows)
     for alpha in sorted(by_weight):
         cols = by_weight[alpha]
         part = []
-        for row in rows:
+        for i, row in enumerate(rows):
             if any(row[j] for j in cols):
-                vec = [_ZERO] * len(row)
+                vec = [0] * len(row)
                 for j in cols:
                     vec[j] = row[j]
-                part.append(tuple(vec))
+                part.append((i, tuple(vec)))
+                pieces_of_row[i] += 1
         if part:
             pieces.append((alpha, part))
-            found += matrix_rank(part)
-    dim_total = matrix_rank(rows)
-    if found != dim_total:
+            found += _rank([vec for _, vec in part])
+    if any(k != 1 for k in pieces_of_row) and found != _rank(rows):
         raise InputError("flag subspace is not spanned by torus-weight vectors")
-    return pieces, dim_total
+    return pieces, found
 
 
 @dataclass(frozen=True)
@@ -243,11 +299,11 @@ class GradedFiltration:
         doc = {"label": self.label, "levels": {}}
         for m in self.degrees():
             lv = self.levels[m]
-            entry = {"dim": lv.dim, "values": [_format_over(v, lv._den) for v in lv._nums]}
+            entry = {"dim": lv.dim, "values": _format_row(lv._nums, lv._den)}
             if lv._rows is not None:
-                entry["basis"] = [[_format_over(x, d) for x in row] for d, row in lv._rows]
+                entry["basis"] = [_format_row(row, d) for d, row in lv._rows]
             if lv._wnums is not None:
-                entry["weights"] = [[_format_over(x, lv._wden) for x in w] for w in lv._wnums]
+                entry["weights"] = [_format_row(w, lv._wden) for w in lv._wnums]
             doc["levels"][str(m)] = entry
         return doc
 
@@ -294,28 +350,34 @@ def rescale_shift(F: GradedFiltration, a, b) -> GradedFiltration:
     a, b = rat(a), rat(b)
     if a <= 0:
         raise NonpositiveScale(f"rescaling factor must be positive, got {a}")
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
 
     def fn(lv):
-        return FiltrationLevel(
-            lv.degree, lv.basis,
-            tuple(a * v + b * lv.degree for v in lv.values), lv.weights,
-        )
+        # a v / den + b m = (an bd v + bn m ad den) / (ad bd den)
+        shift = bn * lv.degree * ad * lv._den
+        den, nums = _reduced_row(ad * bd * lv._den, [an * bd * v + shift for v in lv._nums])
+        return FiltrationLevel._from_tables(lv.degree, den, tuple(nums), lv._rows,
+                                            lv._wden, lv._wnums)
 
     return F.map_levels(fn)
 
 
 def twist(F: GradedFiltration, xi) -> GradedFiltration:
     """Value of a weight-alpha vector becomes mu + <alpha, xi>."""
-    xi = rat_vector(xi)
+    xden, xnums = _integer_row(rat_vector(xi))
 
     def fn(lv):
-        if lv.weights is None:
+        if lv._wnums is None:
             raise MissingTorusWeights(f"level {lv.degree} has no torus weights")
-        if any(len(w) != len(xi) for w in lv.weights):
+        if any(len(w) != len(xnums) for w in lv._wnums):
             raise DimensionMismatch("twist vector rank does not match torus weights")
-        vals = tuple(v + sum(a * x for a, x in zip(w, xi))
-                     for v, w in zip(lv.values, lv.weights))
-        return FiltrationLevel(lv.degree, lv.basis, vals, lv.weights)
+        # v / den + <w, x> / (wden xden), over den wden xden
+        scale = lv._wden * xden
+        den, nums = _reduced_row(lv._den * scale, [
+            v * scale + lv._den * sum(a * x for a, x in zip(w, xnums))
+            for v, w in zip(lv._nums, lv._wnums)])
+        return FiltrationLevel._from_tables(lv.degree, den, tuple(nums), lv._rows,
+                                            lv._wden, lv._wnums)
 
     return F.map_levels(fn)
 
@@ -485,19 +547,25 @@ class MonomialModel:
         return num // factorial(v - 1)
 
     def monomial_weights(self, w, m: int) -> list[Fraction]:
+        wden, nums = self._weight_numerators(w, m)
+        return list(_fractions(nums, wden))
+
+    def _weight_numerators(self, w, m: int) -> tuple[int, list[int]]:
+        """The monomial w-weights of degree m as integers over one denominator."""
         w = rat_vector(w)
         if len(w) != self.num_vars:
             raise InvalidWeightFiltration(
                 f"weight vector of length {len(w)} for {self.num_vars} variables"
             )
-        return [sum((wi * e for wi, e in zip(w, expo)), Fraction(0))
-                for expo in self.monomials(m)]
+        wden, wn = _integer_row(w)
+        return wden, [sum(a * e for a, e in zip(wn, expo)) for expo in self.monomials(m)]
 
 
 def weight_filtration(model: MonomialModel, w, m: int) -> GradedFiltration:
     """The filtration of minimal monomial w-weight on the degree-m monomial basis."""
-    cw = model.monomial_weights(w, m)
-    level = FiltrationLevel.from_values(m, cw, weights=[(c,) for c in cw])
+    den, nums = _reduced_row(*model._weight_numerators(w, m))
+    level = FiltrationLevel._from_tables(m, den, tuple(nums), None, den,
+                                         tuple((c,) for c in nums))
     return GradedFiltration({m: level}, label="weight-filtration")
 
 
@@ -510,31 +578,38 @@ def initial_term_degeneration(model: MonomialModel, w, F1: GradedFiltration, m: 
     preserved, so the successive-minima multiset is unchanged; the relative
     minima against the weight filtration become plain minima after twisting
     by the negated grading.
+
+    The echelon rows are the integer rows of one fraction-free elimination;
+    each initial row r with pivot entry p stands for the pivot-1 row r / p.
     """
     lv = F1.level(m)
-    cw = model.monomial_weights(w, m)
-    if lv.dim != len(cw):
+    wden, cw = model._weight_numerators(w, m)
+    n = lv.dim
+    if n != len(cw):
         raise InvalidWeightFiltration(
-            f"level dim {lv.dim} does not match the monomial basis ({len(cw)})"
+            f"level dim {n} does not match the monomial basis ({len(cw)})"
         )
-    col_order = sorted(range(len(cw)), key=lambda j: (cw[j], j))
-    jumps = sorted(set(lv.values), reverse=True)
+    col_order = sorted(range(n), key=lambda j: (cw[j], j))
+    # the sorted columns run in blocks of one weight: block_end[c] ends the block of c
+    block_end = [n] * n
+    for c in range(n - 2, -1, -1):
+        same = cw[col_order[c]] == cw[col_order[c + 1]]
+        block_end[c] = block_end[c + 1] if same else c + 1
+    basis = ([[int(j == i) for j in range(n)] for i in range(n)] if lv._rows is None
+             else [r for _, r in lv._rows])
     flags = []
-    for lam in jumps:
-        reordered = [[row[j] for j in col_order] for row in lv.subspace_rows(lam)]
-        reduced = row_echelon(reordered, reduced=False)[1]
+    for lam in sorted(set(lv._nums), reverse=True):
+        a = [[row[j] for j in col_order] for row, v in zip(basis, lv._nums) if v >= lam]
+        pivots, _, _ = _bareiss(a, n, reduced=False)
         initial_rows = []
-        for row in reduced:
-            piv = next(j for j, x in enumerate(row) if x != 0)
-            block = cw[col_order[piv]]
-            vec = [Fraction(0)] * len(cw)
-            for j, x in enumerate(row):
-                if x != 0 and cw[col_order[j]] == block:
-                    vec[col_order[j]] = x
-            initial_rows.append(tuple(vec))
+        for row, c in zip(a, pivots):
+            # zero before its pivot: the pivot's weight block starts at c
+            vec = [0] * n
+            for j in range(c, block_end[c]):
+                vec[col_order[j]] = row[j]
+            initial_rows.append((row[c], vec))
         flags.append((lam, initial_rows))
-    level = FiltrationLevel.from_flags(m, lv.dim, flags,
-                                       ambient_weights=[(c,) for c in cw])
+    level = FiltrationLevel._from_flag_rows(m, n, lv._den, flags, [(c,) for c in cw], wden)
     return GradedFiltration({m: level}, label=f"in_w({F1.label or 'F'})")
 
 
@@ -546,12 +621,15 @@ def multiplicativity_warnings(F: GradedFiltration) -> list[str]:
     violation disproves it.
     """
     degs = F.degrees()
-    tops = {m: Fraction(max(lv._nums), lv._den) for m, lv in F.levels.items()}
+    tops = {m: (max(lv._nums), lv._den) for m, lv in F.levels.items()}
     out = []
     for m1, m2 in itertools.combinations_with_replacement(degs, 2):
-        if m1 + m2 in tops and tops[m1 + m2] < tops[m1] + tops[m2]:
+        if m1 + m2 not in tops:
+            continue
+        (n1, d1), (n2, d2), (n, d) = tops[m1], tops[m2], tops[m1 + m2]
+        if n * d1 * d2 < (n1 * d2 + n2 * d1) * d:
             out.append(
-                f"lambda_max({m1 + m2}) = {tops[m1 + m2]} < "
-                f"lambda_max({m1}) + lambda_max({m2}) = {tops[m1] + tops[m2]}"
+                f"lambda_max({m1 + m2}) = {Fraction(n, d)} < lambda_max({m1}) + "
+                f"lambda_max({m2}) = {Fraction(n1, d1) + Fraction(n2, d2)}"
             )
     return out

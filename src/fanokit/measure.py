@@ -49,7 +49,16 @@ from .expint import (
     superlevel_log_gvolume,
 )
 from .geometry import RationalPolytope, polytope_from_json
-from .rational import _format_over, _fractions, _integer_row, format_rat, need, rat, rat_vector
+from .rational import (
+    _format_over,
+    _format_row,
+    _fractions,
+    _integer_row,
+    format_rat,
+    need,
+    rat,
+    rat_vector,
+)
 
 #: equal steps on which a weighted pushforward's CDF is sampled for ``wasserstein1``
 SUPERLEVEL_GRID = 2048
@@ -255,11 +264,12 @@ class AtomicMeasure(DHMeasure):
         return ([x / self._pden for x in xs], [(c / cumulative[-1],) for c in cumulative])
 
     def to_json(self) -> dict:
+        masses = {m: _format_over(m, self._mden) for m in set(self._mass)}
         out = []
-        for x, m, w in zip(self._pos, self._mass, self._weights):
-            entry = {"pos": _format_over(x, self._pden), "mass": _format_over(m, self._mden)}
+        for pos, m, w in zip(_format_row(self._pos, self._pden), self._mass, self._weights):
+            entry = {"pos": pos, "mass": masses[m]}
             if w is not None:
-                entry["weight"] = [_format_over(y, self._wden) for y in w]
+                entry["weight"] = _format_row(w, self._wden)
             out.append(entry)
         return {"atoms": out}
 
@@ -431,9 +441,13 @@ def wasserstein1(mu: DHMeasure, nu: DHMeasure) -> float:
     in t - knot_i, 0 below the first knot.  On each interval of the merged
     knots the difference is one polynomial, re-centred in doubles, whose
     |.| is integrated in closed form between its sign changes.  Exact up to
-    rounding except for weighted pushforwards, whose CDF is sampled.
+    rounding except for weighted pushforwards, whose CDF is sampled.  When
+    every piece is constant or linear (atomic measures, 1-D and weighted
+    pushforwards) the loop runs on scalars, ``_w1_linear``, bit for bit.
     """
     (x1, p1), (x2, p2) = mu._cdf, nu._cdf
+    if max(map(len, p1)) <= 2 and max(map(len, p2)) <= 2:
+        return _w1_linear(x1, p1, x2, p2)
     breaks = sorted(set(x1) | set(x2))
     i1 = i2 = -1
     parts = []
@@ -445,6 +459,60 @@ def wasserstein1(mu: DHMeasure, nu: DHMeasure) -> float:
         diff = [f - g for f, g in zip_longest(_local(x1, p1, i1, a), _local(x2, p2, i2, a),
                                                fillvalue=0.0)]
         parts.append(_abs_integral(diff, b - a))
+    return math.fsum(parts)
+
+
+def _w1_linear(x1, p1, x2, p2) -> float:
+    """The merged-knot loop of ``wasserstein1`` for pieces of at most two coefficients.
+
+    The same float operations in the same order as the general loop: each
+    CDF's piece is Taylor-shifted to the interval's left end, the difference
+    is c0 + c1 u (c1 None where both pieces are constant, 0.0 filling in for a
+    missing slope), its root splits the interval, and each part is |H(hi) -
+    H(lo)| with H the antiderivative [0, c0, c1 / 2] by Horner's rule.
+    """
+    c10, c11 = [p[0] for p in p1], [p[1] if len(p) == 2 else None for p in p1]
+    c20, c21 = [p[0] for p in p2], [p[1] if len(p) == 2 else None for p in p2]
+    n1, n2 = len(x1), len(x2)
+    breaks = sorted(set(x1) | set(x2))
+    i1 = i2 = -1
+    parts = []
+    for a, b in zip(breaks, breaks[1:]):
+        while i1 + 1 < n1 and x1[i1 + 1] <= a:
+            i1 += 1
+        while i2 + 1 < n2 and x2[i2 + 1] <= a:
+            i2 += 1
+        if i1 < 0:
+            f0, f1 = 0.0, None
+        else:
+            f0, f1 = c10[i1], c11[i1]
+            if f1 is not None and a != x1[i1]:
+                f0 += (a - x1[i1]) * f1
+        if i2 < 0:
+            g0, g1 = 0.0, None
+        else:
+            g0, g1 = c20[i2], c21[i2]
+            if g1 is not None and a != x2[i2]:
+                g0 += (a - x2[i2]) * g1
+        c0 = f0 - g0
+        width = b - a
+        if f1 is None and g1 is None:
+            # H(u) = (0 u + c0) u + 0
+            lo = (0.0 * 0.0 + c0) * 0.0 + 0.0
+            parts.append(abs((0.0 * width + c0) * width + 0.0 - lo))
+            continue
+        c1 = (0.0 if f1 is None else f1) - (0.0 if g1 is None else g1)
+        h = c1 / 2
+        # H(u) = ((0 u + c1 / 2) u + c0) u + 0
+        lo = ((0.0 * 0.0 + h) * 0.0 + c0) * 0.0 + 0.0
+        hi = ((0.0 * width + h) * width + c0) * width + 0.0
+        if c1 != 0:
+            root = -c0 / c1
+            if 0.0 < root < width:
+                mid = ((0.0 * root + h) * root + c0) * root + 0.0
+                parts.append(abs(mid - lo) + abs(hi - mid))
+                continue
+        parts.append(abs(hi - lo))
     return math.fsum(parts)
 
 

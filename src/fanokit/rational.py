@@ -27,9 +27,9 @@ def rat(x) -> Fraction:
     """Parse a rational from int, Fraction, 'p/q' or decimal string, or [p, q] pair.
 
     A string accepts exactly what ``Fraction(str)`` accepts, with the same
-    value.  An optional '-' followed by at most 308 ASCII digits, the form
-    ``format_rat`` writes for integers, is read by ``int`` without the
-    ``Fraction`` regex.
+    value.  An integer string is read by one ``int`` and a 'p/q' string by
+    two, without the ``Fraction`` regex, wherever ``Fraction(str)`` would read
+    the same digits; any other string goes to ``Fraction(str)``.
     A value outside double range is an input error: every rational a
     document holds is rounded to a double somewhere downstream.
     """
@@ -37,17 +37,31 @@ def rat(x) -> Fraction:
     return Fraction(q) if type(q) is int else q
 
 
+#: past this magnitude an integer may round beyond the largest double
+_BIG = 2**1023
+
+
 def _exact(x) -> int | Fraction:
     """``rat(x)``, except that an int or an integer string stays an ``int``."""
-    # str first: isinstance against Fraction goes through the ABC machinery
-    if isinstance(x, str):
-        digits = x[1:] if x[:1] == "-" else x
-        if digits.isascii() and digits.isdecimal() and len(digits) <= 308:
-            return int(x)  # below 10^308: inside double range
+    # a JSON string first, read by int(): an integer string with one call, 'p/q' with two
+    if type(x) is str and "_" not in x:  # Fraction(str) takes '_' only from Python 3.11
         try:
-            q = Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
+            if "/" not in x:
+                q = int(x)
+                if -_BIG < q < _BIG:
+                    return q
+            else:
+                num, _, den = x.partition("/")
+                # int() takes a sign and spaces that Fraction takes only at the ends of 'p/q'
+                if not (num[-1:].isdecimal() and den[:1].isdecimal()):
+                    return _parsed(x)
+                q = Fraction(int(num), int(den))
+        except ValueError:  # a decimal, an exponent or no number: Fraction's regex decides
+            return _parsed(x)
+        except ZeroDivisionError as exc:
             raise InputError(f"unparsable rational string {x!r}") from exc
+    elif isinstance(x, str):
+        return _parsed(x)
     elif isinstance(x, Fraction):
         return x
     elif isinstance(x, bool):
@@ -65,6 +79,20 @@ def _exact(x) -> int | Fraction:
             raise InputError(f"unparsable rational pair {x!r}") from exc
     else:
         raise InputError(f"not a rational: {x!r}")
+    return _in_range(q, x)
+
+
+def _parsed(x: str) -> Fraction:
+    """``Fraction(x)`` inside double range; anything else is an InputError."""
+    try:
+        q = Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"unparsable rational string {x!r}") from exc
+    return _in_range(q, x)
+
+
+def _in_range(q, x):
+    """``q``, parsed from ``x``, if it rounds to a finite double; else an InputError."""
     # |q| < 2^(bits of numerator - bits of denominator + 1): only a long
     # numerator can reach 2^1024, and only that one pays for the exact test
     if q.numerator.bit_length() - q.denominator.bit_length() >= 1023:
@@ -126,8 +154,7 @@ def rat_vector(value, name: str = "vector", length: int | None = None) -> Vector
 
 def rat_rows(value, name: str, width: int | None = None) -> tuple[Vector, ...]:
     """A list of ``rat_vector`` rows, each ``width`` long when one is given."""
-    row_name = f"each row of the {name}"
-    return tuple(rat_vector(row, row_name, width) for row in _sequence(value, name, "vectors"))
+    return _rows(rat, value, name, width)
 
 
 def exact_vector(value, name: str, length: int | None = None) -> tuple:
@@ -138,15 +165,26 @@ def exact_vector(value, name: str, length: int | None = None) -> tuple:
 
 def exact_rows(value, name: str, width: int | None = None) -> tuple:
     """``rat_rows`` with each integer entry left an ``int``, as ``exact_vector``."""
-    row_name = f"each row of the {name}"
-    return tuple(_vector(_exact, row, row_name, width) for row in _sequence(value, name, "vectors"))
+    return _rows(_exact, value, name, width)
 
 
 def _vector(parse, value, name: str, length: int | None) -> tuple:
-    vec = tuple(map(parse, _sequence(value, name, "rationals")))
+    vec = tuple(map(parse, value if type(value) is list else _sequence(value, name, "rationals")))
     if length is not None and len(vec) != length:
         raise InputError(f"{name} has {len(vec)} entries, not {length}")
     return vec
+
+
+def _rows(parse, value, name: str, width: int | None) -> tuple:
+    """``_vector`` over each row of ``value``; a JSON list row takes no call of its own."""
+    rows = []
+    for row in _sequence(value, name, "vectors"):
+        vec = tuple(map(parse, row if type(row) is list
+                        else _sequence(row, f"each row of the {name}", "rationals")))
+        if width is not None and len(vec) != width:
+            raise InputError(f"each row of the {name} has {len(vec)} entries, not {width}")
+        rows.append(vec)
+    return tuple(rows)
 
 
 def format_rat(q: Fraction) -> str:
@@ -155,10 +193,19 @@ def format_rat(q: Fraction) -> str:
 
 def _integer_row(row) -> tuple[int, list[int]]:
     """The row of ints and Fractions scaled by the lcm of its denominators, and that lcm."""
-    if all(type(x) is int for x in row):
+    if set(map(type, row)) <= {int}:
         return 1, list(row)
     scale = lcm(*(x.denominator for x in row))
     return scale, [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _reduced_row(scale: int, row) -> tuple[int, list[int]]:
+    """``_integer_row`` of the rational row ``row / scale`` (integer row, nonzero scale):
+    (|scale| / g, sign(scale) row / g) with g the gcd of the scale and the row."""
+    g = gcd(scale, *row)
+    if scale < 0:
+        g = -g
+    return scale // g, [x // g for x in row]
 
 
 def _fractions(nums, d: int) -> tuple[Fraction, ...]:
@@ -170,6 +217,17 @@ def _format_over(n: int, d: int) -> str:
     """``format_rat(Fraction(n, d))`` for d > 0, without the ``Fraction``."""
     g = gcd(n, d)
     return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _format_row(nums, d: int) -> list[str]:
+    """``[_format_over(n, d) for n in nums]`` in one pass."""
+    if d == 1:
+        return list(map(str, nums))
+    out = []
+    for n in nums:
+        g = gcd(n, d)
+        out.append(str(n // g) if g == d else f"{n // g}/{d // g}")
+    return out
 
 
 def integer_rows(rows) -> list[list[int]]:
@@ -238,6 +296,11 @@ def matrix_rank(rows) -> int:
     return len(_bareiss(a, len(a[0]), reduced=False)[0]) if a else 0
 
 
+def _rank(rows) -> int:
+    """The rank of integer rows, which are left unchanged."""
+    return len(_bareiss([list(r) for r in rows], len(rows[0]), reduced=False)[0]) if rows else 0
+
+
 def solve_square(rows, rhs) -> Vector | None:
     """Solve A x = rhs exactly; None if A is singular."""
     n = len(rows)
@@ -248,27 +311,16 @@ def solve_square(rows, rhs) -> Vector | None:
     return tuple(Fraction(a[k][n], d) for k in range(n))
 
 
-def row_echelon(rows, reduced: bool) -> tuple[list[int], list[Vector]]:
-    """Pivot columns and pivot rows of an echelon form, each scaled to pivot 1.
-
-    Row k is the k-th pivot row as elimination reaches it: zero in the
-    earlier pivot columns, its later entries unreduced.  With ``reduced``
-    each pivot column is zero outside its pivot row as well, which gives the
-    reduced row echelon form of the row space.
-    """
-    a = integer_rows(rows)
-    if not a:
-        return [], []
-    pivots, _, _ = _bareiss(a, len(a[0]), reduced)
-    return pivots, [tuple(Fraction(x, a[k][c]) for x in a[k]) for k, c in enumerate(pivots)]
-
-
 def independent_rows(rows) -> list[int]:
     """Indices of the rows that are independent of all rows before them."""
+    return _independent(integer_rows(rows))
+
+
+def _independent(rows) -> list[int]:
+    """``independent_rows`` of integer rows."""
     if not rows:
         return []
-    columns = [list(c) for c in zip(*integer_rows(rows))]
-    return _bareiss(columns, len(rows), reduced=False)[0]
+    return _bareiss([list(c) for c in zip(*rows)], len(rows), reduced=False)[0]
 
 
 def coordinates(basis, vectors) -> tuple[int, list[list[int]]] | None:

@@ -15,7 +15,9 @@ import math
 from fractions import Fraction
 
 from fanokit.geometry import _extreme_rays
-from fanokit.rational import det, integer_rows, matrix_rank, row_echelon
+from fanokit.rational import det, integer_rows, matrix_rank
+
+from command_reference import row_echelon
 
 
 def dot(u, v):

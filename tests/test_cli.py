@@ -442,6 +442,52 @@ def test_malformed_document_exit_2(tmp_path, capsys, command, doc, extra, fragme
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, doc, extra", [
+    ("dh", _fixture_path("p1_example.json"), ["--degrees", "5..3"]),
+    ("dh", {"filtration": LEVELS, "ambient_dim": 1, "degrees": "5..3"}, []),
+    ("distance", {"filtration_a": LEVELS, "filtration_b": LEVELS}, ["--degrees", "5..3"]),
+    ("distance", {"filtration_a": LEVELS, "filtration_b": LEVELS, "degrees": "5..3"}, []),
+    ("twist-opt", {"filtration": LEVELS}, ["--degrees", "5..3"]),
+], ids=["dh-p1-flag", "dh-field", "distance-flag", "distance-field", "twist-opt-flag"])
+def test_reversed_degree_range_exit_2(tmp_path, capsys, command, doc, extra):
+    # an empty range once fell back to every stored degree and exited 0
+    if isinstance(doc, dict):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(doc))
+        doc = str(path)
+    code, _, err = run_cli([command, "--input", doc, "--output", str(tmp_path / "o")] + extra,
+                           capsys)
+    assert code == 2
+    assert err == "input error: degree range '5..3' is empty: 3 < 5\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_flag_weights_one_per_coordinate_exit_2(tmp_path, capsys):
+    # more weights than coordinates once raised a raw IndexError
+    flags = [{"value": "1", "rows": [["1", "0"]]}, {"value": "0", "rows": [["1", "0"], ["0", "1"]]}]
+    for weights in ([["0"], ["1"], ["2"]], [["0"]]):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(_level_doc(flags=flags, weights=weights)))
+        code, _, err = run_cli(["dh", "--input", str(path)], capsys)
+        assert code == 2
+        assert f"needs one torus weight per coordinate, got {len(weights)} for dim 2" in err
+
+
+def test_main_calls_in_one_process_share_no_options(tmp_path, capsys):
+    # the parser is built once per process; each call still starts from the defaults
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"measure": {"atoms": [{"pos": "0", "mass": "1"},
+                                                      {"pos": "1", "mass": "3"}]}, "a": ["1"]}))
+    plain = ["report", "--input", str(path)]
+    flagged = plain + ["--a", "2", "--a", "1/2", "--tol", "1e-6", "--format", "csv"]
+    first = run_cli(plain, capsys)
+    other = run_cli(flagged, capsys)
+    assert run_cli(flagged, capsys) == other
+    assert run_cli(plain, capsys) == first
+    assert first[0] == other[0] == 0 and first[1] != other[1]
+    assert json.loads(first[1])["tolerance"] == 1e-10
+
+
 @pytest.mark.parametrize("to_file", [True, False], ids=["output-file", "stdout"])
 @pytest.mark.parametrize("raw", [
     json.dumps(dict(DEGENERATE, filtration=dict(DEGENERATE["filtration"], label="\ud800"))

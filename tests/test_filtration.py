@@ -565,7 +565,8 @@ def test_weight_pieces_match_nullspace_reference(flag):
         return
     got_pieces, got_rank = _weight_decompose(rows, weights)
     assert got_rank == want_rank
-    want, got = dict(want_pieces), dict(got_pieces)
+    want = dict(want_pieces)
+    got = {alpha: [row for _, row in part] for alpha, part in got_pieces}
     assert sorted(got) == sorted(want)
     for alpha, part in got.items():
         assert _same_row_space(part, want[alpha])
@@ -581,8 +582,10 @@ def test_weight_pieces_of_homogeneous_rows_are_the_rows():
             (F(2), F(0), F(-4), F(0))]
     pieces, rank = _weight_decompose(rows, weights)
     assert rank == 3
-    assert pieces == weight_decompose(rows, weights)[0]
-    assert pieces == [((F(0),), [rows[0]]), ((F(1),), [rows[1], rows[3]]), ((F(2),), [rows[2]])]
+    assert pieces == [((F(0),), [(0, rows[0])]), ((F(1),), [(1, rows[1]), (3, rows[3])]),
+                      ((F(2),), [(2, rows[2])])]
+    assert [(alpha, [row for _, row in part]) for alpha, part in pieces] == weight_decompose(
+        rows, weights)[0]
 
 
 def test_flag_basis_of_non_homogeneous_rows():

@@ -4,13 +4,17 @@ Each document runs through ``cli.main`` and its output file is hashed.  The
 filtration hashes were taken at 08fd011, before filtration levels and atomic
 measures moved to integer tables; the geometry hashes (soliton, report on
 transforms, rescale, cone) at d2658ff, before polytopes, simplices and affine
-pieces moved to integer tables.  So any drift in a value, an ordering or a
+pieces moved to integer tables; the three benchmark-sized documents (a
+``distance`` over dims 17-27, a ``degenerate`` in degree 5 of three variables,
+a ``dh`` against a 2-D pushforward) at 80e2a41, before the filtration
+commands dropped their ``Fraction`` rows.  So any drift in a value, an ordering or a
 rational's formatting fails here.
 """
 
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -105,6 +109,50 @@ T3 = _kuhn_transform((2, 1, 1), F(3, 4), (F(1, 3), F(1, 2), F(1, 5)),
 T2 = _kuhn_transform((2, 2), F(1, 2), (F(3, 4), F(1, 3)), (F(1, 3), F(1, 2)), F(5, 2))
 T1 = _kuhn_transform((3,), F(1, 3), (F(2, 5),), (F(1, 2),), F(1))
 
+
+# benchmark-sized documents: sparse explicit bases whose entries have mixed denominators
+def _sparse_level(rng, dim, span, dens):
+    """(values, basis rows) with ties among the values and a shuffled unit
+    lower-triangular basis, rows scaled, about a fifth of its entries off the diagonal."""
+    pool = [Fraction(rng.randint(-span, span), rng.choice(dens)) for _ in range(dim // 3 + 1)]
+    values = [rng.choice(pool) if rng.random() < 0.4
+              else Fraction(rng.randint(-span, span), rng.choice(dens)) for _ in range(dim)]
+    rows = []
+    for i in range(dim):
+        scale = Fraction(rng.choice([1, -1]) * rng.randint(1, 4), rng.choice(dens))
+        rows.append([scale if j == i
+                     else scale * Fraction(rng.randint(-3, 3), rng.choice(dens))
+                     if j < i and rng.random() < 0.2 else Fraction(0) for j in range(dim)])
+    rng.shuffle(rows)
+    return [_s(v) for v in values], [[_s(x) for x in row] for row in rows]
+
+
+def _distance_doc(seed):
+    rng = random.Random(seed)
+    filtrations = []
+    for _ in range(2):
+        levels = {}
+        for m in (16, 20, 26):
+            values, basis = _sparse_level(rng, m + 1, 3 * m, [1, 2, 3, 5, 7])
+            levels[str(m)] = {"dim": m + 1, "values": values, "basis": basis}
+        filtrations.append({"levels": levels})
+    return {"filtration_a": filtrations[0], "filtration_b": filtrations[1], "p": 2}
+
+
+def _degenerate_doc(seed):
+    rng = random.Random(seed)
+    values, basis = _sparse_level(rng, 21, 10, [1, 2, 3])
+    return {"model": {"num_vars": 3}, "w": ["3/2", "3/2", "1"], "degree": 5,
+            "filtration": {"levels": {"5": {"dim": 21, "values": values, "basis": basis}}}}
+
+
+DISTANCE_LARGE = _distance_doc(2604)
+DEGENERATE_LARGE = _degenerate_doc(3005)
+# degrees 2..7 of a p1-like filtration against a 2-D pushforward: quadratic CDF pieces
+DH_PUSHFORWARD = {"ambient_dim": 2, "limit": {"transform": T2}, "filtration": {"levels": {
+    str(m): {"dim": m + 1, "values": [_s(F(5 * m, 2) - F(i * m, 2 * m - 1)) for i in range(m + 1)]}
+    for m in range(2, 8)}}}
+
 SOLITON_BOX4 = _box(("-1", "21/20"), ("-1", "26/25"), ("-1", "51/50"), ("-1", "101/100"))
 SOLITON_BOX3 = _box(("-1", "4/3"), ("-3/2", "9/5"), ("-1", "9/8"))
 # a lattice hexagon, listed with two non-vertex lattice points
@@ -172,8 +220,15 @@ def _artifact_sha256(tmp_path, command, doc_or_path):
      "3913dc38b8d72e281a51ff30a28eb0e5d4008f8e7bd68fedaa44612d15d05041"),
     ("report", REPORT_DOMAIN,
      "48dfebbd10564360aa3fb1cef2eec0b325cf4f4aa029ffe0e1e3d6bbd8a2b11b"),
+    ("distance", DISTANCE_LARGE,
+     "9e6afe68bb7c52287f468b4dc15b8ac690f2766207c42175443f8c9f46210a3a"),
+    ("degenerate", DEGENERATE_LARGE,
+     "49d01655adf64bbe88693b252cb9ee3c3b92f9ef063e52edc423e6ee7df16839"),
+    ("dh", DH_PUSHFORWARD,
+     "e4485ba45c3953bade429223458d56dee0547e3db30e57e369edddadaa6e21aa"),
 ], ids=["dh-p1", "check-p1", "distance", "degenerate", "dh-weighted", "soliton-box4d",
         "soliton-box3d", "soliton-hexagon", "report-sweep3d", "report-candidates",
-        "rescale-3d", "cone", "report-domain"])
+        "rescale-3d", "cone", "report-domain", "distance-large", "degenerate-large",
+        "dh-pushforward"])
 def test_artifact_bytes_pinned(tmp_path, command, doc, digest):
     assert _artifact_sha256(tmp_path, command, doc) == digest

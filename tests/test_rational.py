@@ -24,10 +24,10 @@ from fanokit.rational import (
     rat,
     rat_rows,
     rat_vector,
-    row_echelon,
     solve_square,
 )
 
+from command_reference import row_echelon
 from weight_reference import matmul
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from math import lcm
 from operator import mul
 
 from fanokit.errors import InputError
-from fanokit.rational import _integer_row, matrix_rank, row_echelon
+from fanokit.rational import _integer_row, matrix_rank
+
+from command_reference import row_echelon
 
 
 def matmul(a, b):
