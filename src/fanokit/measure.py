@@ -467,9 +467,10 @@ def _w1_linear(x1, p1, x2, p2) -> float:
 
     The same float operations in the same order as the general loop: each
     CDF's piece is Taylor-shifted to the interval's left end, the difference
-    is c0 + c1 u (c1 None where both pieces are constant, 0.0 filling in for a
-    missing slope), its root splits the interval, and each part is |H(hi) -
-    H(lo)| with H the antiderivative [0, c0, c1 / 2] by Horner's rule.
+    is c0 + c1 u (c0 alone where both pieces are constant, 0.0 standing in
+    for one missing slope), its root splits the interval, and each part is
+    |H(hi) - H(lo)| with H the antiderivative [0, c0, c1 / 2] by Horner's
+    rule.
     """
     c10, c11 = [p[0] for p in p1], [p[1] if len(p) == 2 else None for p in p1]
     c20, c21 = [p[0] for p in p2], [p[1] if len(p) == 2 else None for p in p2]
