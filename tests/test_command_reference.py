@@ -10,6 +10,7 @@ same bits on atomic, 1-D, 2-D and weighted pushforward pairs,
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -299,11 +300,11 @@ def flag_cases(draw):
         weights = [tuple(draw(st.integers(0, 2).map(Fraction)) for _ in range(draw(
             st.sampled_from([1, 1, 2])))) for _ in range(dim)]
         if draw(st.booleans()):
-            # unit rows: decomposable flags
-            unit = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-            flags = [(v, draw(st.permutations(unit))[:k]) for v, (_, r) in zip(values, flags)
-                     for k in [min(len(r), dim)]]
-            flags[-1] = (flags[-1][0], unit)
+            # prefixes of one list of scaled unit rows: nested and decomposable
+            unit = draw(st.permutations([[draw(VALUES.filter(bool)) if j == i else Fraction(0)
+                                          for j in range(dim)] for i in range(dim)]))
+            flags = [(v, unit[:min(k, dim)]) for v, k in zip(values[:-1], cuts)]
+            flags.append((values[-1], unit))
     return dim, draw(st.permutations(flags)), weights
 
 
@@ -314,7 +315,7 @@ def test_from_flags_matches_reference(case):
     try:
         want = ref.from_flags(2, dim, flags, weights)
     except FanokitError as exc:
-        with pytest.raises(type(exc), match=f"^{exc}$".replace("(", r"\(").replace(")", r"\)")):
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
             FiltrationLevel.from_flags(2, dim, flags, weights)
         return
     got = FiltrationLevel.from_flags(2, dim, flags, weights)
