@@ -28,6 +28,7 @@ triangular matrix.  All matrices here are tiny (<= 35 x 35).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +53,10 @@ def dd_exp_batch(z, b=None, k: int = 0):
     at t = 0 divided by e^{offset[i]}, where ``offset[i] = max(z_i)``, and
     ``err[i]`` is the estimated relative error of row i.  ``b`` (m, n1) is
     the deformation direction, needed when k > 0.
+
+    The rows are sorted by squaring exponent, largest first, so the matrices
+    still squaring at each step are a prefix of the stack; the first rows
+    are put back in input order at the end.
     """
     z = np.asarray(z, dtype=float)
     m, n1 = z.shape
@@ -62,27 +67,46 @@ def dd_exp_batch(z, b=None, k: int = 0):
         b = np.asarray(b, dtype=float)
         norm_proxy = norm_proxy + np.abs(b).max(axis=1)
     q = np.maximum(0, np.ceil(np.log2(norm_proxy / 0.5))).astype(int)
-    h = np.ldexp(1.0, -q)[:, None]
+    order = np.argsort(-q, kind="stable")
+    qs = q[order].tolist()
+    h = np.ldexp(1.0, -q[order])[:, None]
 
     d = n1 * (k + 1)
-    a = np.zeros((m, d, d))
-    i = np.arange(n1)
-    for p in range(k + 1):
-        off = p * n1 + i
-        a[:, off, off] = delta * h
-        a[:, off[:-1], off[1:]] = h
-        if p < k:
-            a[:, off, off + n1] = b * h
-    e = _expm_taylor(a)
-    for s in range(int(q.max(initial=0))):
-        sel = q > s
-        if sel.all():
-            e = e @ e
-        else:
-            part = e[sel]
-            e[sel] = part @ part
+    diag, sup, deform = _plan(n1, k)
+    a = np.zeros((m, d * d))
+    a[:, diag] = (delta[order] * h)[:, None, :]
+    a[:, sup] = h[:, :, None]
+    if k:
+        a[:, deform] = (b[order] * h)[:, None, :]
+    e = _expm_taylor(a.reshape(m, d, d))
+    # rows with q > s square at step s: a prefix, as q is non-increasing
+    live = m
+    for s in range(qs[0] if qs else 0):
+        while qs[live - 1] <= s:
+            live -= 1
+        head = e[:live]
+        e[:live] = head @ head
+    rows = np.empty((m, d))
+    rows[order] = e[:, 0, :]
     err = (_TAYLOR_DEGREE + q * d) * 4.0 * _EPS
-    return e[:, 0, :], offset, err
+    return rows, offset, err
+
+
+@lru_cache(maxsize=None)
+def _plan(n1: int, k: int) -> tuple:
+    """Flat indices into a (d, d) node matrix, d = n1 (k + 1): the diagonal as a
+    (k + 1, n1) array, the superdiagonal inside each block as (k + 1, n1 - 1) and
+    the deformation entries from block p to block p + 1 as (k, n1)."""
+    d = n1 * (k + 1)
+    off = np.arange(k + 1)[:, None] * n1 + np.arange(n1)
+    return off * (d + 1), off[:, :-1] * (d + 1) + 1, off[:-1] * (d + 1) + n1
+
+
+@lru_cache(maxsize=None)
+def _eye(d: int):
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 def _expm_taylor(a):
@@ -90,13 +114,16 @@ def _expm_taylor(a):
 
     The degree-20 Taylor polynomial is I + A(I + A(... (I + A/20) ...)/2),
     the same 19 matmuls for every matrix, so no matrix depends on its stack.
+    Each product goes into the other of two buffers.
     """
-    eye = np.eye(a.shape[1])
+    eye = _eye(a.shape[1])
     e = a / _TAYLOR_DEGREE + eye
+    spare = np.empty_like(e)
     for j in range(_TAYLOR_DEGREE - 1, 0, -1):
-        e = a @ e
-        e *= 1.0 / j
-        e += eye
+        np.matmul(a, e, out=spare)
+        spare *= 1.0 / j
+        spare += eye
+        e, spare = spare, e
     return e
 
 

@@ -29,7 +29,7 @@ from .filtration import (
 )
 from .functionals import LPolicy, na_report
 from .geometry import polytope_from_json
-from .measure import DHMeasure, cdf_samples, measure_from_json, wasserstein1
+from .measure import DHMeasure, cdf_samples, measure_from_json, prefetch_sums, wasserstein1
 from .optimize import cone_family, rescale_opt, soliton_vector, twist_opt
 from .rational import format_rat, need, parse_number, rat, rat_rows, rat_vector
 from .serialize import csv_table, dumps_canonical
@@ -67,10 +67,12 @@ def _fixture_path(name: str) -> str:
 
 
 def _parse_degrees(arg) -> list[int]:
-    """Degrees from ``m``, ``m1..m2`` (m1 <= m2) or a list; [] when absent."""
+    """Degrees from ``m``, ``m1..m2`` (m1 <= m2) or a nonempty list; [] when absent."""
     if arg is None:
         return []
     if isinstance(arg, list):
+        if not arg:
+            raise InputError("degree list is empty")
         return [parse_number(x, "degree", minimum=1) for x in arg]
     lo, dots, hi = str(arg).partition("..")
     lo = parse_number(lo, "degree", minimum=1)
@@ -173,8 +175,11 @@ def _cmd_report(doc, options):
     if "xi_list" in doc:
         rows = []
         csv_rows = []
-        for vec in rat_rows(doc["xi_list"], "xi_list"):
-            nu = mu.twisted(vec)
+        vecs = rat_rows(doc["xi_list"], "xi_list")
+        nus = [mu.twisted(vec) for vec in vecs]
+        # every sum na_report reads, for all tilts in one batch per moment order
+        prefetch_sums(nus, [1, *a_list], 4)
+        for vec, nu in zip(vecs, nus):
             rep = na_report(nu, L.twisted(), a_list)
             rows.append({"xi": [format_rat(x) for x in vec], "report": rep.to_json()})
             for name, val in (("E", rep.E), ("S_tilde", rep.S_tilde),

@@ -7,13 +7,13 @@ their sums over the cells of a piecewise-linear concave transform.
 Geometry stays rational until the last moment.  A transform keeps its vertex
 values, and each tilt's pairings, as integers over one common denominator, so
 a kernel node is one correctly rounded int/int division: the exact value
-rounded once.  ``pl_cell_integrals`` stacks the rows of several tilts a in one
-kernel batch and reads the moments j = 0..k off the corners of one derivative
-batch, and returns each moment summed over the cells, so no caller sees a
-cell.  Every cell sum here is a ``math.fsum``: correctly rounded and
-order-free, so results do not depend on the order in which cells were given.
-The sums are returned relative to one log offset per a, so they stay in
-double range for any tilt.
+rounded once.  ``pl_cell_integrals`` stacks the rows of many tilts (xi, a) of
+one transform in one kernel batch and reads the moments j = 0..k off the
+corners of one derivative batch, and returns each moment summed over the
+cells, so no caller sees a cell.  Every cell sum here is a ``math.fsum``:
+correctly rounded and order-free, so results do not depend on the order in
+which cells were given.  The sums are returned relative to one log offset per
+tilt, so they stay in double range for any tilt.
 
 Superlevel volumes come two ways.  Unweighted (xi = 0), t -> n! vol{G >= t}
 is an exact spline of degree n whose knots are the cell vertex values
@@ -460,30 +460,35 @@ def pl_exp_integral(G: PLConcaveFunction, shift: AffineForm | None = None) -> Ex
     return ExpIntegralResult(total, err, method)
 
 
-def pl_cell_integrals(G: PLConcaveFunction, a_list, xi, k: int) -> list:
-    """int G^j e^{-(a G + <y', xi>)} dy, summed over the cells of G, for each a and j = 0..k.
+def pl_cell_integrals(G: PLConcaveFunction, tilts, k: int) -> list:
+    """int G^j e^{-(a G + <y', xi>)} dy, summed over the cells of G, for j = 0..k and each
+    (xi, a) of ``tilts`` = [(xi, a_list), ...]: every a of the list given with its xi.
 
     A node is -(p E v + q D e) / (q D E) for a = p/q, with v D and e E the
     integer vertex value and pairing cached on G: one correctly rounded
-    int/int division, so it equals the exact value rounded once.  Every a
-    shares one kernel call.  Returns per a ``(top, [s_0, ..., s_k])``, s_j the
-    ``math.fsum`` over the cells of their integrals relative to e^{top}, top
-    that a's largest node, so the sums and their logarithms stay finite for
-    any tilt.
+    int/int division, so it equals the exact value rounded once.  Every
+    (xi, a) shares one kernel call.  Returns per (xi, a), in order,
+    ``(top, [s_0, ..., s_k])``, s_j the ``math.fsum`` over the cells of their
+    integrals relative to e^{top}, top that tilt's largest node, so the sums
+    and their logarithms stay finite for any tilt.  A kernel row does not
+    depend on the other rows of its batch, so each tilt's result is the one
+    it gets alone.
     """
     if k < 0 or k > MAX_MOMENT_ORDER:
         raise UnsupportedOrder(f"moment order {k} not in 0..{MAX_MOMENT_ORDER}")
     d, values, floats, volumes = G._node_table
-    e, pairings = G._pairings(xi)
     z, tops = [], []
-    for a in map(rat, a_list):
-        gv, ge, den = a.numerator * e, a.denominator * d, a.denominator * d * e
-        nodes = [[-((gv * v + ge * p) / den) for v, p in zip(vals, pairs)]
-                 for vals, pairs in zip(values, pairings)]
-        z += nodes
-        tops += [max(map(max, nodes))] * len(nodes)
-    rows = _exp_integrals(z, volumes * len(a_list), floats * len(a_list) if k else None, k, tops)
+    for xi, a_list in tilts:
+        e, pairings = G._pairings(xi)
+        for a in map(rat, a_list):
+            gv, ge, den = a.numerator * e, a.denominator * d, a.denominator * d * e
+            nodes = [[-((gv * v + ge * p) / den) for v, p in zip(vals, pairs)]
+                     for vals, pairs in zip(values, pairings)]
+            z += nodes
+            tops += [max(map(max, nodes))] * len(nodes)
     c = len(volumes)
+    groups = len(z) // c
+    rows = _exp_integrals(z, volumes * groups, floats * groups if k else None, k, tops)
     return [(tops[i], [math.fsum(row[0][j] for row in rows[i:i + c]) for j in range(k + 1)])
             for i in range(0, len(rows), c)]
 

@@ -7,9 +7,11 @@ piecewise-linear transform) answer one query protocol, the methods of
 an integral over the polytope, and the queries take lists:
 ``log_exp_moments`` stacks every a, and a = 0 for the mass, in one kernel
 batch, and ``_tilted`` reads log_exp_moment(a) and all moments up to k from
-one derivative batch.  Exponential moments are summed in the log domain,
-relative to the largest exponent or kernel log offset, so log Q and S_tilde
-stay finite however far the support sits from 0.
+one derivative batch, with the a = 0 mass rows cached per order.
+``prefetch_sums`` fills these caches for many pushforwards of one transform,
+a report sweep's tilts, in one batch per moment order.  Exponential moments
+are summed in the log domain, relative to the largest exponent or kernel log
+offset, so log Q and S_tilde stay finite however far the support sits from 0.
 
 Distribution functions are exact where they can be.  An unweighted
 pushforward (xi = 0) reads the transform's survival spline: ``mass_above`` is
@@ -287,14 +289,16 @@ class PushforwardMeasure(DHMeasure):
         int e^{-(a G + <y', xi>)} dy; a = 0 gives the mass."""
         return {}
 
+    @cached_property
+    def _moment_sums(self) -> dict:
+        """(top, [s_0, ..., s_k]) per moment order k queried: the cell sums of
+        int G^j e^{-<y', xi>} dy relative to e^{top}, the a = 0 rows of ``_tilted``."""
+        return {}
+
     def _exp_sums(self, a_list) -> list[tuple[float, float]]:
         """The cell sums of a = 0 and of each a; those not cached share one kernel batch."""
         keys = [Fraction(0), *map(rat, a_list)]
-        todo = [a for a in dict.fromkeys(keys) if a not in self._sums]
-        scale = math.factorial(self.transform.dim)
-        for a, (top, (s,)) in zip(todo, pl_cell_integrals(self.transform, todo,
-                                                            self.weight_xi, 0)):
-            self._sums[a] = top, scale * s
+        _fill_exp_sums([self], keys)
         return [self._sums[a] for a in keys]
 
     def mass(self) -> float:
@@ -306,16 +310,22 @@ class PushforwardMeasure(DHMeasure):
         return [(top - top0) + math.log(s / s0) for top, s in sums]
 
     def _tilted(self, a, k: int) -> tuple[float, list[float]]:
-        """``log_exp_moment(a)`` and the tilted moments j = 0..k from one kernel batch, each
-        sum divided by that batch's own j = 0 sum.  A nonzero a stacks a = 0, the mass,
-        into the same batch; at a = 0 the log is 0 and the batch holds a alone."""
+        """``log_exp_moment(a)`` and the tilted moments j = 0..k, each sum divided by the
+        j = 0 sum of its own order-k rows.  The a = 0 rows, the mass, are computed once
+        per k, in the batch of the first query, and cached; after that a nonzero a
+        batches only its own rows.  At a = 0 the log is 0."""
         a = rat(a)
-        (top, sums), *zero = pl_cell_integrals(self.transform, [a, Fraction(0)] if a else [a],
-                                               self.weight_xi, k)
-        log_q = 0.0
-        for top0, (s0, *_) in zero:
-            log_q = (top - top0) + math.log(sums[0] / s0)
-        return log_q, [s / sums[0] for s in sums]
+        a_list = [a] if a else []
+        if k not in self._moment_sums:
+            a_list.append(Fraction(0))
+        results = pl_cell_integrals(self.transform, [(self.weight_xi, a_list)], k) if a_list else []
+        if k not in self._moment_sums:
+            self._moment_sums[k] = results.pop()
+        top0, sums0 = self._moment_sums[k]
+        if not a:
+            return 0.0, [s / sums0[0] for s in sums0]
+        ((top, sums),) = results
+        return (top - top0) + math.log(sums[0] / sums0[0]), [s / sums[0] for s in sums]
 
     def _mass_above(self, t: Fraction) -> float:
         return superlevel_gvolume(self.transform, t, self.weight_xi or None)
@@ -428,6 +438,43 @@ def measure_from_json(doc: dict) -> DHMeasure:
         transform = PLConcaveFunction.from_json(doc["transform"], domain)
         return DHMeasure.pushforward(transform, doc.get("weight_xi"))
     raise InputError("measure document needs 'atoms' or 'transform'")
+
+
+def prefetch_sums(measures, a_list, k: int) -> None:
+    """Fill the caches behind ``log_exp_moments(a_list)``, ``mass`` and ``tilted_moments(0, k)``
+    of every pushforward among ``measures``: two kernel batches per transform they share.
+
+    One k = 0 batch holds the rows of a = 0 and of each a for every measure,
+    one order-k batch the a = 0 rows of every measure.  Each (xi, a) group
+    keeps its own top and ``math.fsum``, and a kernel row does not depend on
+    its batch, so every later query returns what the measure computes alone.
+    """
+    keys = [Fraction(0), *map(rat, a_list)]
+    by_transform = {}
+    for mu in measures:
+        if isinstance(mu, PushforwardMeasure):
+            by_transform.setdefault(id(mu.transform), []).append(mu)
+    for group in by_transform.values():
+        _fill_exp_sums(group, keys)
+        todo = [mu for mu in group if k not in mu._moment_sums]
+        for mu, sums in zip(todo, pl_cell_integrals(
+                group[0].transform, [(mu.weight_xi, [0]) for mu in todo], k)):
+            mu._moment_sums[k] = sums
+
+
+def _fill_exp_sums(measures, keys) -> None:
+    """The exp sums of each a in ``keys`` that these pushforwards of one transform lack,
+    in one kernel batch."""
+    keys = dict.fromkeys(keys)
+    todo = [(mu, [a for a in keys if a not in mu._sums]) for mu in measures]
+    todo = [(mu, a_list) for mu, a_list in todo if a_list]
+    if not todo:
+        return
+    transform = measures[0].transform
+    scale = math.factorial(transform.dim)
+    results = pl_cell_integrals(transform, [(mu.weight_xi, a_list) for mu, a_list in todo], 0)
+    for (mu, a), (top, (s,)) in zip([(mu, a) for mu, a_list in todo for a in a_list], results):
+        mu._sums[a] = top, scale * s
 
 
 # ---------------------------------------------------------------------------

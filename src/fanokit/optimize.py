@@ -90,6 +90,11 @@ class ConvexScan:
 def newton_minimize(f, grad, hess, x0, tol: float = NEWTON_TOL) -> OptResult:
     """Damped Newton with backtracking; gradient fallback for bad conditioning.
 
+    The Newton step solves H s = -g when the Jacobi-scaled Hessian
+    D^-1/2 H D^-1/2 (D = diag|H|) has condition at most ``COND_LIMIT``, so a
+    thin polytope or a rescaled coordinate does not force the fallback; a zero
+    or non-finite diagonal, or a singular H, takes the gradient step.
+
     Stops when ||g|| <= tol and the Newton step is at most tol * max(1, ||x||):
     with a small Hessian a small gradient alone does not bound the argmin error.
     Only a Newton step can pass that test, not the gradient fallback, whose
@@ -104,8 +109,12 @@ def newton_minimize(f, grad, hess, x0, tol: float = NEWTON_TOL) -> OptResult:
         gnorm = float(np.linalg.norm(g))
         H = np.atleast_2d(hess(x))
         newton = False
+        d = np.sqrt(np.abs(np.diag(H)))
         try:
-            if np.linalg.cond(H) <= COND_LIMIT:
+            # the condition of D^-1/2 H D^-1/2, D = diag|H|, is blind to the scale of
+            # each coordinate; it is 1 for a 1 x 1 Hessian
+            if d.all() and np.isfinite(d).all() and (
+                    len(d) == 1 or np.linalg.cond(H / d[:, None] / d) <= COND_LIMIT):
                 step, newton = np.linalg.solve(H, -g), True
         except np.linalg.LinAlgError:
             pass
@@ -355,7 +364,7 @@ def interpolation_derivative(transform_or_filtration, xi, L_hat,
         def h_hat(s):
             # log int e^{-(s G + (1 - s) <y, xi>)}, from log-offset cell integrals
             s_r = rat(s).limit_denominator(10**15)
-            ((top, (total,)),) = pl_cell_integrals(G, [s_r], [(1 - s_r) * x for x in xi_r], 0)
+            ((top, (total,)),) = pl_cell_integrals(G, [([(1 - s_r) * x for x in xi_r], [s_r])], 0)
             return float(s) * L_hat + top + math.log(total)
 
         # analytic: L_hat - (int (G - <y, xi>) e^{-<y, xi>}) / (int e^{-<y, xi>})

@@ -17,6 +17,7 @@ from fanokit.measure import measure_from_json
 from fanokit.serialize import csv_table, dumps_canonical
 
 from conftest import p1_filtration, p1_limit_measure
+from test_golden import T2, T3
 
 
 def run_cli(args, capsys):
@@ -442,15 +443,26 @@ def test_malformed_document_exit_2(tmp_path, capsys, command, doc, extra, fragme
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command, doc, extra", [
-    ("dh", _fixture_path("p1_example.json"), ["--degrees", "5..3"]),
-    ("dh", {"filtration": LEVELS, "ambient_dim": 1, "degrees": "5..3"}, []),
-    ("distance", {"filtration_a": LEVELS, "filtration_b": LEVELS}, ["--degrees", "5..3"]),
-    ("distance", {"filtration_a": LEVELS, "filtration_b": LEVELS, "degrees": "5..3"}, []),
-    ("twist-opt", {"filtration": LEVELS}, ["--degrees", "5..3"]),
-], ids=["dh-p1-flag", "dh-field", "distance-flag", "distance-field", "twist-opt-flag"])
-def test_reversed_degree_range_exit_2(tmp_path, capsys, command, doc, extra):
-    # an empty range once fell back to every stored degree and exited 0
+REVERSED = "degree range '5..3' is empty: 3 < 5"
+
+
+@pytest.mark.parametrize("command, doc, extra, message", [
+    ("dh", _fixture_path("p1_example.json"), ["--degrees", "5..3"], REVERSED),
+    ("dh", {"filtration": LEVELS, "ambient_dim": 1, "degrees": "5..3"}, [], REVERSED),
+    ("distance", {"filtration_a": LEVELS, "filtration_b": LEVELS}, ["--degrees", "5..3"],
+     REVERSED),
+    ("distance", {"filtration_a": LEVELS, "filtration_b": LEVELS, "degrees": "5..3"}, [],
+     REVERSED),
+    ("twist-opt", {"filtration": LEVELS}, ["--degrees", "5..3"], REVERSED),
+    ("dh", {"filtration": LEVELS, "ambient_dim": 1, "degrees": []}, [], "degree list is empty"),
+    ("distance", {"filtration_a": LEVELS, "filtration_b": LEVELS, "degrees": []}, [],
+     "degree list is empty"),
+    ("twist-opt", {"filtration": LEVELS, "degrees": []}, [], "degree list is empty"),
+], ids=["dh-p1-flag", "dh-field", "distance-flag", "distance-field", "twist-opt-flag",
+        "dh-empty-list", "distance-empty-list", "twist-opt-empty-list"])
+def test_reversed_degree_range_exit_2(tmp_path, capsys, command, doc, extra, message):
+    # an empty range or an explicit empty list once fell back to every stored
+    # degree and exited 0
     if isinstance(doc, dict):
         path = tmp_path / "job.json"
         path.write_text(json.dumps(doc))
@@ -458,7 +470,7 @@ def test_reversed_degree_range_exit_2(tmp_path, capsys, command, doc, extra):
     code, _, err = run_cli([command, "--input", doc, "--output", str(tmp_path / "o")] + extra,
                            capsys)
     assert code == 2
-    assert err == "input error: degree range '5..3' is empty: 3 < 5\n"
+    assert err == f"input error: {message}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -717,9 +729,10 @@ def test_number_outside_double_range_exit_2(tmp_path, capsys, command, doc):
     assert not (tmp_path / "o").exists()
 
 
-def test_report_two_kernel_batches_per_tilt(tmp_path, capsys, monkeypatch):
-    """Per tilt, one batch stacks the mass and every exponential moment, and one
-    derivative batch gives E_1 ... E_4."""
+def test_report_sweep_two_kernel_batches(tmp_path, capsys, monkeypatch):
+    """A sweep fills every tilt's sums in two batches, whatever the tilt count: one
+    stacks the mass and every exponential moment of all tilts, one derivative batch
+    gives E_1 ... E_4 of all tilts."""
     import fanokit.expint as expint
 
     calls = []
@@ -730,14 +743,42 @@ def test_report_two_kernel_batches_per_tilt(tmp_path, capsys, monkeypatch):
         return real_batch(*args, **kwargs)
 
     monkeypatch.setattr(expint, "dd_exp_batch", counted_batch)
-    doc = {"measure": _square_transform_doc(), "xi_list": [["0", "0"], ["-1/2", "1/4"]],
-           "a": ["1/2", "3"]}
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps(doc))
-    code, _, _ = run_cli(["report", "--input", str(path), "--output", str(tmp_path / "o")],
-                         capsys)
-    assert code == 0
-    assert len(calls) == 4
+    tilts = [["0", "0"], ["-1/2", "1/4"], ["1", "-3/4"], ["1/3", "1/3"], ["-1", "0"]]
+    for count in (1, 2, 5):
+        calls.clear()
+        doc = {"measure": _square_transform_doc(), "xi_list": tilts[:count], "a": ["1/2", "3"]}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(doc))
+        code, _, _ = run_cli(["report", "--input", str(path), "--output", str(tmp_path / "o")],
+                             capsys)
+        assert code == 0
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+@pytest.mark.parametrize("transform", [T2, T3], ids=["2d", "3d"])
+def test_report_sweep_rows_equal_reports_alone(tmp_path, capsys, transform, count):
+    """Each tilt's report in a sweep equals, exactly, the report of the measure with
+    weight_xi = base + tilt run alone: prefilled sums are the ones a lone query makes."""
+    n = len(transform["cells"][0]["simplex"][0])
+    base = [Fraction(1, 4), Fraction(-1, 2), Fraction(1, 3)][:n]
+    tilts = [[Fraction((3 * i + 2 * j) % 7 - 3, 4) for j in range(n)] for i in range(count)]
+
+    def report(doc):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(dict(doc, a=["1/2", "3"], L="1/4")))
+        code, _, _ = run_cli(["report", "--input", str(path), "--output", str(tmp_path / "o")],
+                             capsys)
+        assert code == 0
+        return json.loads((tmp_path / "o").read_text())
+
+    sweep = report({"measure": {"transform": transform, "weight_xi": [str(x) for x in base]},
+                    "xi_list": [[str(x) for x in t] for t in tilts]})["sweep"]
+    assert len(sweep) == count
+    for row, tilt in zip(sweep, tilts):
+        alone = report({"measure": {"transform": transform,
+                                    "weight_xi": [str(b + t) for b, t in zip(base, tilt)]}})
+        assert row["report"] == alone["report"]
 
 
 # One small document per command, covering every reader of the JSON boundary:

@@ -157,6 +157,21 @@ def test_batch_row_independent_of_neighbours():
     rows, offset, _ = alone
     value, _ = dd_exp(cell)
     assert value == rows[0, -1] * math.exp(offset[0])
+    # node spreads 1e-3 to 1e7 give squaring exponents q from 2 or 3 to 24; the
+    # kernel sorts rows by q, and each row, shuffled among the others, is the row alone
+    rng = np.random.default_rng(31)
+    spreads = 10.0 ** np.linspace(-3, 7, 40)
+    z = (rng.uniform(-1, 1, (len(spreads), 4)) * spreads[:, None]
+         + rng.uniform(-5, 5, (len(spreads), 1)))
+    b = rng.uniform(-2, 2, z.shape)
+    for k in (0, 2, 4):
+        order = rng.permutation(len(z))
+        rows, offset, err = dd_exp_batch(z[order], b[order], k)
+        for i, j in enumerate(order):
+            one = dd_exp_batch(z[j:j + 1], b[j:j + 1], k)
+            assert np.array_equal(rows[i], one[0][0])
+            assert offset[i] == one[1][0] and err[i] == one[2][0]
+        assert len(set(err.tolist())) >= 18  # err is a function of q alone
 
 
 def _expm_taylor_reference(a):

@@ -379,7 +379,7 @@ def test_integer_nodes_are_the_exact_values_rounded_once(G, a, xi):
         return real(z, *args)
 
     with mock.patch.object(expint, "_exp_integrals", recording):
-        pl_cell_integrals(G, [a], xi, 0)
+        pl_cell_integrals(G, [(xi, [a])], 0)
     ell = pairing_form(xi, 2)
     want = [[-float(rat(a) * f(v) + ell(v)) for v in s.vertices] for s, f in G.cells]
     assert nodes == want

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -196,6 +197,21 @@ def test_soliton_far_tilted_interval_converges(lo, hi, bracket):
     assert abs(res.value - closed) <= 1e-12 * abs(closed)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("k", [7, 9, 12, 15])
+def test_soliton_thin_box_converges(dim, k):
+    # the box [-10^-k, 1] x [-1, 1]^(dim-1): the Hessian's diagonal spans about
+    # 10^-2k to 1/3, so cond(H) alone once refused every Newton step for k >= 7
+    sides = [(Fraction(-1, 10**k), 1)] + [(-1, 1)] * (dim - 1)
+    res = soliton_vector(RationalPolytope.from_vertices(
+        [list(v) for v in itertools.product(*sides)]))
+    (a, b), *_ = sides
+    root = bisect_root(lambda t: _interval_mean(float(a), b, t), 1.0, 2.0 * 10**k, tol=1e-16)
+    assert abs(res.argmin[0] - root) <= 1e-8 * root
+    # each unit side is symmetric: its tilted-mean root is 0
+    assert all(abs(x) <= 1e-8 for x in res.argmin[1:])
+
+
 def test_soliton_solve_one_kernel_batch_per_point(monkeypatch):
     import fanokit.optimize as optimize
 
@@ -251,6 +267,27 @@ def test_rescale_one_kernel_batch_per_iterate(monkeypatch):
     assert len(calls) == len(points) + 1
     # no backtracking here: the start and one point per iteration
     assert len(calls) == res.iterations + 2
+
+
+def test_rescale_newton_point_batch_holds_one_row_per_cell(monkeypatch):
+    """The a = 0 mass rows are cached per moment order, so each batch of a rescale
+    solve, at a = 0 or at a Newton point a > 0, holds one row per cell."""
+    import fanokit.expint as expint
+
+    rows = []
+    real_batch = expint.dd_exp_batch
+
+    def counted_batch(z, *args, **kwargs):
+        rows.append(len(z))
+        return real_batch(z, *args, **kwargs)
+
+    monkeypatch.setattr(expint, "dd_exp_batch", counted_batch)
+    square = RationalPolytope.from_vertices([[0, 0], [2, 0], [2, 1], [0, 1]])
+    G = PLConcaveFunction.linear(square, [Fraction(1, 2), 1], Fraction(1, 2))
+    res = rescale_opt(1.0, DHMeasure.pushforward(G))
+    assert res.converged and res.iterations >= 3
+    assert len(rows) == res.iterations + 2
+    assert rows == [len(G.cells)] * len(rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -454,6 +491,24 @@ def test_twist_opt_two_starts_agree(rng):
     r1 = twist_opt(F, [3], LPolicy.weight_twist(), x0=[1.5, -0.5])
     r2 = twist_opt(F, [3], LPolicy.weight_twist(), x0=[-2.0, 2.0])
     assert np.allclose(r1.argmin, r2.argmin, atol=1e-8)
+
+
+def test_twist_opt_equivariant_under_weight_rescaling():
+    # dividing the first weight coordinate by 10^k multiplies that argmin
+    # coordinate by 10^k; for k >= 7 the solver once ran out of iterations
+    values = [0, Fraction(1, 2), 3, -1, Fraction(5, 2), 2]
+    weights = [(2, 1), (-2, 1), (0, -2), (1, 1), (-1, 0), (1, -1)]
+
+    def argmin(k):
+        lv = FiltrationLevel.from_values(
+            2, values, weights=[(Fraction(u, 10**k), Fraction(v)) for u, v in weights])
+        return twist_opt(GradedFiltration({2: lv}), [2], LPolicy.weight_twist()).argmin
+
+    x0, y0 = argmin(0)
+    for k in range(1, 11):
+        x, y = argmin(k)
+        assert abs(x / 10**k - x0) <= 1e-12 * abs(x0)
+        assert abs(y - y0) <= 1e-12 * abs(y0)
 
 
 def test_twist_opt_requires_weights_and_properness():
