@@ -318,7 +318,8 @@ class PushforwardMeasure(DHMeasure):
         a_list = [a] if a else []
         if k not in self._moment_sums:
             a_list.append(Fraction(0))
-        results = pl_cell_integrals(self.transform, [(self.weight_xi, a_list)], k) if a_list else []
+        results = (pl_cell_integrals(self.transform, [(self.weight_xi, a_list)], k)
+                   if a_list else [])
         if k not in self._moment_sums:
             self._moment_sums[k] = results.pop()
         top0, sums0 = self._moment_sums[k]
