@@ -42,10 +42,11 @@ from .geometry import (
     pairing_form,
 )
 from .rational import (
-    _exact,
     _format_over,
+    _format_row,
     _fractions,
     _integer_row,
+    _over,
     exact_rows,
     exact_vector,
     need,
@@ -300,8 +301,7 @@ class PLConcaveFunction:
 
     @classmethod
     def constant(cls, domain: RationalPolytope, value=0) -> "PLConcaveFunction":
-        form = AffineForm((0,) * domain.dim, rat(value))
-        return cls.make(domain, [(s, form) for s in domain.triangulate()])
+        return cls.linear(domain, (0,) * domain.dim, value)
 
     @classmethod
     def linear(cls, domain: RationalPolytope, gradient, constant=0) -> "PLConcaveFunction":
@@ -407,9 +407,9 @@ class PLConcaveFunction:
         return {
             "cells": [
                 {
-                    "simplex": [[_format_over(x, s._den) for x in v] for v in s._rows],
+                    "simplex": [_format_row(v, s._den) for v in s._rows],
                     "affine": {
-                        "gradient": [_format_over(g, f._den) for g in f._grad],
+                        "gradient": _format_row(f._grad, f._den),
                         "constant": _format_over(f._const, f._den),
                     },
                 }
@@ -425,10 +425,10 @@ class PLConcaveFunction:
         for cell in need(doc, "piecewise-function document", "cells", kind=list):
             vertices, affine = need(cell, "cell", "simplex", "affine")
             gradient, constant = need(affine, "cell affine form", "gradient", "constant")
-            simplex = Simplex(exact_rows(vertices, "cell simplex", n))
+            simplex = Simplex(*_over(exact_rows(vertices, "cell simplex", n)))
             n = simplex.dim
-            cells.append((simplex, AffineForm(exact_vector(gradient, "cell gradient", n),
-                                              _exact(constant))))
+            cells.append((simplex, AffineForm.make(exact_vector(gradient, "cell gradient", n),
+                                                   constant)))
         if not cells:
             raise InputError("piecewise function needs at least one cell")
         if domain is None:

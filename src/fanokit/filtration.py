@@ -38,13 +38,14 @@ from .rational import (
     _format_over,
     _format_row,
     _fractions,
-    _independent,
     _integer_row,
-    _rank,
-    _reduced_row,
+    _over,
+    _reduced,
+    _weight_table,
     coordinates,
     exact_rows,
     exact_vector,
+    independent_rows,
     matrix_rank,
     need,
     parse_number,
@@ -58,11 +59,11 @@ from .rational import (
 class FiltrationLevel:
     """Degree-m piece: adapted basis rows, per-vector values, optional weights.
 
-    Takes rationals (ints or Fractions) and stores integer tables: values
-    ``_nums / _den``, weights ``_wnums / _wden`` and each basis row as (d, the
-    row times d); ``values``, ``basis`` and ``weights`` are the ``Fraction``
-    view.  ``basis`` is ``None`` for a level diagonal in the standard basis,
-    an explicit identity basis included: no matrix is stored or rank-checked.
+    Stores integer tables, built from rationals by the constructor and from
+    tables by ``_from_tables``: values ``_nums / _den``, weights ``_wnums /
+    _wden`` and each basis row as (d, the row times d); ``values``, ``basis``
+    and ``weights`` are the ``Fraction`` view.  ``basis`` is ``None`` for a
+    level diagonal in the standard basis, an explicit identity basis included.
     """
 
     degree: int
@@ -80,28 +81,27 @@ class FiltrationLevel:
         if basis is not None:
             if any(len(row) != n for row in basis):
                 raise InputError("adapted basis must be square over the level")
-            rows = _basis_table(map(_integer_row, basis))
-            if rows is not None and _rank([r for _, r in rows]) != n:
+            rows = [_integer_row(row) for row in basis]
+            if matrix_rank([r for _, r in rows]) != n:
                 raise NotABasis(f"adapted basis of level {degree} is singular")
         wden, wnums = 1, None
         if weights is not None:
             if len(weights) != n:
                 raise InputError("need one torus weight per basis vector")
-            wden, wnums = _weight_table(_integer_row, weights)
-        den, nums = _integer_row(values)
-        self._store(degree, den, tuple(nums), rows, wden, wnums)
-
-    def _store(self, degree, den, nums, rows, wden, wnums):
-        for key, value in (("degree", degree), ("_den", den), ("_nums", nums),
-                           ("_rows", rows), ("_wden", wden), ("_wnums", wnums)):
-            object.__setattr__(self, key, value)
+            wden, wnums = _over(weights)
+        vars(self).update(vars(FiltrationLevel._from_tables(
+            degree, *_integer_row(values), rows, wden, wnums)))
 
     @classmethod
     def _from_tables(cls, degree, den, nums, rows, wden, wnums) -> "FiltrationLevel":
-        """A level from finished integer tables, whose ``rows`` are known to be a basis
-        (or ``None``): no scaling and no rank check."""
-        lv = cls.__new__(cls)
-        lv._store(degree, den, nums, rows, wden, wnums)
+        """The level with the values ``nums / den``, the basis rows r / s of the pairs
+        (s, r) in ``rows`` and the weights ``wnums / wden``, integers over nonzero
+        denominators (``rows`` and ``wnums`` may be None); ``rows`` must be a basis."""
+        den, (nums,) = _reduced(den, [nums])
+        wden, wnums = (1, None) if wnums is None else _weight_table(wden, wnums)
+        lv = object.__new__(cls)
+        vars(lv).update(degree=degree, _den=den, _nums=nums, _wden=wden, _wnums=wnums,
+                        _rows=None if rows is None else _basis_table(rows))
         return lv
 
     @property
@@ -142,9 +142,7 @@ class FiltrationLevel:
             if len(wts) != dim:
                 raise InputError(f"level {degree} needs one torus weight per coordinate, "
                                  f"got {len(wts)} for dim {dim}")
-            wden, flat = _integer_row([x for w in wts for x in w])
-            flat = iter(flat)
-            wts = [tuple(next(flat) for _ in w) for w in wts]
+            wden, wts = _over(wts)
         return cls._from_flag_rows(degree, dim, den, items, wts, wden)
 
     @classmethod
@@ -154,9 +152,7 @@ class FiltrationLevel:
         ``flags`` lists (value numerator over ``den``, rows) by decreasing
         value, each row a pair (s, r) standing for the rational row r / s;
         ``weights`` are the ambient weights as integer tuples over ``wden``,
-        or None.  Each kept row is stored as ``_reduced_row(s, r)``, the table
-        its rational row gives; the kept rows are a basis, so the level takes
-        its tables directly.
+        or None.  The kept rows are a basis, so the level takes them as tables.
         """
         # every candidate row in flag order; a row is kept when it is
         # independent of the rows before it
@@ -165,13 +161,13 @@ class FiltrationLevel:
         for value, rows in flags:
             if weights is None:
                 candidates += [(s, r, value, None) for s, r in rows]
-                space_rank = _rank([r for _, r in rows])
+                space_rank = matrix_rank([r for _, r in rows])
             else:
                 pieces, space_rank = _weight_decompose([r for _, r in rows], weights)
                 candidates += [(rows[i][0], row, value, alpha)
                                for alpha, part in pieces for i, row in part]
             ends.append((len(candidates), space_rank, value))
-        kept = _independent([r for _, r, _, _ in candidates])
+        kept = independent_rows([r for _, r, _, _ in candidates])
         for end, space_rank, value in ends:
             if sum(1 for k in kept if k < end) != space_rank:
                 raise InputError(f"flag at value {_format_over(value, den)} of level {degree} "
@@ -180,14 +176,9 @@ class FiltrationLevel:
             raise InputError(f"flags of level {degree} do not span the level")
         if not kept:
             raise InputError("level needs one value per basis vector")
-        chosen = [candidates[k] for k in kept]
-        rows = _basis_table(_reduced_row(s, r) for s, r, _, _ in chosen)
-        vden, vnums = _reduced_row(den, [v for _, _, v, _ in chosen])
-        wd, wnums = 1, None
-        if weights is not None:
-            wd, wnums = _weight_table(lambda flat: _reduced_row(wden, flat),
-                                      [alpha for _, _, _, alpha in chosen])
-        return cls._from_tables(degree, vden, tuple(vnums), rows, wd, wnums)
+        scales, basis, values, alphas = zip(*(candidates[k] for k in kept))
+        return cls._from_tables(degree, den, values, zip(scales, basis), wden,
+                                None if weights is None else alphas)
 
     @property
     def dim(self) -> int:
@@ -223,22 +214,12 @@ class FiltrationLevel:
 
 
 def _basis_table(pairs):
-    """The stored basis: each (d, integer row) pair as a tuple, or None for the
-    standard basis."""
-    rows = tuple((d, tuple(r)) for d, r in pairs)
+    """The stored basis: each pair (s, integer row r) as ``_reduced(s, [r])``, or None
+    for the standard basis."""
+    rows = tuple((d, r) for d, (r,) in (_reduced(s, [r]) for s, r in pairs))
     if all(d == 1 and r[i] == 1 and sum(map(abs, r)) == 1 for i, (d, r) in enumerate(rows)):
         return None
     return rows
-
-
-def _weight_table(scale, weights):
-    """(wden, numerator tuples) of torus weights of one rank; ``scale`` maps the
-    flattened entries to (wden, numerators)."""
-    rank = len(weights[0])
-    if any(len(w) != rank for w in weights):
-        raise InputError("torus weights of mixed rank")
-    wden, flat = scale([x for w in weights for x in w])
-    return wden, tuple(tuple(flat[i * rank:(i + 1) * rank]) for i in range(len(weights)))
 
 
 def _weight_decompose(rows, ambient_weights):
@@ -272,8 +253,8 @@ def _weight_decompose(rows, ambient_weights):
                 pieces_of_row[i] += 1
         if part:
             pieces.append((alpha, part))
-            found += _rank([vec for _, vec in part])
-    if any(k != 1 for k in pieces_of_row) and found != _rank(rows):
+            found += matrix_rank([vec for _, vec in part])
+    if any(k != 1 for k in pieces_of_row) and found != matrix_rank(rows):
         raise InputError("flag subspace is not spanned by torus-weight vectors")
     return pieces, found
 
@@ -355,9 +336,9 @@ def rescale_shift(F: GradedFiltration, a, b) -> GradedFiltration:
     def fn(lv):
         # a v / den + b m = (an bd v + bn m ad den) / (ad bd den)
         shift = bn * lv.degree * ad * lv._den
-        den, nums = _reduced_row(ad * bd * lv._den, [an * bd * v + shift for v in lv._nums])
-        return FiltrationLevel._from_tables(lv.degree, den, tuple(nums), lv._rows,
-                                            lv._wden, lv._wnums)
+        return FiltrationLevel._from_tables(lv.degree, ad * bd * lv._den,
+                                            [an * bd * v + shift for v in lv._nums],
+                                            lv._rows, lv._wden, lv._wnums)
 
     return F.map_levels(fn)
 
@@ -373,11 +354,9 @@ def twist(F: GradedFiltration, xi) -> GradedFiltration:
             raise DimensionMismatch("twist vector rank does not match torus weights")
         # v / den + <w, x> / (wden xden), over den wden xden
         scale = lv._wden * xden
-        den, nums = _reduced_row(lv._den * scale, [
+        return FiltrationLevel._from_tables(lv.degree, lv._den * scale, [
             v * scale + lv._den * sum(a * x for a, x in zip(w, xnums))
-            for v, w in zip(lv._nums, lv._wnums)])
-        return FiltrationLevel._from_tables(lv.degree, den, tuple(nums), lv._rows,
-                                            lv._wden, lv._wnums)
+            for v, w in zip(lv._nums, lv._wnums)], lv._rows, lv._wden, lv._wnums)
 
     return F.map_levels(fn)
 
@@ -563,9 +542,8 @@ class MonomialModel:
 
 def weight_filtration(model: MonomialModel, w, m: int) -> GradedFiltration:
     """The filtration of minimal monomial w-weight on the degree-m monomial basis."""
-    den, nums = _reduced_row(*model._weight_numerators(w, m))
-    level = FiltrationLevel._from_tables(m, den, tuple(nums), None, den,
-                                         tuple((c,) for c in nums))
+    den, nums = model._weight_numerators(w, m)
+    level = FiltrationLevel._from_tables(m, den, nums, None, den, [(c,) for c in nums])
     return GradedFiltration({m: level}, label="weight-filtration")
 
 

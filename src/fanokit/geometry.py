@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, gcd, lcm
 from operator import mul
 
@@ -51,8 +52,11 @@ from .rational import (
     _bareiss,
     _exact,
     _format_over,
+    _format_row,
     _fractions,
     _integer_row,
+    _over,
+    _reduced,
     coordinates,
     exact_rows,
     exact_vector,
@@ -64,23 +68,6 @@ from .rational import (
     rat,
     rat_vector,
 )
-
-
-def _over(rows) -> tuple[int, list[tuple[int, ...]]]:
-    """(d, each row times d) for rows of ints and Fractions, d the lcm of their
-    entries' denominators: the least positive common denominator."""
-    rows = [tuple(r) for r in rows]
-    d = lcm(*(x.denominator for r in rows for x in r))
-    return d, [tuple(x.numerator * (d // x.denominator) for x in r) for r in rows]
-
-
-def _reduced(d: int, rows) -> tuple[int, list[tuple[int, ...]]]:
-    """The integer rows over d, both divided by their common gcd: the same
-    rationals over the least denominator."""
-    g = gcd(d, *(x for r in rows for x in r))
-    if g == 1:
-        return d, [tuple(r) for r in rows]
-    return d // g, [tuple(x // g for x in r) for r in rows]
 
 
 @dataclass(frozen=True, init=False)
@@ -95,20 +82,10 @@ class AffineForm:
     _grad: tuple[int, ...]
     _const: int
 
-    def __init__(self, gradient, constant):
-        self._fill(*_over([(*gradient, constant)]))
-
-    @classmethod
-    def _table(cls, den: int, grad, const: int) -> "AffineForm":
-        obj = object.__new__(cls)
-        obj._fill(*_reduced(den, [(*grad, const)]))
-        return obj
-
-    def _fill(self, den: int, rows):
-        (*grad, const), = rows
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_grad", tuple(grad))
-        object.__setattr__(self, "_const", const)
+    def __init__(self, den: int, grad, const: int):
+        """The form (<grad, y> + const) / den, for integers and a nonzero den."""
+        den, ((*grad, const),) = _reduced(den, [(*grad, const)])
+        vars(self).update(_den=den, _grad=tuple(grad), _const=const)
 
     @property
     def gradient(self) -> Vector:
@@ -128,25 +105,25 @@ class AffineForm:
 
     @classmethod
     def make(cls, gradient, constant=0) -> "AffineForm":
-        return cls(rat_vector(gradient), rat(constant))
+        d, ((*grad, const),) = _over([(*exact_vector(gradient, "vector"), _exact(constant))])
+        return cls(d, grad, const)
 
     def scaled(self, a) -> "AffineForm":
         a = rat(a)
-        return AffineForm._table(self._den * a.denominator,
-                                 [g * a.numerator for g in self._grad], self._const * a.numerator)
+        return AffineForm(self._den * a.denominator,
+                          [g * a.numerator for g in self._grad], self._const * a.numerator)
 
     def plus(self, other: "AffineForm") -> "AffineForm":
         d = lcm(self._den, other._den)
         s, t = d // self._den, d // other._den
-        return AffineForm._table(d, [g * s + h * t for g, h in zip(self._grad, other._grad,
-                                                                    strict=True)],
-                                 self._const * s + other._const * t)
+        return AffineForm(d, [g * s + h * t for g, h in zip(self._grad, other._grad, strict=True)],
+                          self._const * s + other._const * t)
 
     def shifted(self, c) -> "AffineForm":
         c = rat(c)
         q = c.denominator
-        return AffineForm._table(self._den * q, [g * q for g in self._grad],
-                                 self._const * q + c.numerator * self._den)
+        return AffineForm(self._den * q, [g * q for g in self._grad],
+                          self._const * q + c.numerator * self._den)
 
 
 def pairing_form(xi, dim: int) -> AffineForm:
@@ -155,7 +132,7 @@ def pairing_form(xi, dim: int) -> AffineForm:
     if len(xi) > dim:
         raise InputError(f"pairing vector of length {len(xi)} in ambient dimension {dim}")
     d, row = _integer_row(xi)
-    return AffineForm._table(d, [*row] + [0] * (dim - len(xi)), 0)
+    return AffineForm(d, [*row] + [0] * (dim - len(xi)), 0)
 
 
 @dataclass(frozen=True, init=False)
@@ -171,17 +148,9 @@ class Simplex:
     _rows: tuple[tuple[int, ...], ...]
     _det: int = field(repr=False, compare=False)
 
-    def __init__(self, vertices):
-        d, rows = _over(vertices)
-        self._fill(d, rows)
-
-    @classmethod
-    def _from_table(cls, den: int, rows) -> "Simplex":
-        obj = object.__new__(cls)
-        obj._fill(*_reduced(den, rows))
-        return obj
-
-    def _fill(self, den: int, rows):
+    def __init__(self, den: int, rows):
+        """The simplex with the vertices ``rows / den``, for integer rows and a nonzero den."""
+        den, rows = _reduced(den, rows)
         n = len(rows) - 1
         if n < 1 or any(len(r) != n for r in rows):
             raise DegenerateSimplex(f"need n+1 vertices in Q^n, got {len(rows)}")
@@ -190,13 +159,11 @@ class Simplex:
         pivots, d, sign = _bareiss(edges, n, reduced=False)
         if len(pivots) < n:
             raise DegenerateSimplex("vertices are affinely dependent")
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "_det", sign * d)
+        vars(self).update(_den=den, _rows=rows, _det=sign * d)
 
     @classmethod
     def make(cls, vertices) -> "Simplex":
-        return cls(tuple(rat_vector(v) for v in vertices))
+        return cls(*_over(exact_vector(v, "vector") for v in vertices))
 
     @property
     def vertices(self) -> tuple[Vector, ...]:
@@ -350,9 +317,9 @@ class RationalPolytope:
     Stored as integer tables: the vertex rows ``_verts`` over ``_den``, and
     each halfspace <a, y> <= b as the row (b, -a) of ``_rays`` over
     ``_hden``, both least denominators; ``vertices`` and ``halfspaces`` are
-    the ``Fraction`` views.  The constructor takes rationals; the stated
-    vertices of a full-dimensional polytope must be exactly the extreme
-    points of its stated halfspaces.
+    the ``Fraction`` views.  The constructor takes rationals, ``_from_tables``
+    integer tables; the stated vertices of a full-dimensional polytope must
+    be exactly the extreme points of its stated halfspaces.
     """
 
     dim: int
@@ -361,26 +328,26 @@ class RationalPolytope:
     _verts: tuple[tuple[int, ...], ...]
     _hden: int
     _rays: tuple[tuple[int, ...], ...]
-    # derived once per instance: (scale, facets) as ``_hull`` gives them, the
-    # incidences indexing ``_verts``, and the cells
-    _facets: tuple | None = field(default=None, repr=False, compare=False)
-    _cells: tuple[Simplex, ...] | None = field(default=None, repr=False, compare=False)
 
     def __init__(self, dim: int, vertices, halfspaces, full_dimensional: bool):
-        den, verts = _over(vertices)
-        hden, rays = _over((b, *(-x for x in a)) for a, b in halfspaces)
-        self._fill(dim, full_dimensional, den, verts, hden, rays)
+        vars(self).update(vars(RationalPolytope._from_tables(
+            dim, full_dimensional, *_over(vertices),
+            *_over((b, *(-x for x in a)) for a, b in halfspaces))))
 
-    def _fill(self, dim, full_dimensional, den, verts, hden, rays):
-        verts, rays = tuple(verts), tuple(rays)
-        for key, value in (("dim", dim), ("full_dimensional", full_dimensional), ("_den", den),
-                           ("_verts", verts), ("_hden", hden), ("_rays", rays)):
-            object.__setattr__(self, key, value)
+    @classmethod
+    def _from_tables(cls, dim, full_dimensional, den, verts, hden, rays) -> "RationalPolytope":
+        """The polytope with the vertex rows ``verts / den`` and the halfspace rows
+        ``rays / hden``: integer rows over nonzero denominators."""
+        (den, verts), (hden, rays) = _reduced(den, verts), _reduced(hden, rays)
         # cross-validation: the stated vertices must be exactly the extreme
         # points of the stated halfspace intersection
         if full_dimensional and rays and (
                 _vertices_from_halfspaces(rays, dim)[:2] != (den, sorted(verts))):
             raise InputError("vertex and halfspace descriptions disagree")
+        poly = object.__new__(cls)
+        vars(poly).update(dim=dim, full_dimensional=full_dimensional, _den=den, _verts=verts,
+                          _hden=hden, _rays=rays)
+        return poly
 
     @classmethod
     def _from_points(cls, den: int, rows) -> "RationalPolytope":
@@ -389,18 +356,14 @@ class RationalPolytope:
         pts = sorted(set(rows))
         n = len(pts[0])
         scale, facets = _hull(den, pts)
-        poly = object.__new__(cls)
         if not facets:
-            poly._fill(n, False, *_reduced(den, pts), 1, ())
-            return poly
+            return cls._from_tables(n, False, den, pts, 1, ())
         extreme = _extreme_points(pts, facets)
         index = {p: i for i, p in enumerate(extreme)}
-        vden, verts = _reduced(den, extreme)
-        hden, rays = _reduced(scale, [ray for ray, _ in facets])
-        poly._fill(n, True, vden, verts, hden, rays)
-        kept = tuple((ray, tuple(index[pts[i]] for i in incident if pts[i] in index))
-                     for ray, (_, incident) in zip(rays, facets))
-        object.__setattr__(poly, "_facets", (hden, kept))
+        poly = cls._from_tables(n, True, den, extreme, scale, [ray for ray, _ in facets])
+        poly.__dict__["_facets"] = poly._hden, tuple(
+            (ray, tuple(index[pts[i]] for i in incident if pts[i] in index))
+            for ray, (_, incident) in zip(poly._rays, facets))
         return poly
 
     @classmethod
@@ -436,25 +399,22 @@ class RationalPolytope:
 
     @property
     def halfspaces(self) -> tuple[tuple[Vector, Fraction], ...]:
-        return tuple((tuple(Fraction(-x, self._hden) for x in r[1:]), Fraction(r[0], self._hden))
-                     for r in self._rays)
+        return tuple((f.normal, f.offset) for f in (_facet(self._hden, r, ()) for r in self._rays))
 
     def facets(self) -> list[Facet]:
-        scale, facets = self._facet_list()
+        scale, facets = self._facets
         return [_facet(scale, ray, incident) for ray, incident in facets]
 
-    def _facet_list(self) -> tuple:
+    @cached_property
+    def _facets(self) -> tuple:
+        """(scale, facets) as ``_hull`` gives them, the incidences indexing ``_verts``."""
         self._require_full_dim()
-        if self._facets is None:
-            object.__setattr__(self, "_facets", _hull(self._den, self._verts))
-        return self._facets
+        return _hull(self._den, self._verts)
 
-    def _cell_list(self) -> tuple[Simplex, ...]:
-        if self._cells is None:
-            pieces = _cone_triangulation(self._den, list(self._verts), self._facet_list()[1])
-            object.__setattr__(self, "_cells",
-                               tuple(Simplex._from_table(self._den, p) for p in pieces))
-        return self._cells
+    @cached_property
+    def _cells(self) -> tuple[Simplex, ...]:
+        return tuple(Simplex(self._den, p)
+                     for p in _cone_triangulation(self._den, list(self._verts), self._facets[1]))
 
     def _require_full_dim(self):
         if not self.full_dimensional:
@@ -508,7 +468,7 @@ class RationalPolytope:
     def _factorial_volume(self) -> int:
         """n! vol times ``_den ** n``: the cells' |edge determinants| over one denominator."""
         n = self.dim
-        return sum(abs(s._det) * (self._den // s._den) ** n for s in self._cell_list())
+        return sum(abs(s._det) * (self._den // s._den) ** n for s in self._cells)
 
     def volume(self) -> Fraction:
         if not self.full_dimensional:
@@ -516,14 +476,14 @@ class RationalPolytope:
         return Fraction(self._factorial_volume(), self._den ** self.dim * factorial(self.dim))
 
     def triangulate(self) -> list[Simplex]:
-        return list(self._cell_list())
+        return list(self._cells)
 
     def barycenter(self) -> Vector:
         """The cells' centroids weighted by their volumes, summed in integers."""
         self._require_full_dim()
         n, d = self.dim, self._den
         total, acc = 0, [0] * n
-        for s in self._cell_list():
+        for s in self._cells:
             m = d // s._den
             w = abs(s._det) * m ** n
             total += w
@@ -533,9 +493,9 @@ class RationalPolytope:
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
-            "vertices": [[_format_over(x, self._den) for x in v] for v in self._verts],
+            "vertices": [_format_row(v, self._den) for v in self._verts],
             "halfspaces": [
-                {"normal": [_format_over(-x, self._hden) for x in r[1:]],
+                {"normal": _format_row([-x for x in r[1:]], self._hden),
                  "offset": _format_over(r[0], self._hden)}
                 for r in self._rays
             ],
@@ -654,7 +614,7 @@ def halfspace_slice(s: Simplex, h: AffineForm, level) -> list[Simplex]:
     points = {tuple(x * m for x in v) for v, a in zip(s._rows, vals) if a >= cut}
     points.update(tuple(x * (m // t) for x in p) for t, p in crossings)
     pts = sorted(points)
-    return [Simplex._from_table(den * m, piece)
+    return [Simplex(den * m, piece)
             for piece in _cone_triangulation(den * m, pts, _hull(den * m, pts)[1])]
 
 

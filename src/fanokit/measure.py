@@ -39,7 +39,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, zip_longest
 
-from .errors import DenominatorVanishes, InputError, NonpositiveScale, UnsupportedOrder
+from .errors import (
+    DenominatorVanishes,
+    DimensionMismatch,
+    InputError,
+    NonpositiveScale,
+    UnsupportedOrder,
+)
 from .expint import (
     MAX_MOMENT_ORDER,
     PLConcaveFunction,
@@ -56,6 +62,8 @@ from .rational import (
     _format_row,
     _fractions,
     _integer_row,
+    _over,
+    _weight_table,
     format_rat,
     need,
     rat,
@@ -92,11 +100,11 @@ class DHMeasure:
             raise InputError("atomic measure needs at least one atom")
         packed.sort(key=lambda a: a[0])
         positions, masses, weights = zip(*packed)
-        wden, flat = _integer_row([x for w in weights if w is not None for x in w])
-        flat = iter(flat)
+        wden, rows = _weight_table(*_over([w for w in weights if w is not None]))
+        rows = iter(rows)
         (pden, pos), (mden, mass) = _integer_row(positions), _integer_row(masses)
-        return AtomicMeasure(pden, tuple(pos), mden, tuple(mass), wden, tuple(
-            None if w is None else tuple(next(flat) for _ in w) for w in weights))
+        return AtomicMeasure(pden, pos, mden, mass, wden,
+                             tuple(None if w is None else next(rows) for w in weights))
 
     @staticmethod
     def dirac(position, mass=1) -> "AtomicMeasure":
@@ -242,6 +250,8 @@ class AtomicMeasure(DHMeasure):
         """Each atom moved by <w, xi>, w its torus weight."""
         if any(w is None for w in self._weights):
             raise InputError("xi sweep needs torus weights on every atom")
+        if len(xi) != len(self._weights[0]):
+            raise DimensionMismatch("twist vector rank does not match torus weights")
         return DHMeasure.atomic([(pos + sum(a * x for a, x in zip(w, xi)), m, w)
                                  for pos, m, w in self.atoms])
 

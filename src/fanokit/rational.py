@@ -10,12 +10,19 @@ Every elimination (rank, determinant, solves, echelon forms, coordinates)
 scales each row to integers once and runs one fraction-free core, Bareiss's
 integer-preserving elimination (Math. Comp. 1968): Python ``int`` arithmetic
 with one exact division per update and no gcd per step.
+
+Exact tables elsewhere (polytopes, simplices, affine forms, filtration
+levels, atomic measures) are rows of integers over one positive denominator,
+as a rule the least: ``_over`` makes one from rows of rationals, ``_reduced``
+from integer rows over any nonzero denominator, and ``_fractions`` and
+``_format_row`` are a row's ``Fraction`` and JSON views.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import gcd, lcm, prod
 
 from .errors import InputError
 
@@ -191,21 +198,39 @@ def format_rat(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _integer_row(row) -> tuple[int, list[int]]:
-    """The row of ints and Fractions scaled by the lcm of its denominators, and that lcm."""
-    if set(map(type, row)) <= {int}:
-        return 1, list(row)
-    scale = lcm(*(x.denominator for x in row))
-    return scale, [x.numerator * (scale // x.denominator) for x in row]
+def _over(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, each row times d) for rows of ints and Fractions, d the lcm of their
+    entries' denominators: the least positive common denominator."""
+    rows = tuple(map(tuple, rows))
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return 1, rows
+    d = lcm(*(x.denominator for r in rows for x in r))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in r) for r in rows)
 
 
-def _reduced_row(scale: int, row) -> tuple[int, list[int]]:
-    """``_integer_row`` of the rational row ``row / scale`` (integer row, nonzero scale):
-    (|scale| / g, sign(scale) row / g) with g the gcd of the scale and the row."""
-    g = gcd(scale, *row)
-    if scale < 0:
+def _reduced(den: int, rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``_over`` of the rational rows ``rows / den`` (integer rows, nonzero den):
+    den and the rows divided by their gcd, negated with a negative den."""
+    rows = tuple(map(tuple, rows))
+    g = gcd(den, *chain.from_iterable(rows))
+    if den < 0:
         g = -g
-    return scale // g, [x // g for x in row]
+    if g == 1:
+        return den, rows
+    return den // g, tuple(tuple(x // g for x in r) for r in rows)
+
+
+def _weight_table(den: int, rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``_reduced`` of the torus weights ``rows / den``, which must all have one rank."""
+    if len(set(map(len, rows))) > 1:
+        raise InputError("torus weights of mixed rank")
+    return _reduced(den, rows)
+
+
+def _integer_row(row) -> tuple[int, tuple[int, ...]]:
+    """``_over`` of the one row ``row``: (d, the row times d)."""
+    d, (ints,) = _over((row,))
+    return d, ints
 
 
 def _fractions(nums, d: int) -> tuple[Fraction, ...]:
@@ -213,14 +238,8 @@ def _fractions(nums, d: int) -> tuple[Fraction, ...]:
     return tuple(map(Fraction, nums)) if d == 1 else tuple(Fraction(n, d) for n in nums)
 
 
-def _format_over(n: int, d: int) -> str:
-    """``format_rat(Fraction(n, d))`` for d > 0, without the ``Fraction``."""
-    g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
-
-
 def _format_row(nums, d: int) -> list[str]:
-    """``[_format_over(n, d) for n in nums]`` in one pass."""
+    """``format_rat(Fraction(n, d))`` for each n, d > 0, without the ``Fraction``s."""
     if d == 1:
         return list(map(str, nums))
     out = []
@@ -230,7 +249,12 @@ def _format_row(nums, d: int) -> list[str]:
     return out
 
 
-def integer_rows(rows) -> list[list[int]]:
+def _format_over(n: int, d: int) -> str:
+    """``_format_row`` of the one entry ``n``."""
+    return _format_row((n,), d)[0]
+
+
+def integer_rows(rows) -> list[tuple[int, ...]]:
     """Each row scaled by the lcm of its denominators: same row space, integer entries."""
     return [_integer_row(row)[1] for row in rows]
 
@@ -280,15 +304,11 @@ def _bareiss(a: list[list[int]], ncols: int, reduced: bool) -> tuple[list[int], 
 def det(rows: Matrix) -> Fraction:
     """Exact determinant of a square matrix (Bareiss elimination on integer rows)."""
     n = len(rows)
-    scale, a = 1, []
-    for row in rows:
-        s, ints = _integer_row(row)
-        scale *= s
-        a.append(ints)
-    pivots, d, sign = _bareiss(a, n, reduced=False)
+    scaled = [_integer_row(row) for row in rows]
+    pivots, d, sign = _bareiss([r for _, r in scaled], n, reduced=False)
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(sign * d, scale)
+    return Fraction(sign * d, prod(s for s, _ in scaled))
 
 
 def matrix_rank(rows) -> int:
@@ -296,31 +316,16 @@ def matrix_rank(rows) -> int:
     return len(_bareiss(a, len(a[0]), reduced=False)[0]) if a else 0
 
 
-def _rank(rows) -> int:
-    """The rank of integer rows, which are left unchanged."""
-    return len(_bareiss([list(r) for r in rows], len(rows[0]), reduced=False)[0]) if rows else 0
-
-
 def solve_square(rows, rhs) -> Vector | None:
-    """Solve A x = rhs exactly; None if A is singular."""
-    n = len(rows)
-    a = integer_rows((*r, b) for r, b in zip(rows, rhs, strict=True))
-    pivots, d, _ = _bareiss(a, n, reduced=True)
-    if len(pivots) < n:
-        return None
-    return tuple(Fraction(a[k][n], d) for k in range(n))
+    """Solve A x = rhs exactly: the coordinates of rhs in A's columns; None if A is singular."""
+    solved = coordinates(list(zip(*rows)), [rhs])
+    return None if solved is None else tuple(Fraction(x, solved[0]) for x in solved[1][0])
 
 
 def independent_rows(rows) -> list[int]:
     """Indices of the rows that are independent of all rows before them."""
-    return _independent(integer_rows(rows))
-
-
-def _independent(rows) -> list[int]:
-    """``independent_rows`` of integer rows."""
-    if not rows:
-        return []
-    return _bareiss([list(c) for c in zip(*rows)], len(rows), reduced=False)[0]
+    a = integer_rows(rows)
+    return _bareiss([list(c) for c in zip(*a)], len(a), reduced=False)[0] if a else []
 
 
 def coordinates(basis, vectors) -> tuple[int, list[list[int]]] | None:

@@ -310,6 +310,28 @@ def test_report_unrepresentable_q_exit_1(tmp_path, capsys):
         dumps_canonical({"x": float("nan")})
 
 
+def test_report_atoms_of_mixed_weight_rank_exit_2(tmp_path, capsys):
+    # as for filtration levels, all torus weights of one measure share one rank
+    doc = {"measure": {"atoms": [{"pos": "0", "mass": 1, "weight": ["1"]},
+                                 {"pos": "1", "mass": 1, "weight": ["1", "2"]}]},
+           "xi_list": [["1"]]}
+    code, err, out_path = _run_report(tmp_path, capsys, doc)
+    assert code == 2
+    assert err.startswith("input error") and "torus weights of mixed rank" in err
+    assert not out_path.exists()
+
+
+def test_report_sweep_of_wrong_rank_exit_1(tmp_path, capsys):
+    # a rank-1 xi against rank-2 weights is not truncated to the shorter vector
+    doc = {"measure": {"atoms": [{"pos": "0", "mass": 1, "weight": ["1", "0"]},
+                                 {"pos": "1", "mass": 1, "weight": ["0", "1"]}]},
+           "xi_list": [["1"]]}
+    code, err, out_path = _run_report(tmp_path, capsys, doc)
+    assert code == 1
+    assert "error [DimensionMismatch]" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("measure", [{"atoms": [{"mass": 1}]}, {"atoms": "none"},
                                      {"atoms": [1]}, {"transform": {}}])
 def test_malformed_measure_exit_2(tmp_path, capsys, measure):

@@ -18,8 +18,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 import geometry_reference as ref
 from fanokit.errors import InputError
 from fanokit.expint import PLConcaveFunction
-from fanokit.geometry import RationalPolytope, halfspace_slice, origin_in_interior
+from fanokit.geometry import (
+    AffineForm,
+    RationalPolytope,
+    Simplex,
+    halfspace_slice,
+    origin_in_interior,
+)
 from fanokit.optimize import _SolitonObjective
+from fanokit.serialize import dumps_canonical
 
 F = Fraction
 COORD = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -201,3 +208,43 @@ def test_pl_validation_matches_reference(case, which, bump, certified, shift):
     else:
         with pytest.raises(InputError, match=want):
             PLConcaveFunction.from_json(_doc(moved, certified), domain)
+
+
+def _least_table(rows):
+    """(d, each row times d) for the least positive common denominator d, by hand."""
+    d = math.lcm(*(F(x).denominator for r in rows for x in r))
+    return d, [[int(x * d) for x in r] for r in rows]
+
+
+def _same_object(a, b, doc):
+    assert a == b and hash(a) == hash(b)
+    assert dumps_canonical(doc(a)) == dumps_canonical(doc(b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(clouds(), st.lists(COORD, min_size=5, max_size=5),
+       st.integers(min_value=-6, max_value=6).filter(bool))
+def test_table_entry_points_are_canonical(case, coefficients, k):
+    """A polytope, a simplex and an affine form built from rationals equal the ones their
+    table entry points build from k times the least tables (k < 0 included): the same
+    ``==``, hash and JSON bytes."""
+    points, _ = case
+    poly = RationalPolytope.from_vertices(points)
+    n, verts, spaces, full = poly.dim, poly.vertices, poly.halfspaces, poly.full_dimensional
+    den, rows = _least_table(verts)
+    hden, rays = _least_table([(b, *(-x for x in a)) for a, b in spaces])
+    tables = RationalPolytope._from_tables(n, full, k * den, [[k * x for x in r] for r in rows],
+                                           k * hden, [[k * x for x in r] for r in rays])
+    _same_object(RationalPolytope(n, verts, spaces, full), tables, RationalPolytope.to_json)
+    if not full:
+        return
+    simplex = poly.triangulate()[0]
+    gradient, constant = coefficients[:n], coefficients[n]
+    den, rows = _least_table(simplex.vertices)
+    fden, ((*grad, const),) = _least_table([(*gradient, constant)])
+    s1, f1 = Simplex.make(simplex.vertices), AffineForm.make(gradient, constant)
+    s2 = Simplex(k * den, [[k * x for x in r] for r in rows])
+    f2 = AffineForm(k * fden, [k * g for g in grad], k * const)
+    # a simplex and a form serialize as a cell of a transform
+    _same_object(s1, s2, lambda s: PLConcaveFunction(poly, ((s, f1),)).to_json())
+    _same_object(f1, f2, lambda f: PLConcaveFunction(poly, ((s1, f),)).to_json())

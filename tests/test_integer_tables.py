@@ -7,6 +7,7 @@ gives: the same rationals, and the same doubles bit for bit.
 """
 
 import json
+import math
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +25,7 @@ from fanokit.filtration import (
     successive_minima,
 )
 from fanokit.functionals import ek_from_minima_polynomial
+from fanokit.serialize import dumps_canonical
 
 RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=10**6)
 TILTS = [Fraction(-3), Fraction(-1, 2), Fraction(1), Fraction(5, 2), 0.75]
@@ -75,6 +77,32 @@ def test_level_and_measure_queries_match_reference(data, ambient_dim):
     assert nu._cdf == ref.cdf(atoms)
     assert [nu.moment(k) for k in range(5)] == [ref.moment(atoms, k) for k in range(5)]
     assert nu.log_exp_moments(TILTS) == ref.log_exp_moments(atoms, TILTS)
+
+
+def _least_row(row):
+    """(d, the row times d) for the least positive common denominator d, by hand."""
+    d = math.lcm(*(x.denominator for x in row))
+    return d, [int(x * d) for x in row]
+
+
+@settings(max_examples=80, deadline=None)
+@given(level_data(), st.integers(min_value=-6, max_value=6).filter(bool))
+def test_level_table_entry_point_is_canonical(data, k):
+    """A level built from rationals equals the one ``_from_tables`` builds from k times the
+    least tables, k < 0 included: the same ``==``, hash and JSON bytes."""
+    m, values, rows, weights = data
+    lv = FiltrationLevel(m, rows, values, weights)
+    den, nums = _least_row(values)
+    basis = None if rows is None else [_least_row(r) for r in rows]
+    wden = math.lcm(*(x.denominator for w in weights or () for x in w))
+    wnums = None if weights is None else [[int(x * wden) for x in w] for w in weights]
+    tables = FiltrationLevel._from_tables(
+        m, k * den, [k * n for n in nums],
+        None if basis is None else [(k * s, [k * x for x in r]) for s, r in basis],
+        k * wden, None if wnums is None else [[k * x for x in w] for w in wnums])
+    assert tables == lv and hash(tables) == hash(lv)
+    assert (dumps_canonical(GradedFiltration({m: tables}).to_json())
+            == dumps_canonical(GradedFiltration({m: lv}).to_json()))
 
 
 @st.composite

@@ -6,6 +6,8 @@ core is exact and unique (a rank, a determinant, a solution, an echelon form
 with pivots 1), so the two must agree with ``==``.
 """
 
+import copy
+import math
 import sys
 from fractions import Fraction
 
@@ -14,7 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanokit.errors import InputError
+from fanokit.filtration import FiltrationLevel
 from fanokit.rational import (
+    _bareiss,
+    _integer_row,
+    _over,
+    _reduced,
     coordinates,
     det,
     independent_rows,
@@ -208,6 +215,84 @@ def test_matmul_exact(b, data):
     want = [tuple(sum((x * row[j] for x, row in zip(r, b)), Fraction(0))
                   for j in range(len(b[0]))) for r in a]
     assert matmul(a, b) == want
+
+
+# ---------------------------------------------------------------------------
+# integer tables: rows of integers over the least positive common denominator
+
+
+def _integers(rows):
+    return [[int(x) for x in r] for r in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_over_takes_the_least_positive_denominator(rows):
+    d, table = _over(rows)
+    assert d == math.lcm(*(x.denominator for r in rows for x in r))
+    assert [[Fraction(n, d) for n in r] for r in table] == rows
+    for row in rows:  # the one-row form, each row over its own least denominator
+        e, ints = _integer_row(row)
+        assert e == math.lcm(*(x.denominator for x in row))
+        assert [Fraction(n, e) for n in ints] == row
+    # rows of ints are their own table over 1, entries kept as ints
+    ints = _integers(rows)
+    assert _over(ints) == (1, tuple(map(tuple, ints)))
+    assert all(type(x) is int for r in _over(ints)[1] for x in r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.integers(min_value=-30, max_value=30).filter(bool))
+def test_reduced_is_the_table_of_the_same_rationals(rows, den):
+    """Integer rows over any nonzero den, a negative one included, reduce to the table
+    ``_over`` gives for the rationals they stand for: a positive least denominator."""
+    ints = _integers(rows)
+    d, table = _reduced(den, ints)
+    assert (d, table) == _over([[Fraction(x, den) for x in r] for r in ints])
+    assert d > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_eliminations_leave_their_input_rows_unchanged(rows):
+    """The public eliminations copy the rows they scale; ``_bareiss`` works in place."""
+    for a in (rows, _integers(rows)):
+        before = copy.deepcopy(a)
+        assert matrix_rank(a) == ref_rank([list(map(Fraction, r)) for r in before])
+        independent_rows(a)
+        assert a == before
+    a = _integers(rows)
+    ncols = len(a[0])
+    pivots, _, _ = _bareiss(a, ncols, reduced=False)
+    # the list now holds the echelon form: each pivot clears its column below it
+    for k, c in enumerate(pivots):
+        assert a[k][c] != 0 and all(row[c] == 0 for row in a[k + 1:])
+    assert all(not any(row[:ncols]) for row in a[len(pivots):])
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.data())
+def test_from_flag_rows_stores_the_rows_it_ranks(rows, data):
+    """A flag of integer rows r / s keeps the rows ``independent_rows`` picks, each stored
+    as the table ``_reduced(s, [r])``, and leaves its rows unchanged."""
+    ints = _integers(rows)
+    dim = len(ints[0])
+    scales = data.draw(st.lists(st.integers(-5, 5).filter(bool), min_size=len(ints),
+                                max_size=len(ints)))
+    flag = list(zip(scales, ints))
+    before = copy.deepcopy(flag)
+    kept = independent_rows(ints)
+    if len(kept) < dim:
+        with pytest.raises(InputError, match="do not span"):
+            FiltrationLevel._from_flag_rows(1, dim, 1, [(0, flag)], None, 1)
+    else:
+        lv = FiltrationLevel._from_flag_rows(1, dim, 1, [(0, flag)], None, 1)
+        tables = [_reduced(s, [r]) for s, r in (flag[k] for k in kept)]
+        want = tuple((d, r) for d, (r,) in tables)
+        unit = all(d == 1 and r == tuple(int(i == j) for j in range(dim))
+                   for i, (d, r) in enumerate(want))
+        assert lv._rows == (None if unit else want)
+    assert flag == before
 
 
 # ---------------------------------------------------------------------------
