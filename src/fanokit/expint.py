@@ -17,16 +17,18 @@ tilt, so they stay in double range for any tilt.
 
 Superlevel volumes come two ways.  Unweighted (xi = 0), t -> n! vol{G >= t}
 is an exact spline of degree n whose knots are the cell vertex values
-(``SurvivalSpline``, built once per transform on first query).  Weighted, each
-cell is sliced at the level and the pieces are summed relative to one log
-offset (``superlevel_log_gvolume``).
+(``SurvivalSpline``, built once per transform on first query).  Each cell's
+share is a divided difference of (x - t)_+^n over its vertex values, and the
+spline adds up its residues, knot by knot.  Weighted, each cell is sliced at
+the level and the pieces are summed relative to one log offset
+(``superlevel_log_gvolume``).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -149,7 +151,7 @@ def _superlevel_share(values, level: Fraction) -> Fraction:
     the divided difference over the vertex values a_i (the B-spline identity
     of Curry & Schoenberg 1966).  A run of j + 1 tied values takes the
     confluent entry C(n, j) (a - t)_+^(n-j); a constant h never reaches the
-    table, so j < n there.
+    table, so j < n there.  The tests hold the survival spline to this table.
     """
     if min(values) >= level:
         return Fraction(1)
@@ -207,59 +209,53 @@ class SurvivalSpline:
         return value + self.jumps[i] if u == 0 else value
 
 
-def _share_piece(values, lo: Fraction, hi: Fraction, origin: Fraction) -> list:
-    """P(h >= t) on (lo, hi), between consecutive vertex values, as a polynomial in t - origin.
-
-    The share is a polynomial of degree <= n there, so ``_superlevel_share``
-    at n + 1 points strictly inside fixes it (Newton interpolation); inner
-    points keep tied values and the endpoints' jumps out of the way.
-    """
-    n1 = len(values)
-    nodes = [lo + (hi - lo) * (k + 1) / (n1 + 1) - origin for k in range(n1)]
-    dd = [_superlevel_share(values, x + origin) for x in nodes]
-    for j in range(1, n1):
-        for i in range(n1 - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - j])
-    poly = [dd[-1]]
-    for k in range(n1 - 2, -1, -1):  # poly * (t - nodes[k]) + dd[k]
-        x = nodes[k]
-        poly = [dd[k] - x * poly[0], *(a - x * b for a, b in zip(poly, poly[1:])), poly[-1]]
-    return poly
+def _inverse_series(deltas, r: int) -> list:
+    """Taylor coefficients c_0, ..., c_{r-1} at w = 0 of 1 / prod_d (w + d), for nonzero d."""
+    c = [Fraction(1, math.prod(deltas))] + [0] * (r - 1)
+    for d in deltas:  # times 1 / (1 + w / d)
+        for j in range(1, r):
+            c[j] -= c[j - 1] / d
+    return c
 
 
 def _survival_spline(cell_table, n: int) -> SurvivalSpline:
     """Sum of the cells' n!vol * P_s(G >= t), one sweep over the knots.
 
-    Each cell contributes its n!vol below its smallest vertex value, a
-    polynomial between consecutive vertex values and 0 above; a flat cell
-    contributes an atom.  The changes at each knot, in t - t_0, are summed
-    in one running polynomial, which is re-centred at every knot.
+    A non-flat cell's share [a_0..a_n](x - t)_+^n is the sum of the residues
+    of (z - t)^n / prod_i (z - a_i) at its values a > t.  The residues at all
+    values add up to 1, so the share is 1 below the cell and drops, as t
+    passes a value a of multiplicity r, by the residue there:
+    sum_{s < r} C(n, s) (a - t)^(n - s) c_{r-1-s}, with c_j the Taylor
+    coefficients at a of 1 / prod_{b != a} (z - b), ties included.  Scaling
+    the values and t by the cells' value denominator D leaves the share
+    unchanged, so c_j comes from integer differences, and the drop is
+    sum_s C(n, s) c_{r-1-s} (-D (t - a))^(n - s).  A flat cell contributes
+    an atom.  Each knot's drops are summed as one polynomial in t - t_i; the
+    running polynomial is re-centred from knot to knot.
     """
-    knots = sorted({v for values, _ in cell_table for v in values})
-    origin = knots[0]
     zero = [Fraction(0)] * (n + 1)
-    delta = defaultdict(lambda: list(zero))
+    drops = defaultdict(lambda: list(zero))
     jumps = defaultdict(Fraction)
-    running = list(zero)
     for values, det in cell_table:
-        cuts = sorted(set(values))
-        running[0] += det
-        if len(cuts) == 1:
-            jumps[cuts[0]] += det
+        den = math.lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (den // v.denominator) for v in values]
+        if len(set(ints)) == 1:
+            jumps[values[0]] += det
             continue
-        prev = [det] + zero[1:]
-        for lo, hi in zip(cuts, cuts[1:]):
-            piece = [det * c for c in _share_piece(values, lo, hi, origin)]
-            delta[lo] = [d + a - b for d, a, b in zip(delta[lo], piece, prev)]
-            prev = piece
-        delta[cuts[-1]] = [d - b for d, b in zip(delta[cuts[-1]], prev)]
+        for a, r in Counter(ints).items():
+            c = _inverse_series([a - b for b in ints if b != a], r)
+            drop = drops[Fraction(a, den)]
+            for s in range(r):
+                drop[n - s] += det * math.comb(n, s) * (-den) ** (n - s) * c[r - 1 - s]
+    knots = sorted({v for values, _ in cell_table for v in values})
+    total = sum((det for _, det in cell_table), Fraction(0))
+    running = [total] + zero[1:]
     coeffs = []
-    for t in knots:
-        running = [r + d for r, d in zip(running, delta[t])]
+    for prev, t in zip(knots[:1] + knots, knots):
+        running = [r - d for r, d in zip(_taylor_shift(running, t - prev), drops[t])]
         running[0] -= jumps[t]
-        coeffs.append(tuple(_taylor_shift(running, t - origin)))
-    return SurvivalSpline(tuple(knots), tuple(coeffs), tuple(jumps[t] for t in knots),
-                          sum((det for _, det in cell_table), Fraction(0)))
+        coeffs.append(tuple(running))
+    return SurvivalSpline(tuple(knots), tuple(coeffs), tuple(jumps[t] for t in knots), total)
 
 
 def _common_grid(simplices) -> tuple[int, list]:

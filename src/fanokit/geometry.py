@@ -23,9 +23,9 @@ integer rows (``_extreme_rays``), which is self-dual:
 
 - facets of points p / d are the extreme rays of the cone of rows (d, p);
 - vertices and boundedness of a halfspace system are the extreme rays of the
-  cone of rows (b, -a) and (1, 0, ..., 0); every full-dimensional polytope
-  recomputes its vertices this way from its halfspaces on construction and
-  compares them with the stated ones;
+  cone of rows (b, -a) and (1, 0, ..., 0); a polytope stated with both
+  descriptions is checked this way, while one built from points takes both
+  from its one hull;
 - 0 is strictly inside a hull when every facet offset is positive;
 - membership in a lower-dimensional hull is a facet test after projecting
   onto coordinates of its affine hull;
@@ -317,9 +317,9 @@ class RationalPolytope:
     Stored as integer tables: the vertex rows ``_verts`` over ``_den``, and
     each halfspace <a, y> <= b as the row (b, -a) of ``_rays`` over
     ``_hden``, both least denominators; ``vertices`` and ``halfspaces`` are
-    the ``Fraction`` views.  The constructor takes rationals, ``_from_tables``
-    integer tables; the stated vertices of a full-dimensional polytope must
-    be exactly the extreme points of its stated halfspaces.
+    the ``Fraction`` views.  The constructor takes rationals and checks that a
+    full-dimensional polytope's stated vertices are exactly the extreme points
+    of its stated halfspaces; ``_from_tables`` takes integer tables as stated.
     """
 
     dim: int
@@ -330,20 +330,19 @@ class RationalPolytope:
     _rays: tuple[tuple[int, ...], ...]
 
     def __init__(self, dim: int, vertices, halfspaces, full_dimensional: bool):
-        vars(self).update(vars(RationalPolytope._from_tables(
-            dim, full_dimensional, *_over(vertices),
-            *_over((b, *(-x for x in a)) for a, b in halfspaces))))
+        poly = RationalPolytope._from_tables(dim, full_dimensional, *_over(vertices),
+                                             *_over((b, *(-x for x in a)) for a, b in halfspaces))
+        # the stated vertices must be exactly the extreme points of the stated halfspaces
+        if full_dimensional and poly._rays and (_vertices_from_halfspaces(poly._rays, dim)[:2]
+                                                != (poly._den, sorted(poly._verts))):
+            raise InputError("vertex and halfspace descriptions disagree")
+        vars(self).update(vars(poly))
 
     @classmethod
     def _from_tables(cls, dim, full_dimensional, den, verts, hden, rays) -> "RationalPolytope":
         """The polytope with the vertex rows ``verts / den`` and the halfspace rows
-        ``rays / hden``: integer rows over nonzero denominators."""
+        ``rays / hden``: integer rows over nonzero denominators, taken as stated."""
         (den, verts), (hden, rays) = _reduced(den, verts), _reduced(hden, rays)
-        # cross-validation: the stated vertices must be exactly the extreme
-        # points of the stated halfspace intersection
-        if full_dimensional and rays and (
-                _vertices_from_halfspaces(rays, dim)[:2] != (den, sorted(verts))):
-            raise InputError("vertex and halfspace descriptions disagree")
         poly = object.__new__(cls)
         vars(poly).update(dim=dim, full_dimensional=full_dimensional, _den=den, _verts=verts,
                           _hden=hden, _rays=rays)

@@ -71,11 +71,10 @@ class ConvexScan:
     derivative_at_zero: float | None = None
 
     def midpoint_convex(self, tol: float = 1e-10) -> bool:
-        ok = True
-        for i in range(len(self.points) - 2):
-            left, mid, right = self.values[i], self.values[i + 1], self.values[i + 2]
-            ok = ok and mid <= 0.5 * (left + right) + tol
-        return ok
+        """Each inner sample is at most tol above the chord of its two (distinct) neighbours."""
+        s, f = self.points, self.values
+        return all(f[i] <= ((s[i + 1] - s[i]) * f[i - 1] + (s[i] - s[i - 1]) * f[i + 1])
+                   / (s[i + 1] - s[i - 1]) + tol for i in range(1, len(s) - 1))
 
     def to_json(self) -> dict:
         return {
@@ -397,8 +396,8 @@ def interpolation_derivative(transform_or_filtration, xi, L_hat,
 def cone_family(A, mu_g: DHMeasure, s_grid=None, dim: int = 1) -> ConvexScan:
     """Normalized cone-volume family f(s) = A^{n+1} E[(s x + (1-s) A)^{-(n+1)}].
 
-    f(0) = 1 and f'(0) = (n+1) * (A - E_g) / A; the scan certifies midpoint
-    convexity on the sampled grid.
+    f(0) = 1 and f'(0) = (n+1) * (A - E_g) / A; the scan tests convexity on the
+    sampled grid, whose values must be distinct.
     """
     A = float(A)
     if A <= 0:
@@ -406,6 +405,8 @@ def cone_family(A, mu_g: DHMeasure, s_grid=None, dim: int = 1) -> ConvexScan:
     if s_grid is None:
         s_grid = [i * 0.05 for i in range(20)]  # {0, 0.05, ..., 0.95}
     s_grid = sorted(float(s) for s in s_grid)
+    if any(a == b for a, b in zip(s_grid, s_grid[1:])):
+        raise InputError("s_grid repeats a value")
     support = mu_g.support()
     n1 = dim + 1
     for s in s_grid:

@@ -213,6 +213,25 @@ def test_cone_command(tmp_path, capsys):
     assert doc["midpoint_convex"] is True
 
 
+def test_cone_convexity_on_an_uneven_grid(tmp_path, capsys):
+    """Each inner sample is tested against the chord of its neighbours, weighted by
+    spacing: f(s) = (1 + 2s)^-2 is convex, though f(1/10) lies above (f(0) + f(9/10)) / 2;
+    a repeated s exits 2."""
+    job = {"measure": {"atoms": [{"pos": "3", "mass": "1"}]}, "A": "1", "dim": 1,
+           "s_grid": ["0", "1/10", "9/10"]}
+    path = tmp_path / "job.json"
+    path.write_text(dumps_canonical(job))
+    out_path = tmp_path / "res.json"
+    assert run_cli(["cone", "--input", str(path), "--output", str(out_path)], capsys)[0] == 0
+    doc = json.loads(out_path.read_text())
+    f = doc["scan"]["values"]
+    assert f[1] > (f[0] + f[2]) / 2 and doc["midpoint_convex"] is True
+    job["s_grid"] = ["0", "1/2", "1/2", "9/10"]
+    path.write_text(dumps_canonical(job))
+    code, _, err = run_cli(["cone", "--input", str(path), "--output", str(out_path)], capsys)
+    assert code == 2 and "repeats" in err
+
+
 def _run_job(job, command, tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text(dumps_canonical(job))

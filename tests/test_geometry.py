@@ -355,6 +355,20 @@ def test_hull_and_triangulation_computed_once(monkeypatch):
     assert len(calls) == after_first
 
 
+def test_polytope_from_points_runs_one_double_description(monkeypatch):
+    """A hull built from points is not checked against itself by a second _extreme_rays."""
+    calls = []
+    search = geometry._extreme_rays
+
+    def counted(rows):
+        calls.append(len(rows))
+        return search(rows)
+
+    monkeypatch.setattr(geometry, "_extreme_rays", counted)
+    box = RationalPolytope.from_vertices(BOX3.vertices)
+    assert calls == [8] and box == BOX3
+
+
 def test_cached_lists_are_copies():
     box = RationalPolytope.from_vertices(BOX3.vertices)
     facets, cells = box.facets(), box.triangulate()

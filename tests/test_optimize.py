@@ -654,6 +654,14 @@ def test_cone_family_dirac_constant():
     assert scan.midpoint_convex()
 
 
+def test_convex_scan_on_an_uneven_grid():
+    """sqrt on (0, 1/10, 9/10) is concave, although its middle sample lies below the
+    mean of its neighbours; the chord through them, weighted by spacing, shows it."""
+    points = (0.0, 0.1, 0.9)
+    assert not ConvexScan(points, tuple(map(math.sqrt, points))).midpoint_convex()
+    assert ConvexScan(points, tuple(s * s for s in points)).midpoint_convex()
+
+
 def test_cone_family_uniform_derivative():
     mu = DHMeasure.atomic([(Fraction(i, 8) * 4, Fraction(1), None) for i in range(9)])
     scan = cone_family(1.0, mu, dim=1)

@@ -231,6 +231,13 @@ def cell_tables(draw):
          [Fraction(1, 2)])  # a flat cell (an atom) at a knot of a tied cell
 @example(((((Fraction(-1), Fraction(2), Fraction(2), Fraction(2), Fraction(5)), Fraction(3)),), 4),
          [Fraction(2), Fraction(3)])
+# residues of order 2 at two knots, then of orders 4 and 1 with the tie below or above
+@example(((((Fraction(0), Fraction(0), Fraction(1), Fraction(1), Fraction(3)), Fraction(2)),), 4),
+         [Fraction(1), Fraction(1, 2)])
+@example(((((Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(1)), Fraction(1)),), 4),
+         [Fraction(0), Fraction(1, 3)])
+@example(((((Fraction(-1), Fraction(2), Fraction(2), Fraction(2), Fraction(2)), Fraction(5)),), 4),
+         [Fraction(2), Fraction(1, 2)])
 def test_survival_spline_matches_shares(case, levels):
     """The spline equals sum det * P_s(G >= t) exactly, at its knots and in between."""
     table, n = case
