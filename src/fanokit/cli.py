@@ -12,6 +12,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .errors import FanokitError, InputError
 from .filtration import (
     GradedFiltration,
@@ -342,7 +344,8 @@ def main(argv=None) -> int:
                 raise InputError("--input is required for this command")
             options.input = _fixture_path("p1_example.json")
         doc = _load_document(options.input)
-        result, csv = _HANDLERS[options.command](doc, options)
+        with np.errstate(over="ignore", invalid="ignore"):  # NonFiniteResult says it once
+            result, csv = _HANDLERS[options.command](doc, options)
         result["tolerance"] = options.tol
         text = dumps_canonical(result) + "\n"
         if options.format == "csv" and csv is not None:

@@ -8,11 +8,12 @@ Geometry stays rational until the last moment.  A transform keeps its vertex
 values, and each tilt's pairings, as integers over one common denominator, so
 a kernel node is one correctly rounded int/int division: the exact value
 rounded once.  ``pl_cell_integrals`` stacks the rows of many tilts (xi, a) of
-one transform in one kernel batch and reads the moments j = 0..k off the
-corners of one derivative batch, and returns each moment summed over the
-cells, so no caller sees a cell.  Every cell sum here is a ``math.fsum``:
-correctly rounded and order-free, so results do not depend on the order in
-which cells were given.  The sums are returned relative to one log offset per
+one transform in one kernel batch, reads the moments j = 0..k off the corners
+of one derivative batch and returns each moment summed over the cells, so no
+caller sees a cell.  It memoizes each sum on the transform per (xi, a, k), the
+package's only store of cell sums, and batches only what it lacks.  Every cell
+sum is a ``math.fsum``: correctly rounded and order-free, so results do not
+depend on the order of the cells.  The sums are relative to one log offset per
 tilt, so they stay in double range for any tilt.
 
 Superlevel volumes come two ways.  Unweighted (xi = 0), t -> n! vol{G >= t}
@@ -44,6 +45,7 @@ from .geometry import (
     pairing_form,
 )
 from .rational import (
+    _exact,
     _format_over,
     _format_row,
     _fractions,
@@ -121,8 +123,8 @@ def _exp_integrals(z, volumes, b, k: int, tops) -> list:
         scale = math.exp(off - tops[i])
         values = [volumes[i] * f * (c * scale) for f, c in zip(factorials, corners)]
         if k:
-            # error relative to the cancellation-free magnitude bound |w|_max^k * I_0
-            bound = (max(abs(x) for x in b[i]) ** k) * abs(corners[0] * scale) * volumes[i]
+            # error relative to the cancellation-free bound |w|_max^k * I_0 (inf past range)
+            bound = math.prod([max(map(abs, b[i]))] * k) * abs(corners[0] * scale) * volumes[i]
             abs_err = err * max(bound, abs(values[k]))
             err = abs_err / abs(values[k]) if values[k] != 0.0 else abs_err
         out[i] = values, err, "divided_difference"
@@ -366,6 +368,11 @@ class PLConcaveFunction:
         vertices), from the grid's vertex rows."""
         return {}
 
+    @cached_property
+    def _cell_sums(self) -> dict:
+        """Per xi tuple, (p, q, k) -> ``pl_cell_integrals``'s result for a = p/q (of G's values)."""
+        return {}
+
     def _pairings(self, xi) -> tuple:
         key = rat_vector(xi)
         if key not in self._pairing_table:
@@ -460,33 +467,49 @@ def pl_cell_integrals(G: PLConcaveFunction, tilts, k: int) -> list:
     """int G^j e^{-(a G + <y', xi>)} dy, summed over the cells of G, for j = 0..k and each
     (xi, a) of ``tilts`` = [(xi, a_list), ...]: every a of the list given with its xi.
 
-    A node is -(p E v + q D e) / (q D E) for a = p/q, with v D and e E the
-    integer vertex value and pairing cached on G: one correctly rounded
-    int/int division, so it equals the exact value rounded once.  Every
-    (xi, a) shares one kernel call.  Returns per (xi, a), in order,
-    ``(top, [s_0, ..., s_k])``, s_j the ``math.fsum`` over the cells of their
-    integrals relative to e^{top}, top that tilt's largest node, so the sums
-    and their logarithms stay finite for any tilt.  A kernel row does not
-    depend on the other rows of its batch, so each tilt's result is the one
-    it gets alone.
+    A node is -(p E v + q D e) / (q D E) for a = p/q, with v D and e E the integer vertex
+    value and pairing cached on G: one correctly rounded int/int division, so it equals the
+    exact value rounded once.  Returns per (xi, a), in order, ``(top, (s_0, ..., s_k))``,
+    s_j the ``math.fsum`` over the cells of their integrals relative to e^{top}, top that
+    tilt's largest node, so the sums and their logarithms stay finite for any tilt, else
+    NonFiniteResult.  Each result is memoized on G per (xi, a, k); the (xi, a) not yet
+    there share one kernel call.  A kernel row does not depend on the other rows of its
+    batch, so each result is the one its tilt gets alone.
     """
     if k < 0 or k > MAX_MOMENT_ORDER:
         raise UnsupportedOrder(f"moment order {k} not in 0..{MAX_MOMENT_ORDER}")
     d, values, floats, volumes = G._node_table
-    z, tops = [], []
+    wanted, todo, z, tops = [], {}, [], []
     for xi, a_list in tilts:
-        e, pairings = G._pairings(xi)
-        for a in map(rat, a_list):
-            gv, ge, den = a.numerator * e, a.denominator * d, a.denominator * d * e
-            nodes = [[-((gv * v + ge * p) / den) for v, p in zip(vals, pairs)]
-                     for vals, pairs in zip(values, pairings)]
+        xi = tuple(xi)  # hashable, and read twice
+        memo, pairings = G._cell_sums.setdefault(xi, {}), None
+        for a in map(_exact, a_list):
+            key = a.numerator, a.denominator, k
+            wanted.append((memo, key))
+            if key in memo or (id(memo), key) in todo:
+                continue
+            todo[id(memo), key] = memo
+            if pairings is None:
+                e, pairings = G._pairings(xi)
+            gv, ge, den = key[0] * e, key[1] * d, key[1] * d * e
+            try:
+                nodes = [[-((gv * v + ge * p) / den) for v, p in zip(vals, pairs)]
+                         for vals, pairs in zip(values, pairings)]
+            except OverflowError:
+                raise NonFiniteResult("a tilted node is outside double range") from None
             z += nodes
             tops += [max(map(max, nodes))] * len(nodes)
     c = len(volumes)
-    groups = len(z) // c
-    rows = _exp_integrals(z, volumes * groups, floats * groups if k else None, k, tops)
-    return [(tops[i], [math.fsum(row[0][j] for row in rows[i:i + c]) for j in range(k + 1)])
-            for i in range(0, len(rows), c)]
+    rows = _exp_integrals(z, volumes * len(todo), floats * len(todo) if k else None, k, tops)
+    for ((_, key), memo), i in zip(todo.items(), range(0, len(rows), c)):
+        try:  # fsum raises on an intermediate overflow and on inf - inf
+            sums = tuple([math.fsum(row[0][j] for row in rows[i:i + c]) for j in range(k + 1)])
+        except (OverflowError, ValueError):
+            sums = (math.inf,)
+        if not all(map(math.isfinite, sums)):
+            raise NonFiniteResult(f"a cell sum of moment order {k} is outside double range")
+        memo[key] = tops[i], sums
+    return [memo[key] for memo, key in wanted]
 
 
 def superlevel_log_gvolume(G: PLConcaveFunction, x, xi) -> tuple[float, float]:

@@ -7,9 +7,9 @@ piecewise-linear transform) answer one query protocol, the methods of
 an integral over the polytope, and the queries take lists:
 ``log_exp_moments`` stacks every a, and a = 0 for the mass, in one kernel
 batch, and ``_tilted`` reads log_exp_moment(a) and all moments up to k from
-one derivative batch, with the a = 0 mass rows cached per order.
-``prefetch_sums`` fills these caches for many pushforwards of one transform,
-a report sweep's tilts, in one batch per moment order.  Exponential moments
+one derivative batch.  Every cell sum is memoized on the transform per
+(xi, a, k) by ``pl_cell_integrals``, and ``prefetch_sums`` fills that memo for
+a report sweep's tilts in one batch per moment order.  Exponential moments
 are summed in the log domain, relative to the largest exponent or kernel log
 offset, so log Q and S_tilde stay finite however far the support sits from 0.
 
@@ -43,6 +43,7 @@ from .errors import (
     DenominatorVanishes,
     DimensionMismatch,
     InputError,
+    NonFiniteResult,
     NonpositiveScale,
     UnsupportedOrder,
 )
@@ -74,6 +75,14 @@ from .rational import (
 SUPERLEVEL_GRID = 2048
 
 
+def _quotient(num, den, what: str) -> float:
+    """float(num / den) for ints or Fractions; NonFiniteResult naming ``what`` past it."""
+    try:
+        return float(num / den)
+    except OverflowError:
+        raise NonFiniteResult(f"{what} is outside double range") from None
+
+
 @dataclass(frozen=True)
 class SupportInfo:
     lambda_min: float
@@ -99,6 +108,7 @@ class DHMeasure:
         if not packed:
             raise InputError("atomic measure needs at least one atom")
         packed.sort(key=lambda a: a[0])
+        _quotient(max(-packed[0][0], packed[-1][0]), 1, "an atom position")  # largest |x| fits
         positions, masses, weights = zip(*packed)
         wden, rows = _weight_table(*_over([w for w in weights if w is not None]))
         rows = iter(rows)
@@ -215,7 +225,8 @@ class AtomicMeasure(DHMeasure):
         if k < 0 or k > MAX_MOMENT_ORDER:
             raise UnsupportedOrder(f"moment order {k} not in 0..{MAX_MOMENT_ORDER}")
         xs, ms = self._merged
-        return sum(m * x**k for x, m in zip(xs, ms)) / (self._total * self._pden**k)
+        return _quotient(sum(m * x**k for x, m in zip(xs, ms)), self._total * self._pden**k,
+                         f"moment {k}")
 
     def log_exp_moments(self, a_list) -> list[float]:
         """log (1/mass) int e^{-a lambda} dmu per a; exactly -a x for a Dirac at x."""
@@ -230,8 +241,11 @@ class AtomicMeasure(DHMeasure):
         top, terms = self._tilt(a)
         total = math.fsum(terms)
         xs = [x / self._pden for x in self._merged[0]]
-        return top + math.log(total), [
-            math.fsum(x**j * t for x, t in zip(xs, terms)) / total for j in range(k + 1)]
+        try:
+            return top + math.log(total), [
+                math.fsum(x**j * t for x, t in zip(xs, terms)) / total for j in range(k + 1)]
+        except OverflowError:
+            raise NonFiniteResult(f"tilted moment {k} is outside double range") from None
 
     def _mass_above(self, t: Fraction) -> float:
         return sum(m for x, m in zip(self._pos, self._mass)
@@ -262,7 +276,8 @@ class AtomicMeasure(DHMeasure):
         u = [b * Fraction(x, self._pden) + c for x in xs]
         if min(u) <= 0:
             raise DenominatorVanishes(f"{b} x + {c} vanishes on the support")
-        return float(sum((m * ui ** -p for m, ui in zip(ms, u)), Fraction(0)) / self._total)
+        return _quotient(sum((m * ui ** -p for m, ui in zip(ms, u)), Fraction(0)), self._total,
+                         "an inverse power mean")
 
     @cached_property
     def _cdf(self):
@@ -293,23 +308,11 @@ class PushforwardMeasure(DHMeasure):
     transform: PLConcaveFunction
     weight_xi: tuple = ()
 
-    @cached_property
-    def _sums(self) -> dict:
-        """(top, s) per a queried, s e^{top} = n! * sum over the cells of
-        int e^{-(a G + <y', xi>)} dy; a = 0 gives the mass."""
-        return {}
-
-    @cached_property
-    def _moment_sums(self) -> dict:
-        """(top, [s_0, ..., s_k]) per moment order k queried: the cell sums of
-        int G^j e^{-<y', xi>} dy relative to e^{top}, the a = 0 rows of ``_tilted``."""
-        return {}
-
     def _exp_sums(self, a_list) -> list[tuple[float, float]]:
-        """The cell sums of a = 0 and of each a; those not cached share one kernel batch."""
-        keys = [Fraction(0), *map(rat, a_list)]
-        _fill_exp_sums([self], keys)
-        return [self._sums[a] for a in keys]
+        """(top, n! s) for a = 0, the mass, and each a, from ``pl_cell_integrals``'s (top, (s,))."""
+        scale = math.factorial(self.transform.dim)
+        return [(top, scale * s) for top, (s,) in
+                pl_cell_integrals(self.transform, [(self.weight_xi, [0, *a_list])], 0)]
 
     def mass(self) -> float:
         return exp_scaled(*self._exp_sums(())[0])
@@ -320,22 +323,10 @@ class PushforwardMeasure(DHMeasure):
         return [(top - top0) + math.log(s / s0) for top, s in sums]
 
     def _tilted(self, a, k: int) -> tuple[float, list[float]]:
-        """``log_exp_moment(a)`` and the tilted moments j = 0..k, each sum divided by the
-        j = 0 sum of its own order-k rows.  The a = 0 rows, the mass, are computed once
-        per k, in the batch of the first query, and cached; after that a nonzero a
-        batches only its own rows.  At a = 0 the log is 0."""
-        a = rat(a)
-        a_list = [a] if a else []
-        if k not in self._moment_sums:
-            a_list.append(Fraction(0))
-        results = (pl_cell_integrals(self.transform, [(self.weight_xi, a_list)], k)
-                   if a_list else [])
-        if k not in self._moment_sums:
-            self._moment_sums[k] = results.pop()
-        top0, sums0 = self._moment_sums[k]
-        if not a:
-            return 0.0, [s / sums0[0] for s in sums0]
-        ((top, sums),) = results
+        """``log_exp_moment(a)`` and the tilted moments j = 0..k, each sum divided by the j = 0
+        sum of its own order-k rows, from one call for a = 0 (the mass) and a; 0 at a = 0."""
+        (top0, sums0), (top, sums) = pl_cell_integrals(self.transform,
+                                                       [(self.weight_xi, [0, a])], k)
         return (top - top0) + math.log(sums[0] / sums0[0]), [s / sums[0] for s in sums]
 
     def _mass_above(self, t: Fraction) -> float:
@@ -387,7 +378,7 @@ class PushforwardMeasure(DHMeasure):
         if min(u) <= 0:
             raise DenominatorVanishes(f"{b} x + {c} vanishes on the support")
         if b == 0:
-            return float(c ** -p)
+            return _quotient(c ** -p, 1, "an inverse power mean")
         n = len(spline.coeffs[0]) - 1
         exponents = [l - p + 1 for l in range(n)]  # int u^{l-p} du = u^e / e
         # per knot, u^e / e for each exponent e != 0 (e = 0 is the log term)
@@ -403,8 +394,8 @@ class PushforwardMeasure(DHMeasure):
                 elif ql:
                     logs.append((ql, u[i + 1] / u[i]))
         total = spline.total
-        return float(exact / total) + math.fsum(float(ql / total) * math.log(ratio)
-                                                for ql, ratio in logs)
+        return _quotient(exact, total, "an inverse power mean") + math.fsum(
+            float(ql / total) * math.log(ratio) for ql, ratio in logs)
 
     @cached_property
     def _cdf(self):
@@ -452,40 +443,17 @@ def measure_from_json(doc: dict) -> DHMeasure:
 
 
 def prefetch_sums(measures, a_list, k: int) -> None:
-    """Fill the caches behind ``log_exp_moments(a_list)``, ``mass`` and ``tilted_moments(0, k)``
-    of every pushforward among ``measures``: two kernel batches per transform they share.
-
-    One k = 0 batch holds the rows of a = 0 and of each a for every measure,
-    one order-k batch the a = 0 rows of every measure.  Each (xi, a) group
-    keeps its own top and ``math.fsum``, and a kernel row does not depend on
-    its batch, so every later query returns what the measure computes alone.
-    """
-    keys = [Fraction(0), *map(rat, a_list)]
-    by_transform = {}
+    """Fill the transform memos behind ``log_exp_moments(a_list)``, ``mass`` and
+    ``tilted_moments(0, k)`` of every pushforward among ``measures``: per transform, one
+    order-0 batch for a = 0 and each a and one order-k batch for a = 0.  A kernel row does
+    not depend on its batch, so every later query returns what the measure computes alone."""
+    tilts, a_list = {}, [0, *map(rat, a_list)]
     for mu in measures:
         if isinstance(mu, PushforwardMeasure):
-            by_transform.setdefault(id(mu.transform), []).append(mu)
-    for group in by_transform.values():
-        _fill_exp_sums(group, keys)
-        todo = [mu for mu in group if k not in mu._moment_sums]
-        for mu, sums in zip(todo, pl_cell_integrals(
-                group[0].transform, [(mu.weight_xi, [0]) for mu in todo], k)):
-            mu._moment_sums[k] = sums
-
-
-def _fill_exp_sums(measures, keys) -> None:
-    """The exp sums of each a in ``keys`` that these pushforwards of one transform lack,
-    in one kernel batch."""
-    keys = dict.fromkeys(keys)
-    todo = [(mu, [a for a in keys if a not in mu._sums]) for mu in measures]
-    todo = [(mu, a_list) for mu, a_list in todo if a_list]
-    if not todo:
-        return
-    transform = measures[0].transform
-    scale = math.factorial(transform.dim)
-    results = pl_cell_integrals(transform, [(mu.weight_xi, a_list) for mu, a_list in todo], 0)
-    for (mu, a), (top, (s,)) in zip([(mu, a) for mu, a_list in todo for a in a_list], results):
-        mu._sums[a] = top, scale * s
+            tilts.setdefault(id(mu.transform), (mu.transform, []))[1].append(mu.weight_xi)
+    for G, xis in tilts.values():
+        pl_cell_integrals(G, [(xi, a_list) for xi in xis], 0)
+        pl_cell_integrals(G, [(xi, [0]) for xi in xis], k)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .errors import (
     MissingTorusWeights,
     NegativeSupport,
     NonConvergence,
+    NonFiniteResult,
     OriginNotInterior,
 )
 from .expint import PLConcaveFunction, _factorial_volume, pl_cell_integrals
@@ -409,6 +410,10 @@ def cone_family(A, mu_g: DHMeasure, s_grid=None, dim: int = 1) -> ConvexScan:
         raise InputError("s_grid repeats a value")
     support = mu_g.support()
     n1 = dim + 1
+    try:
+        scale = A**n1
+    except OverflowError:
+        raise NonFiniteResult(f"A^{n1} is outside double range") from None
     for s in s_grid:
         for endpoint in (support.lambda_min, support.lambda_max):
             if s * endpoint + (1 - s) * A <= 0:
@@ -418,7 +423,7 @@ def cone_family(A, mu_g: DHMeasure, s_grid=None, dim: int = 1) -> ConvexScan:
 
     def f(s):
         b = rat(s)
-        return A**n1 * mu_g.inverse_power_mean(b, (1 - b) * rat(A), n1)
+        return scale * mu_g.inverse_power_mean(b, (1 - b) * rat(A), n1)
 
     values = tuple(f(s) for s in s_grid)
     e_g = mu_g.moment(1)

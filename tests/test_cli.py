@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -768,6 +769,47 @@ def test_number_outside_double_range_exit_2(tmp_path, capsys, command, doc):
                            capsys)
     assert code == 2 and err.startswith("input error: ")
     assert not (tmp_path / "o").exists()
+
+
+def _atoms(*atoms):
+    """An atomic measure document from (pos, mass) or (pos, mass, weight) entries."""
+    return {"atoms": [dict(zip(("pos", "mass", "weight"), atom)) for atom in atoms]}
+
+
+def _shifted_square(constant):
+    doc = _square_transform_doc()
+    for cell in doc["transform"]["cells"]:
+        cell["affine"]["constant"] = constant
+    return doc
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("report", {"measure": _atoms(("1e80", "1"), ("-1e80", "1"))}),
+    ("report", {"measure": _atoms(("0", "1", ["1"]), ("1", "1", ["-1"])),
+                "xi_list": [["1e300"]]}),
+    ("report", {"measure": _atoms(("0", "1", ["1e10"]), ("1", "1", ["-1"])),
+                "xi_list": [["1e300"]]}),
+    ("rescale", {"measure": _atoms(("0", "1"), ("1e300", "1")), "A": "1"}),
+    ("rescale", {"measure": _atoms(("0", "1"), ("1e155", "1e-10")), "A": "1"}),
+    ("report", {"measure": {"domain": {"vertices": [["0"], ["1"]]}, "transform": {"cells": [
+        {"simplex": [["0"], ["1"]], "affine": {"gradient": ["1"], "constant": "1e80"}}]}}}),
+    ("report", {"measure": _shifted_square("1e10"), "a": ["1e300"]}),
+    ("cone", {"measure": _atoms(("1", "1"), ("2", "1")), "A": "3", "dim": 100000}),
+    ("cone", {"measure": _square_transform_doc(), "A": "1e-300"}),
+    ("cone", {"measure": _atoms(("1", "1"), ("2", "1")), "A": "1e-300"}),
+], ids=["report-atom-E4", "sweep-atom-E2", "sweep-atom-position", "rescale-atom-E2",
+        "rescale-tilted-E2", "report-pushforward-E4", "report-pushforward-node", "cone-A-power",
+        "cone-pushforward-mean", "cone-atom-mean"])
+def test_result_outside_double_range_exit_1(tmp_path, capsys, command, doc):
+    """A value past double range is a named NonFiniteResult, not a raw OverflowError."""
+    path, out_path = tmp_path / "job.json", tmp_path / "o"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings included
+        code, _, err = run_cli([command, "--input", str(path), "--output", str(out_path)], capsys)
+    assert code == 1 and err.startswith("error [NonFiniteResult]: ")
+    assert "Traceback" not in err
+    assert not out_path.exists()
 
 
 def test_report_sweep_two_kernel_batches(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -397,6 +398,75 @@ def test_tilts_sharing_a_transform():
         assert [mu.moment(2) for mu in shared] == [mu.moment(2) for mu in alone]
         assert ([mu.tilted_moment(Fraction(1, 2), 1) for mu in shared]
                 == [mu.tilted_moment(Fraction(1, 2), 1) for mu in alone])
+
+
+def _counted_batches(monkeypatch) -> list:
+    """The row count of every ``dd_exp_batch`` call that ``expint`` makes from now on."""
+    rows, real = [], expint.dd_exp_batch
+
+    def counted(z, *args, **kwargs):
+        rows.append(len(z))
+        return real(z, *args, **kwargs)
+
+    monkeypatch.setattr(expint, "dd_exp_batch", counted)
+    return rows
+
+
+def test_cell_sums_memoized_on_the_transform(monkeypatch):
+    """A second query of one (xi, a, k), from pl_cell_integrals or from any pushforward of
+    the transform, makes no kernel call; a call batches only the entries it lacks, once."""
+    G = _clustered_transform()
+    xi, a = (Fraction(1, 3), 0), Fraction(1, 2)
+    rows = _counted_batches(monkeypatch)
+    first = pl_cell_integrals(G, [(xi, [a, 0])], 2)
+    assert rows == [2 * len(G.cells)]
+    assert pl_cell_integrals(G, [(list(xi), [0.5, 0]), (xi, [a])], 2) == [*first, first[0]]
+    mu = DHMeasure.pushforward(G, xi)
+    assert mu._tilted(a, 2) == mu._tilted(0.5, 2)
+    assert mu.moment(2) == first[1][1][2] / first[1][1][0]
+    assert rows == [2 * len(G.cells)]
+    pl_cell_integrals(G, [(xi, [0, 2, 2]), (xi, [2, a])], 2)
+    assert rows == [2 * len(G.cells), len(G.cells)]
+
+
+def test_rescaled_transform_keeps_its_own_cell_sums(monkeypatch):
+    """G.rescaled(a, b) shares G's pairings but reads none of G's cell sums: its mean and
+    exponential moment are those of 2G + 1, and its first query batches."""
+    G = _clustered_transform()
+    mu = DHMeasure.pushforward(G, (Fraction(1, 3), 0))
+    mean, log_q = mu.moment(1), mu.log_exp_moment(3)
+    H = G.rescaled(2, 1)
+    assert H._pairing_table is G._pairing_table
+    rows = _counted_batches(monkeypatch)
+    nu = DHMeasure.pushforward(H, (Fraction(1, 3), 0))
+    assert nu.moment(1) == pytest.approx(2 * mean + 1, rel=1e-13)
+    assert rows == [len(G.cells)]  # the order-1 rows at a = 0, of H's own values
+    assert nu.log_exp_moment(Fraction(3, 2)) == pytest.approx(log_q - Fraction(3, 2), rel=1e-13)
+    assert nu.moment(1) != mean
+
+
+def test_moments_past_double_range_are_nonfinite():
+    """A moment, a tilted moment or an inverse power mean past double range is a
+    NonFiniteResult, never an OverflowError."""
+    G = PLConcaveFunction.linear(RationalPolytope.interval(0, 1), [1], 10**80)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the CLI runs
+        # the error bound |w|_max^k * I_0 of this row is past double range: inf, no raise
+        [(_, err, _)] = _exp_integrals([[0.0, -1.0]], [1.0], [[1e80, 1e80 + 1e64]], 4, [0.0])
+    assert err == math.inf or math.isnan(err)
+    atoms = DHMeasure.atomic([(10**80, 1, None), (-10**80, 1, None)])
+    assert atoms.moment(2) == 1e160
+    light = DHMeasure.atomic([(0, 1, None), (10**155, Fraction(1, 10**10), None)])
+    tiny = Fraction(1, 10**300)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the CLI runs
+        for query in (lambda: DHMeasure.pushforward(G).tilted_moments(0, 4),
+                      lambda: atoms.moment(4), lambda: light.tilted_moments(1e-160, 2),
+                      lambda: atoms.inverse_power_mean(0, tiny, 2),
+                      lambda: DHMeasure.pushforward(G).inverse_power_mean(0, tiny, 2),
+                      lambda: DHMeasure.pushforward(G).log_exp_moment(10**300)):
+            with pytest.raises(NonFiniteResult):
+                query()
+    with pytest.raises(NonFiniteResult):
+        DHMeasure.atomic([(0, 1, None), (Fraction(10**310), 1, None)])
 
 
 def test_empirical_dh_trivial_filtration():
