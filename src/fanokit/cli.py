@@ -162,7 +162,10 @@ def _cmd_report(doc, options):
     if "candidates" in doc:
         rows = []
         best = None
-        for cand in need(doc, _DOC, "candidates", kind=list):
+        candidates = need(doc, _DOC, "candidates", kind=list)
+        if not candidates:
+            raise InputError("the candidate list is empty")
+        for cand in candidates:
             mu = measure_from_json(need(cand, "candidate", "measure"))
             A = float(rat(need(cand, "candidate", "A")))
             res = rescale_opt(A, mu)
@@ -242,6 +245,8 @@ def _cmd_distance(doc, options):
     degrees = _parse_degrees(options.degrees) or _parse_degrees(doc.get("degrees"))
     if not degrees:
         degrees = sorted(set(Fa.degrees()) & set(Fb.degrees()))
+        if not degrees:
+            raise InputError("the two filtrations share no degree")
     p = parse_number(doc.get("p", 2), "p", float)
     rows = [{"degree": m, "d_p": d_p_level(Fa, Fb, m, p)} for m in degrees]
     out = {"command": "distance", "p": p, "rows": rows}

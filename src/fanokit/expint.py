@@ -18,11 +18,11 @@ tilt, so they stay in double range for any tilt.
 
 Superlevel volumes come two ways.  Unweighted (xi = 0), t -> n! vol{G >= t}
 is an exact spline of degree n whose knots are the cell vertex values
-(``SurvivalSpline``, built once per transform on first query).  Each cell's
-share is a divided difference of (x - t)_+^n over its vertex values, and the
-spline adds up its residues, knot by knot.  Weighted, each cell is sliced at
-the level and the pieces are summed relative to one log offset
-(``superlevel_log_gvolume``).
+(``SurvivalSpline``, built once per transform on first query, from the
+integers of its node table).  Each cell's share is a divided difference of
+(x - t)_+^n over its vertex values, and the spline adds up its residues,
+knot by knot.  Weighted, each cell is sliced at the level and the pieces are
+summed relative to one log offset (``superlevel_log_gvolume``).
 """
 
 from __future__ import annotations
@@ -220,44 +220,46 @@ def _inverse_series(deltas, r: int) -> list:
     return c
 
 
-def _survival_spline(cell_table, n: int) -> SurvivalSpline:
+def _survival_spline(d: int, values, dets, n: int) -> SurvivalSpline:
     """Sum of the cells' n!vol * P_s(G >= t), one sweep over the knots.
 
+    ``values`` holds each cell's vertex values times their common denominator
+    ``d`` (a node table's integers), and ``dets`` each cell's exact n! vol.
     A non-flat cell's share [a_0..a_n](x - t)_+^n is the sum of the residues
     of (z - t)^n / prod_i (z - a_i) at its values a > t.  The residues at all
     values add up to 1, so the share is 1 below the cell and drops, as t
     passes a value a of multiplicity r, by the residue there:
     sum_{s < r} C(n, s) (a - t)^(n - s) c_{r-1-s}, with c_j the Taylor
     coefficients at a of 1 / prod_{b != a} (z - b), ties included.  Scaling
-    the values and t by the cells' value denominator D leaves the share
-    unchanged, so c_j comes from integer differences, and the drop is
-    sum_s C(n, s) c_{r-1-s} (-D (t - a))^(n - s).  A flat cell contributes
-    an atom.  Each knot's drops are summed as one polynomial in t - t_i; the
-    running polynomial is re-centred from knot to knot.
+    the values and t by d leaves the share unchanged, so c_j comes from
+    integer differences, and the drop is sum_s C(n, s) c_{r-1-s}
+    (-d (t - a))^(n - s).  A flat cell contributes an atom.  Each knot's
+    drops and atoms, keyed by its integer value, are summed as one polynomial
+    in t - t_i; the running polynomial is re-centred from knot to knot.
     """
     zero = [Fraction(0)] * (n + 1)
     drops = defaultdict(lambda: list(zero))
     jumps = defaultdict(Fraction)
-    for values, det in cell_table:
-        den = math.lcm(*(v.denominator for v in values))
-        ints = [v.numerator * (den // v.denominator) for v in values]
+    scales = [math.comb(n, s) * (-d) ** (n - s) for s in range(n + 1)]
+    for ints, det in zip(values, dets):
         if len(set(ints)) == 1:
-            jumps[values[0]] += det
+            jumps[ints[0]] += det
             continue
         for a, r in Counter(ints).items():
             c = _inverse_series([a - b for b in ints if b != a], r)
-            drop = drops[Fraction(a, den)]
+            drop = drops[a]
             for s in range(r):
-                drop[n - s] += det * math.comb(n, s) * (-den) ** (n - s) * c[r - 1 - s]
-    knots = sorted({v for values, _ in cell_table for v in values})
-    total = sum((det for _, det in cell_table), Fraction(0))
+                drop[n - s] += det * scales[s] * c[r - 1 - s]
+    knots = sorted({v for ints in values for v in ints})
+    total = sum(dets, Fraction(0))
     running = [total] + zero[1:]
     coeffs = []
     for prev, t in zip(knots[:1] + knots, knots):
-        running = [r - d for r, d in zip(_taylor_shift(running, t - prev), drops[t])]
+        running = [r - x for r, x in zip(_taylor_shift(running, Fraction(t - prev, d)), drops[t])]
         running[0] -= jumps[t]
         coeffs.append(tuple(running))
-    return SurvivalSpline(tuple(knots), tuple(coeffs), tuple(jumps[t] for t in knots), total)
+    return SurvivalSpline(tuple(Fraction(t, d) for t in knots), tuple(coeffs),
+                          tuple(jumps[t] for t in knots), total)
 
 
 def _common_grid(simplices) -> tuple[int, list]:
@@ -351,16 +353,11 @@ class PLConcaveFunction:
         return _nodes(e * c, values, tuple(_factorial_volume(s) for s, _ in self.cells))
 
     @cached_property
-    def _cell_table(self) -> tuple:
-        """Per cell, in canonical order: exact vertex values and exact n! vol."""
-        d, values = self._node_table[:2]
-        return tuple((tuple(Fraction(v, d) for v in vals), abs(s.edge_determinant()))
-                     for (s, _), vals in zip(self.cells, values))
-
-    @cached_property
     def _survival_spline(self) -> SurvivalSpline:
-        """t -> n! vol{G >= t} as an exact spline, built on first query."""
-        return _survival_spline(self._cell_table, self.dim)
+        """t -> n! vol{G >= t} as an exact spline, built on first query from the node table."""
+        d, values = self._node_table[:2]
+        return _survival_spline(d, values, [abs(s.edge_determinant()) for s, _ in self.cells],
+                                self.dim)
 
     @cached_property
     def _pairing_table(self) -> dict:

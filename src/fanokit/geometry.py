@@ -19,9 +19,10 @@ exact ``Fraction`` views built from the tables.  Floats never enter this
 module.
 
 Every polytope question runs on one core, the double-description method on
-integer rows (``_extreme_rays``), which is self-dual:
+integer rows (``_extreme_rays``, one elimination per cone), which is self-dual:
 
-- facets of points p / d are the extreme rays of the cone of rows (d, p);
+- facets of points p / d are the extreme rays of the cone of rows (d, p),
+  and a point is a vertex when the facets through it share no other point;
 - vertices and boundedness of a halfspace system are the extreme rays of the
   cone of rows (b, -a) and (1, 0, ..., 0); a polytope stated with both
   descriptions is checked this way, while one built from points takes both
@@ -57,12 +58,9 @@ from .rational import (
     _integer_row,
     _over,
     _reduced,
-    coordinates,
     exact_rows,
     exact_vector,
-    independent_rows,
     integer_rows,
-    matrix_rank,
     need,
     parse_number,
     rat,
@@ -208,24 +206,25 @@ def _extreme_rays(rows) -> tuple[list[list[int]], list[frozenset[int]]] | None:
     """Extreme rays of the cone {r : <row, r> >= 0 for every row}, with zero sets.
 
     Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) on
-    integer rows.  The cone of m independent rows has the columns of their
-    inverse as rays; every further row keeps the rays on its nonnegative side
-    and adds one ray on the row's hyperplane for each adjacent pair across
-    it.  A ray carries its zero set, the indices of the rows it lies on; two
-    rays are adjacent exactly when their zero sets share at least m - 2 rows
-    and no third ray's zero set contains that intersection.  Rays are
-    primitive integer vectors.  Returns None when the rows do not span Q^m,
-    so that the cone contains a line; the cone {0} has no rays.
+    integer rows.  The cone of the first m independent rows has the columns
+    of their inverse as rays; every further row keeps the rays on its
+    nonnegative side and adds one ray on the row's hyperplane for each
+    adjacent pair across it.  A ray carries its zero set, the indices of the
+    rows it lies on; two rays are adjacent exactly when their zero sets share
+    at least m - 2 rows and no third ray's zero set contains that
+    intersection.  Rays are primitive integer vectors.  Returns None when the
+    rows do not span Q^m, so that the cone contains a line; the cone {0} has
+    no rays.
     """
-    m = len(rows[0])
-    seed = independent_rows(rows)
+    m, width = len(rows[0]), len(rows)
+    # one Gauss-Jordan pass on the rows as columns beside the identity: the pivots are
+    # the first independent rows, and row j's identity block ends as d times column j
+    # of their inverse, zero on every seed row but the j-th, where it has d's sign
+    a = [[*col, *(int(i == j) for j in range(m))] for i, col in enumerate(zip(*rows))]
+    seed, d, _ = _bareiss(a, width, reduced=True)
     if len(seed) < m:
         return None
-    # the unit vectors in the seed rows' columns: row j is d times column j
-    # of the inverse, zero on every seed row but the j-th, where it has d's sign
-    unit = [[int(i == j) for j in range(m)] for i in range(m)]
-    d, inverse = coordinates(list(zip(*(rows[i] for i in seed))), unit)
-    rays = [_primitive_ray([x if d > 0 else -x for x in row]) for row in inverse]
+    rays = [_primitive_ray([x if d > 0 else -x for x in row[width:]]) for row in a]
     zeros = [frozenset(seed[:j] + seed[j + 1 :]) for j in range(m)]
     seeded = set(seed)
     for k, row in enumerate(rows):
@@ -278,14 +277,15 @@ def _hull(den: int, points) -> tuple[int, list[tuple[tuple[int, ...], tuple[int,
 
 
 def _extreme_points(points, facets) -> list[tuple[int, ...]]:
-    """Points whose active facet normals have full rank (the true vertices)."""
+    """The vertices among the distinct ``points``: those on at least n facets that
+    share no other point (the facets through a point meet in its smallest face)."""
     n = len(points[0])
     active = [[] for _ in points]
-    for ray, incident in facets:
+    for _, incident in facets:
         for i in incident:
-            active[i].append(ray[1:])
-    return sorted({p for p, normals in zip(points, active)
-                   if len(normals) >= n and matrix_rank(normals) == n})
+            active[i].append(incident)
+    return sorted(p for p, sets in zip(points, active)
+                  if len(sets) >= n and len(set(sets[0]).intersection(*sets)) == 1)
 
 
 def _vertices_from_halfspaces(rows, n: int) -> tuple[int, list[tuple[int, ...]], bool]:

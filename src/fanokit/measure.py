@@ -365,6 +365,9 @@ class PushforwardMeasure(DHMeasure):
         adaptive quadrature.
         """
         b, c = rat(b), rat(c)
+        G = self.transform
+        if min(b * G.min_value() + c, b * G.max_value() + c) <= 0:  # affine: the ends decide
+            raise DenominatorVanishes(f"{b} x + {c} vanishes on the support")
         if any(self.weight_xi):
             bf, cf = float(b), float(c)
             info = self.support()
@@ -373,10 +376,8 @@ class PushforwardMeasure(DHMeasure):
                 lambda t: -p * bf * (bf * t + cf) ** (-p - 1) * self._share_above(rat(t)),
                 lo, hi, 1e-11)
             return (bf * lo + cf) ** -p + integral
-        spline = self.transform._survival_spline
+        spline = G._survival_spline
         u = [b * t + c for t in spline.knots]
-        if min(u) <= 0:
-            raise DenominatorVanishes(f"{b} x + {c} vanishes on the support")
         if b == 0:
             return _quotient(c ** -p, 1, "an inverse power mean")
         n = len(spline.coeffs[0]) - 1

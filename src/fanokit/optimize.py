@@ -19,6 +19,7 @@ import numpy as np
 from ._kernel import dd_exp_batch
 from .errors import (
     DenominatorVanishes,
+    DimensionMismatch,
     InputError,
     InvalidVolumeFunction,
     MissingTorusWeights,
@@ -311,15 +312,20 @@ def twist_opt(F, m_list, L: LPolicy, x0=None, tol: float = NEWTON_TOL) -> OptRes
         m_list = [m_list]
     atoms = []
     weight_points = []
+    rank = None
     for m in m_list:
         lv = F.level(m)
         if lv.weights is None:
             raise MissingTorusWeights(f"level {m} has no torus weights")
+        if rank is None:
+            rank, first = len(lv._wnums[0]), m
+        elif len(lv._wnums[0]) != rank:
+            raise DimensionMismatch(f"torus weights of degree {m} have rank "
+                                    f"{len(lv._wnums[0])}, those of degree {first} rank {rank}")
         weight_points += lv.weights
         for val, w in zip(lv._nums, lv._wnums):
             atoms.append((val / lv._den / m, 1.0 / len(m_list) / lv.dim,
                           tuple(x / lv._wden / m for x in w)))
-    rank = len(atoms[0][2])
     # 0 is interior to the hull of the w / m exactly when it is interior to
     # the hull of the w: scaling each point by 1/m > 0 keeps every sign <a, w>
     if not origin_in_interior(weight_points):

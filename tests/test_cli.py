@@ -516,6 +516,36 @@ def test_reversed_degree_range_exit_2(tmp_path, capsys, command, doc, extra, mes
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("report", {"candidates": []}, "the candidate list is empty"),
+    ("distance", {"filtration_a": LEVELS, "filtration_b": {"levels": {
+        "2": {"dim": 1, "values": ["0"]}}}}, "the two filtrations share no degree"),
+], ids=["report-no-candidates", "distance-no-shared-degree"])
+def test_empty_job_exit_2(tmp_path, capsys, command, doc, message):
+    # both once exited 0 with an empty result: "h_upper_bound": null, "rows": []
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli([command, "--input", str(path), "--output", str(tmp_path / "o")],
+                           capsys)
+    assert code == 2
+    assert err == f"input error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_twist_opt_weights_of_mixed_rank_exit_1(tmp_path, capsys):
+    # pooled levels whose torus weights differ in rank once raised a raw ValueError
+    levels = {"1": {"dim": 2, "values": ["0", "1"], "weights": [["1"], ["-1"]]},
+              "2": {"dim": 2, "values": ["0", "1"], "weights": [["1", "0"], ["-1", "0"]]}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"filtration": {"levels": levels}}))
+    code, _, err = run_cli(["twist-opt", "--input", str(path), "--output", str(tmp_path / "o")],
+                           capsys)
+    assert code == 1
+    assert err == ("error [DimensionMismatch]: torus weights of degree 2 have rank 2, "
+                   "those of degree 1 rank 1\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_flag_weights_one_per_coordinate_exit_2(tmp_path, capsys):
     # more weights than coordinates once raised a raw IndexError
     flags = [{"value": "1", "rows": [["1", "0"]]}, {"value": "0", "rows": [["1", "0"], ["0", "1"]]}]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fanokit import geometry
+from fanokit import geometry, rational
 from fanokit.errors import DegeneratePolytope, DegenerateSimplex, InputError
 from fanokit.geometry import (
     AffineForm,
@@ -367,6 +367,27 @@ def test_polytope_from_points_runs_one_double_description(monkeypatch):
     monkeypatch.setattr(geometry, "_extreme_rays", counted)
     box = RationalPolytope.from_vertices(BOX3.vertices)
     assert calls == [8] and box == BOX3
+
+
+@pytest.mark.parametrize("points", [
+    list(itertools.product([-1, 2], repeat=4)),
+    [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)],
+], ids=["box4", "hexagon"])
+def test_polytope_from_points_runs_one_elimination(monkeypatch, points):
+    """One hull from points is one elimination, the seed cone's: the vertices come
+    from the facets' zero sets, with no rank test per point."""
+    calls = []
+    eliminate = rational._bareiss
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return eliminate(*args, **kwargs)
+
+    # geometry imports the name, so both bindings are counted
+    monkeypatch.setattr(rational, "_bareiss", counted)
+    monkeypatch.setattr(geometry, "_bareiss", counted)
+    poly = RationalPolytope.from_vertices(points)
+    assert len(calls) == 1 and sorted(poly.vertices) == sorted(map(rat_vector, points))
 
 
 def test_cached_lists_are_copies():

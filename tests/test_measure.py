@@ -8,7 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fanokit.expint as expint
-from fanokit.errors import InputError, NonFiniteResult, NonpositiveScale, UnsupportedOrder
+from fanokit.errors import (
+    DenominatorVanishes,
+    InputError,
+    NonFiniteResult,
+    NonpositiveScale,
+    UnsupportedOrder,
+)
 from fanokit.expint import (
     PLConcaveFunction,
     _exp_integrals,
@@ -467,6 +473,19 @@ def test_moments_past_double_range_are_nonfinite():
                 query()
     with pytest.raises(NonFiniteResult):
         DHMeasure.atomic([(0, 1, None), (Fraction(10**310), 1, None)])
+
+
+@pytest.mark.parametrize("kind", ["weighted", "unweighted", "atoms"])
+def test_inverse_power_mean_vanishing_denominator(kind):
+    """b x + c = x - 1/2 vanishes inside the support [0, 1]: DenominatorVanishes for
+    every measure kind; the weighted pushforward once raised a raw ZeroDivisionError."""
+    G = PLConcaveFunction.linear(RationalPolytope.interval(0, 1), [1], 0)
+    mu = {"weighted": DHMeasure.pushforward(G, [1]), "unweighted": DHMeasure.pushforward(G, []),
+          "atoms": DHMeasure.atomic([(0, 1, None), (1, 1, None)])}[kind]
+    for c in (Fraction(-1, 2), 0, -1):
+        with pytest.raises(DenominatorVanishes, match="vanishes on the support"):
+            mu.inverse_power_mean(1, c, 2)
+    assert mu.inverse_power_mean(1, Fraction(1, 2), 2) > 0
 
 
 def test_empirical_dh_trivial_filtration():

@@ -241,7 +241,9 @@ def cell_tables(draw):
 def test_survival_spline_matches_shares(case, levels):
     """The spline equals sum det * P_s(G >= t) exactly, at its knots and in between."""
     table, n = case
-    spline = _survival_spline(table, n)
+    d = math.lcm(*(v.denominator for values, _ in table for v in values))
+    spline = _survival_spline(d, [[int(v * d) for v in values] for values, _ in table],
+                              [det for _, det in table], n)
     for t in [*levels, *spline.knots, spline.knots[0] - 1, spline.knots[-1] + 1]:
         assert spline(t) == sum((det * _superlevel_share(values, t) for values, det in table),
                                 Fraction(0))
