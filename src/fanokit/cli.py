@@ -156,7 +156,7 @@ def _convergence_csv(report) -> str:
 
 def _cmd_report(doc, options):
     L = LPolicy.from_json(doc.get("L"))
-    a_list = [float(a) for a in rat_vector(options.a or doc.get("a", ()), "'a'")]
+    a_list = rat_vector(options.a or doc.get("a", ()), "'a'")
     out = {"command": "report"}
     csv = None
     if "candidates" in doc:
@@ -167,9 +167,9 @@ def _cmd_report(doc, options):
             raise InputError("the candidate list is empty")
         for cand in candidates:
             mu = measure_from_json(need(cand, "candidate", "measure"))
-            A = float(rat(need(cand, "candidate", "A")))
+            A = rat(need(cand, "candidate", "A"))
             res = rescale_opt(A, mu)
-            rows.append({"label": cand.get("label", ""), "A": A,
+            rows.append({"label": cand.get("label", ""), "A": float(A),
                          "a_star": res.argmin, "value": res.value})
             best = res.value if best is None else min(best, res.value)
         out["candidates"] = rows
@@ -207,7 +207,7 @@ def _cmd_soliton(doc, options):
 
 def _cmd_rescale(doc, options):
     mu = _measure_from_doc(doc)
-    res = rescale_opt(float(rat(need(doc, _DOC, "A"))), mu, tol=options.tol)
+    res = rescale_opt(rat(need(doc, _DOC, "A")), mu, tol=options.tol)
     return {"command": "rescale", "result": res.to_json()}, None
 
 
@@ -268,8 +268,8 @@ def _cmd_distance(doc, options):
 
 def _cmd_cone(doc, options):
     mu = _measure_from_doc(doc)
-    A = float(rat(need(doc, _DOC, "A")))
-    s_grid = [float(s) for s in rat_vector(doc.get("s_grid", ()), "s_grid")] or None
+    A = rat(need(doc, _DOC, "A"))
+    s_grid = rat_vector(doc["s_grid"], "s_grid") if "s_grid" in doc else None
     scan = cone_family(A, mu, s_grid, dim=parse_number(doc.get("dim", 1), "dim", minimum=1))
     out = {
         "command": "cone",

@@ -131,16 +131,16 @@ def tilde_beta(A, mu: DHMeasure) -> float:
     return A + mu.log_exp_moment(1)
 
 
-def beta_g(A_or_L, mu_g: DHMeasure, tol: float = CONSISTENCY_TOL) -> float:
+def beta_g(A_or_L, mu_g: DHMeasure) -> float:
     """A - E_g for valuation-type measures supported in [0, inf).
 
     By parts, (1/V_g) int_0^inf vol_g(F^(t)) dt equals the mean E_g whenever
-    the support sits in [0, inf), which is exactly the valuation case.
+    the support sits in [0, inf), which is exactly the valuation case; the
+    support's exact minimum decides it.
     """
-    if mu_g.support().lambda_min < -tol:
-        raise NegativeSupport(
-            f"measure support starts at {mu_g.support().lambda_min} < 0"
-        )
+    lam0 = mu_g.support().lambda_min
+    if lam0 < 0:
+        raise NegativeSupport(f"measure support starts at {float(lam0)} < 0")
     return float(A_or_L) - mu_g.moment(1)
 
 

@@ -85,8 +85,11 @@ def _quotient(num, den, what: str) -> float:
 
 @dataclass(frozen=True)
 class SupportInfo:
-    lambda_min: float
-    lambda_max: float
+    """The support's exact ends (the least and greatest atom or vertex value), rounded
+    only where numeric code integrates, and whether an atom sits at the maximum."""
+
+    lambda_min: Fraction
+    lambda_max: Fraction
     atom_at_max: bool
 
 
@@ -255,7 +258,7 @@ class AtomicMeasure(DHMeasure):
         return self._mass_above(t) / self.mass()
 
     def support(self) -> SupportInfo:
-        return SupportInfo(self._pos[0] / self._pden, self._pos[-1] / self._pden, True)
+        return SupportInfo(*_fractions((self._pos[0], self._pos[-1]), self._pden), True)
 
     def _affine(self, a: Fraction, b: Fraction) -> "AtomicMeasure":
         return DHMeasure.atomic([(a * pos + b, m, w) for pos, m, w in self.atoms])
@@ -270,14 +273,17 @@ class AtomicMeasure(DHMeasure):
                                  for pos, m, w in self.atoms])
 
     def inverse_power_mean(self, b, c, p: int) -> float:
-        """(1/mass) int (b lambda + c)^{-p} dmu, summed exactly over the atoms."""
+        """(1/mass) int (b lambda + c)^{-p} dmu for p >= 0, exactly rounded: with each
+        b x_i + c = n_i / d_i and l = lcm(n_i), sum_i m_i (d_i l / n_i)^p / l^p in
+        integers, since a large p makes the gcds of a ``Fraction`` sum slow."""
         b, c = rat(b), rat(c)
         xs, ms = self._merged
         u = [b * Fraction(x, self._pden) + c for x in xs]
         if min(u) <= 0:
             raise DenominatorVanishes(f"{b} x + {c} vanishes on the support")
-        return _quotient(sum((m * ui ** -p for m, ui in zip(ms, u)), Fraction(0)), self._total,
-                         "an inverse power mean")
+        l = math.lcm(*(q.numerator for q in u))
+        return _quotient(sum(m * (q.denominator * (l // q.numerator)) ** p for m, q in zip(ms, u)),
+                         l**p * self._total, "an inverse power mean")
 
     @cached_property
     def _cdf(self):
@@ -342,8 +348,7 @@ class PushforwardMeasure(DHMeasure):
         return v / v0 * math.exp(top - top0) if v else 0.0
 
     def support(self) -> SupportInfo:
-        return SupportInfo(float(self.transform.min_value()),
-                           float(self.transform.max_value()), False)
+        return SupportInfo(self.transform.min_value(), self.transform.max_value(), False)
 
     def _affine(self, a: Fraction, b: Fraction) -> "PushforwardMeasure":
         return DHMeasure.pushforward(self.transform.rescaled(a, b), self.weight_xi)
@@ -366,12 +371,11 @@ class PushforwardMeasure(DHMeasure):
         """
         b, c = rat(b), rat(c)
         G = self.transform
-        if min(b * G.min_value() + c, b * G.max_value() + c) <= 0:  # affine: the ends decide
+        lo, hi = G.min_value(), G.max_value()
+        if min(b * lo + c, b * hi + c) <= 0:  # affine: the ends decide
             raise DenominatorVanishes(f"{b} x + {c} vanishes on the support")
         if any(self.weight_xi):
-            bf, cf = float(b), float(c)
-            info = self.support()
-            lo, hi = info.lambda_min, info.lambda_max
+            bf, cf, lo, hi = float(b), float(c), float(lo), float(hi)
             integral = adaptive_simpson(
                 lambda t: -p * bf * (bf * t + cf) ** (-p - 1) * self._share_above(rat(t)),
                 lo, hi, 1e-11)
@@ -412,11 +416,11 @@ class PushforwardMeasure(DHMeasure):
             return ([float(t) for t in spline.knots],
                     [(float(1 - coeffs[0] / total), *(float(-x / total) for x in coeffs[1:]))
                      for coeffs in spline.coeffs])
-        info = self.support()
-        if info.lambda_max == info.lambda_min:
+        lo, hi = float(self.transform.min_value()), float(self.transform.max_value())
+        if lo == hi:
             # all mass sits at one point: a single jump, not 1 - mu{lambda >= t} = 0
-            return [info.lambda_min], [(1.0,)]
-        knots, values = zip(*_cdf_grid(self, info.lambda_min, info.lambda_max, SUPERLEVEL_GRID))
+            return [lo], [(1.0,)]
+        knots, values = zip(*_cdf_grid(self, lo, hi, SUPERLEVEL_GRID))
         return list(knots), [(v,) for v in values[:-1]] + [(1.0,)]
 
     def to_json(self) -> dict:
@@ -598,7 +602,7 @@ def _cdf_grid(measure: DHMeasure, lo: float, hi: float, count: int):
 def cdf_samples(measure: DHMeasure, count: int = 200):
     """(t, CDF(t)) pairs across the support, for CSV export and plotting."""
     info = measure.support()
-    return _cdf_grid(measure, info.lambda_min - 1e-9, info.lambda_max + 1e-9, count)
+    return _cdf_grid(measure, float(info.lambda_min) - 1e-9, float(info.lambda_max) + 1e-9, count)
 
 
 def adaptive_simpson(g, a, b, tol, depth: int = 24):

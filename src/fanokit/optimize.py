@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
 from ._kernel import dd_exp_batch
 from .errors import (
-    DenominatorVanishes,
     DimensionMismatch,
     InputError,
     InvalidVolumeFunction,
     MissingTorusWeights,
     NegativeSupport,
     NonConvergence,
-    NonFiniteResult,
     OriginNotInterior,
 )
 from .expint import PLConcaveFunction, _factorial_volume, pl_cell_integrals
@@ -252,16 +251,18 @@ def rescale_opt(A, mu: DHMeasure, tol: float = NEWTON_TOL) -> OptResult:
     Returns a_* = 0 with value 0 when the slope at zero beta = A - E is
     nonnegative; otherwise the unique interior optimum with f(a_*) < 0, by
     ``newton_minimize`` with f' = A - (tilted mean) and f'' = (tilted variance).
+    A and the support's ends are compared exactly.
     """
-    A = float(A)
+    A = rat(A)
     if A <= 0:
-        raise InputError(f"log discrepancy must be positive, got {A}")
+        raise InputError(f"log discrepancy must be positive, got {float(A)}")
     support = mu.support()
-    if support.lambda_min < -1e-12:
-        raise NegativeSupport(f"support starts at {support.lambda_min} < 0")
-    if support.lambda_min == support.lambda_max:
+    lam0 = support.lambda_min
+    if lam0 < 0:
+        raise NegativeSupport(f"support starts at {float(lam0)} < 0")
+    if lam0 == support.lambda_max:
         # Dirac spectrum at T: the objective is affine a*(A - T)
-        if A >= support.lambda_min:
+        if A >= lam0:
             # affine increasing objective: boundary minimum, projected gradient 0
             return OptResult(0.0, 0.0, 0.0, 0.0, 0, True, tol)
         raise NonConvergence(
@@ -269,22 +270,21 @@ def rescale_opt(A, mu: DHMeasure, tol: float = NEWTON_TOL) -> OptResult:
             "no minimizer exists (infimum at a -> infinity)"
         )
 
-    beta = A - mu.moment(1)
+    beta = float(A) - mu.moment(1)
     if beta >= 0:
         # f'(0) = beta >= 0 and f is convex: the boundary a = 0 is the minimum
         return OptResult(0.0, 0.0, 0.0, 0.0, 0, True, tol)
+    if A <= lam0:
+        # the tilted mean stays above lambda_min >= A: f decreases forever
+        raise NonConvergence(
+            f"A = {float(A)} does not exceed the spectrum minimum {float(lam0)}: "
+            "the rescaling objective has no interior minimum"
+        )
 
     # shift the spectrum to start at 0: f is unchanged up to replacing A by
     # A - lambda_min, and the tilted variance m2 - m1^2 does not cancel
-    lam0 = rat(support.lambda_min).limit_denominator(10**12)
-    mu_w = mu.affine_transform(1, -lam0) if lam0 != 0 else mu
-    A_w = A - float(lam0)
-    if A_w <= 0:
-        # the tilted mean stays above lambda_min >= A: f decreases forever
-        raise NonConvergence(
-            f"A = {A} does not exceed the spectrum minimum {float(lam0)}: "
-            "the rescaling objective has no interior minimum"
-        )
+    mu_w = mu.affine_transform(1, -lam0) if lam0 else mu
+    A_w = float(A) - float(lam0)
 
     def evaluate(x):
         # f, f' and f'' from the shifted measure's one tilted query
@@ -369,7 +369,7 @@ def interpolation_derivative(transform_or_filtration, xi, L_hat,
 
         def h_hat(s):
             # log int e^{-(s G + (1 - s) <y, xi>)}, from log-offset cell integrals
-            s_r = rat(s).limit_denominator(10**15)
+            s_r = rat(s)
             ((top, (total,)),) = pl_cell_integrals(G, [([(1 - s_r) * x for x in xi_r], [s_r])], 0)
             return float(s) * L_hat + top + math.log(total)
 
@@ -403,38 +403,26 @@ def interpolation_derivative(transform_or_filtration, xi, L_hat,
 def cone_family(A, mu_g: DHMeasure, s_grid=None, dim: int = 1) -> ConvexScan:
     """Normalized cone-volume family f(s) = A^{n+1} E[(s x + (1-s) A)^{-(n+1)}].
 
-    f(0) = 1 and f'(0) = (n+1) * (A - E_g) / A; the scan tests convexity on the
-    sampled grid, whose values must be distinct.
+    Each f(s) is ``inverse_power_mean`` at b = s / A and c = 1 - s, exact in A and s
+    and rounded once, so it is finite wherever its value is.  f(0) = 1 and
+    f'(0) = (n+1) * (A - E_g) / A; the scan tests convexity on the sampled grid,
+    whose values must be distinct as doubles.
     """
-    A = float(A)
+    A = rat(A)
     if A <= 0:
-        raise InputError(f"cone apex parameter must be positive, got {A}")
+        raise InputError(f"cone apex parameter must be positive, got {float(A)}")
     if s_grid is None:
-        s_grid = [i * 0.05 for i in range(20)]  # {0, 0.05, ..., 0.95}
-    s_grid = sorted(float(s) for s in s_grid)
-    if any(a == b for a, b in zip(s_grid, s_grid[1:])):
+        s_grid = [Fraction(i, 20) for i in range(20)]  # {0, 0.05, ..., 0.95}
+    s_grid = sorted(map(rat, s_grid))
+    if not s_grid:
+        raise InputError("s_grid is empty")
+    points = tuple(map(float, s_grid))
+    if any(a == b for a, b in zip(points, points[1:])):
         raise InputError("s_grid repeats a value")
-    support = mu_g.support()
     n1 = dim + 1
-    try:
-        scale = A**n1
-    except OverflowError:
-        raise NonFiniteResult(f"A^{n1} is outside double range") from None
-    for s in s_grid:
-        for endpoint in (support.lambda_min, support.lambda_max):
-            if s * endpoint + (1 - s) * A <= 0:
-                raise DenominatorVanishes(
-                    f"s x + (1-s) A vanishes at s = {s}, x = {endpoint}"
-                )
-
-    def f(s):
-        b = rat(s)
-        return scale * mu_g.inverse_power_mean(b, (1 - b) * rat(A), n1)
-
-    values = tuple(f(s) for s in s_grid)
-    e_g = mu_g.moment(1)
-    deriv0 = n1 * (A - e_g) / A
-    return ConvexScan(tuple(s_grid), values, deriv0)
+    values = tuple(mu_g.inverse_power_mean(s / A, 1 - s, n1) for s in s_grid)
+    deriv0 = n1 * (float(A) - mu_g.moment(1)) / float(A)
+    return ConvexScan(points, values, deriv0)
 
 
 def vol_g_tau(V_g, volg_fn, tau, n: int, tol: float = 1e-11) -> float:

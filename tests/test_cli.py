@@ -15,6 +15,7 @@ from fanokit.cli import _fixture_path, convergence_report, main
 from fanokit.errors import NonFiniteResult
 from fanokit.filtration import filtration_from_json
 from fanokit.measure import measure_from_json
+from fanokit.rational import rat
 from fanokit.serialize import csv_table, dumps_canonical
 
 from conftest import p1_filtration, p1_limit_measure
@@ -520,9 +521,11 @@ def test_reversed_degree_range_exit_2(tmp_path, capsys, command, doc, extra, mes
     ("report", {"candidates": []}, "the candidate list is empty"),
     ("distance", {"filtration_a": LEVELS, "filtration_b": {"levels": {
         "2": {"dim": 1, "values": ["0"]}}}}, "the two filtrations share no degree"),
-], ids=["report-no-candidates", "distance-no-shared-degree"])
+    ("cone", {"measure": DIRAC, "A": "1/2", "s_grid": []}, "s_grid is empty"),
+], ids=["report-no-candidates", "distance-no-shared-degree", "cone-empty-s-grid"])
 def test_empty_job_exit_2(tmp_path, capsys, command, doc, message):
-    # both once exited 0 with an empty result: "h_upper_bound": null, "rows": []
+    # each once exited 0: report and distance with an empty result ("h_upper_bound":
+    # null, "rows": []), cone with the scan of its default grid
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc))
     code, _, err = run_cli([command, "--input", str(path), "--output", str(tmp_path / "o")],
@@ -824,12 +827,11 @@ def _shifted_square(constant):
     ("report", {"measure": {"domain": {"vertices": [["0"], ["1"]]}, "transform": {"cells": [
         {"simplex": [["0"], ["1"]], "affine": {"gradient": ["1"], "constant": "1e80"}}]}}}),
     ("report", {"measure": _shifted_square("1e10"), "a": ["1e300"]}),
+    # on the default grid f(s) = mean of (s x / 3 + 1 - s)^-100001 over x = 1, 2 itself
+    # leaves double range from s = 1/20 on
     ("cone", {"measure": _atoms(("1", "1"), ("2", "1")), "A": "3", "dim": 100000}),
-    ("cone", {"measure": _square_transform_doc(), "A": "1e-300"}),
-    ("cone", {"measure": _atoms(("1", "1"), ("2", "1")), "A": "1e-300"}),
 ], ids=["report-atom-E4", "sweep-atom-E2", "sweep-atom-position", "rescale-atom-E2",
-        "rescale-tilted-E2", "report-pushforward-E4", "report-pushforward-node", "cone-A-power",
-        "cone-pushforward-mean", "cone-atom-mean"])
+        "rescale-tilted-E2", "report-pushforward-E4", "report-pushforward-node", "cone-A-power"])
 def test_result_outside_double_range_exit_1(tmp_path, capsys, command, doc):
     """A value past double range is a named NonFiniteResult, not a raw OverflowError."""
     path, out_path = tmp_path / "job.json", tmp_path / "o"
@@ -840,6 +842,68 @@ def test_result_outside_double_range_exit_1(tmp_path, capsys, command, doc):
     assert code == 1 and err.startswith("error [NonFiniteResult]: ")
     assert "Traceback" not in err
     assert not out_path.exists()
+
+
+def _inverse_square_mean(b, c, pieces):
+    """E[(b t + c)^-2] for b > 0 and the probability density alpha + beta t on each
+    piece (t0, t1, alpha, beta): with u = b t + c, (alpha + beta t) dt is
+    ((alpha - beta c / b) + beta u / b) du / b, whose u^-2 part integrates to a
+    rational and whose u^-1 part to a log."""
+    exact, logs = Fraction(0), 0.0
+    for t0, t1, alpha, beta in pieces:
+        u0, u1 = b * t0 + c, b * t1 + c
+        exact += (alpha - beta * c / b) / b * (1 / u0 - 1 / u1)
+        logs += float(beta / b**2) * math.log(u1 / u0)
+    return float(exact) + logs
+
+
+def _atom_cone(A, s, p):
+    """f(s) on atoms {1, 2} of equal mass, exactly: the mean of (s x / A + 1 - s)^-p."""
+    return float(sum((s * x / A + 1 - s) ** -p for x in (1, 2)) / 2)
+
+
+# on each triangle of _square_transform_doc the values are 1, 1/2 and 3/4: density
+# 16 (t - 1/2) on [1/2, 3/4] and 16 (1 - t) on [3/4, 1]
+_SQUARE_TENT = [(Fraction(1, 2), Fraction(3, 4), -8, 16), (Fraction(3, 4), 1, 16, -16)]
+_DEFAULT_GRID = [Fraction(i, 20) for i in range(20)]
+_TINY = Fraction(1, 10**300)
+
+
+@pytest.mark.parametrize("doc, want", [
+    ({"measure": _square_transform_doc(), "A": "1e-300"},
+     [1.0] + [_inverse_square_mean(s / _TINY, 1 - s, _SQUARE_TENT) for s in _DEFAULT_GRID[1:]]),
+    ({"measure": _atoms(("1", "1"), ("2", "1")), "A": "1e-300"},
+     [_atom_cone(_TINY, s, 2) for s in _DEFAULT_GRID]),
+    ({"measure": _atoms(("1", "1"), ("2", "1")), "A": "3", "dim": 100000,
+      "s_grid": ["0", "1/100000"]},
+     [1.0, 1.6716846034366963]),
+], ids=["cone-pushforward-mean", "cone-atom-mean", "cone-dim-100000"])
+def test_cone_values_whose_factors_leave_double_range(tmp_path, capsys, doc, want):
+    """f(s) = E[(s x / A + 1 - s)^-(n+1)] is finite where A^(n+1) or the mean of
+    (s x + (1 - s) A)^-(n+1) is not: each value is its closed form rounded once, and
+    f(0) = 1.  With A = 1e-300 the values for s > 0 are about (A / s x)^2, below the
+    least double."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = _run_job(doc, "cone", tmp_path, capsys)["scan"]
+    assert scan["values"] == want
+    A, n1 = rat(doc["A"]), doc.get("dim", 1) + 1
+    mean = 1.5 if "atoms" in doc["measure"] else 3 / 4  # E_g of each measure
+    assert scan["derivative_at_zero"] == n1 * (float(A) - mean) / float(A)
+
+
+def test_rescale_compares_the_exact_support(tmp_path, capsys):
+    """A support that starts 10^-13 below 0 is negative, and A at a Dirac's position is
+    a boundary minimum: float slack once read the first as 0, and a float A could miss
+    the second."""
+    doc = {"measure": _atoms(("-1/10000000000000", "1"), ("2", "1")), "A": "1/2"}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(["rescale", "--input", str(path)], capsys)
+    assert code == 1 and err.startswith("error [NegativeSupport]: ")
+    result = _run_job({"measure": _atoms(("1/3", "1")), "A": "1/3"}, "rescale", tmp_path,
+                      capsys)["result"]
+    assert result["argmin"] == 0 and result["value"] == 0 and result["certificates"]["converged"]
 
 
 def test_report_sweep_two_kernel_batches(tmp_path, capsys, monkeypatch):

@@ -105,6 +105,8 @@ def test_beta_g():
     assert abs(beta_g(3, uniform04) - 1.0) < 1e-12
     with pytest.raises(NegativeSupport):
         beta_g(1, DHMeasure.uniform(-1, 0))
+    with pytest.raises(NegativeSupport):  # the exact minimum decides, with no slack
+        beta_g(1, DHMeasure.atomic([(Fraction(-1, 10**13), 1), (2, 1)]))
 
 
 def test_fut_examples():

@@ -7,7 +7,10 @@ transforms, rescale, cone) at d2658ff, before polytopes, simplices and affine
 pieces moved to integer tables; the three benchmark-sized documents (a
 ``distance`` over dims 17-27, a ``degenerate`` in degree 5 of three variables,
 a ``dh`` against a 2-D pushforward) at 80e2a41, before the filtration
-commands dropped their ``Fraction`` rows.  So any drift in a value, an ordering or a
+commands dropped their ``Fraction`` rows.  The rescale and cone hashes were re-pinned
+when both began to read the support's exact ends and the document's exact A and s:
+rescale shifts T3 by its exact minimum 16711/14400, and cone rounds each value once
+(at s = 3/10 its value is 100/51).  So any drift in a value, an ordering or a
 rational's formatting fails here.
 """
 
@@ -215,9 +218,9 @@ def _artifact_sha256(tmp_path, command, doc_or_path):
     ("report", REPORT_CANDIDATES,
      "83ada4909aaf9abf8c0b1c86ce45dac0c7e1564404f944f537455ebf11d77f0c"),
     ("rescale", RESCALE3,
-     "9471666dc0e350dde2428f86e6774bb8efe77cba107d90dec7cdc153c074f495"),
+     "c57865fc129cbfd2643f2ddd97e4cad91f67c57f1fcf59597a972dcc1b170a8d"),
     ("cone", CONE,
-     "3913dc38b8d72e281a51ff30a28eb0e5d4008f8e7bd68fedaa44612d15d05041"),
+     "b582bc4c119939e35e9ce15c491fa3b43d10c8dac83da2382f9a769c868ce9dc"),
     ("report", REPORT_DOMAIN,
      "48dfebbd10564360aa3fb1cef2eec0b325cf4f4aa029ffe0e1e3d6bbd8a2b11b"),
     ("distance", DISTANCE_LARGE,

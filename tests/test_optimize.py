@@ -19,7 +19,7 @@ from fanokit.errors import (
 from fanokit.expint import PLConcaveFunction
 from fanokit.functionals import LPolicy, beta_g
 from fanokit.geometry import RationalPolytope
-from fanokit.measure import DHMeasure
+from fanokit.measure import DHMeasure, measure_from_json
 from fanokit.optimize import (
     ConvexScan,
     cone_family,
@@ -35,6 +35,7 @@ import soliton_reference
 from conftest import p1_filtration, random_level
 from fanokit.filtration import FiltrationLevel, GradedFiltration
 from oracles import bisect_root, central_diff
+from test_golden import CONE, T3
 
 
 # -- shared solver -----------------------------------------------------------
@@ -442,6 +443,24 @@ def test_rescale_narrow_support_matches_closed_form(c, exponent):
     assert abs(res.argmin - want) <= 1e-12 * want
 
 
+def test_rescale_shifts_by_the_exact_minimum(monkeypatch):
+    """The spectrum is shifted by its exact minimum, 16711/14400 on T3, where a float
+    round trip once shifted by 725303819434/624999999991."""
+    shifts = []
+    original = DHMeasure.affine_transform
+
+    def record(self, a, b):
+        shifts.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(DHMeasure, "affine_transform", record)
+    mu = measure_from_json({"transform": T3})
+    assert mu.support().lambda_min == Fraction(16711, 14400)
+    res = rescale_opt(Fraction(3, 2), mu)
+    assert shifts == [(1, Fraction(-16711, 14400))]
+    assert res.converged and res.argmin > 0
+
+
 def test_rescale_second_derivative_nonnegative(rng):
     mu = DHMeasure.atomic([(Fraction(i, 2), Fraction(rng.randint(1, 4)), None)
                            for i in range(5)])
@@ -746,6 +765,15 @@ def test_cone_family_exact_values():
             want = float(exact) + logs
             assert (logs != 0.0) == (dim == 1)
             assert abs(got - want) <= 1e-13 * want
+
+
+def test_cone_value_is_its_exact_rational_rounded_once():
+    """An unweighted 2-D transform with dim = 2 has no log term, so f(s) is one exact
+    rational, rounded once: 100/51 at s = 3/10, A = 3 on the cone fixture."""
+    mu = measure_from_json(CONE["measure"])
+    scan = cone_family(Fraction(3), mu, [Fraction(3, 10)], dim=2)
+    assert scan.values == (float(Fraction(100, 51)),)
+    assert cone_family("3", mu, ["3/10"], dim=2).values == scan.values
 
 
 def test_cone_family_derivative_vs_fd(rng):
